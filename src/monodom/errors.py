@@ -25,6 +25,10 @@ class IdealSyntaxError(MonodomError):
         self.position = position
 
 
+class InvalidParameterError(MonodomError, ValueError):
+    """A field or fuzzing parameter is out of range (a non-prime modulus, ...)."""
+
+
 class GuardExceeded(MonodomError):
     """A configured enumeration bound was exceeded; fail loudly, never truncate."""
 

@@ -10,27 +10,47 @@ Betti number independently of the cancellation path.
 
 All arithmetic is exact: rationals by default, or F_p on request.
 Scalars are stored bare; the monomial part of an entry is always the
-quotient of the two symbols' multidegrees.
+quotient of the two symbols' multidegrees. Rational scalars are Python
+ints; `RationalField.div` returns a Fraction only when the quotient is
+not integral, which keeps the common ±1 pivots on the int fast path.
+
+`FreeComplex` takes ownership of the Taylor complex it is built from:
+the sign columns become its matrices without a copy (over F_p the -1
+signs are rewritten to p - 1 in place). Cancellation is local. Each
+matrix keeps a row index, the transpose of its columns, so cancelling
+(tau, sigma) touches only the columns in row tau, row sigma of the
+matrix above and column tau of the matrix below. Each degree keeps a
+pivot queue: the columns that held an invertible entry when the complex
+was built, smallest last. `find_invertible` drops stale columns from the
+end and returns the scan-order pivot (lowest degree, then smallest
+column, then smallest row) without rescanning. No column ever has to
+join a queue later: a Schur update creates (tau2, sig2) from the entries
+(tau2, sigma) and (tau, sig2), and mdeg(tau2) | mdeg(sigma) = mdeg(tau)
+| mdeg(sig2), so an equal-multidegree fill-in only lands in a column
+that already held the equal-multidegree entry (tau, sig2) and is
+therefore still queued. `check_index` verifies the row index and the
+queues, and `all_invertible` is the full scan that relies on neither.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import _kernels
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, InvalidParameterError
 from .monomials import Monomial, MonomialIdeal
 from .taylor import TAYLOR_GUARD, TaylorComplex, build_taylor
 
 
 class RationalField:
-    """Exact rational scalars via fractions.Fraction."""
+    """Exact rational scalars: ints, and a Fraction only for a non-integral quotient."""
 
     name = "rational"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     @staticmethod
     def neg(x):
@@ -50,7 +70,11 @@ class RationalField:
 
     @staticmethod
     def div(x, y):
-        return x / y
+        if type(x) is int and type(y) is int:
+            quot, rem = divmod(x, y)
+            if not rem:
+                return quot
+        return Fraction(x, y)
 
     @staticmethod
     def is_zero(x):
@@ -60,12 +84,46 @@ class RationalField:
         return _kernels.rank_int(rows)
 
 
+# Miller-Rabin with the first thirteen primes as bases is deterministic
+# below psi_13 (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality test for 0 <= n < _MR_BOUND."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """F_p scalars as plain ints in [0, p)."""
 
     def __init__(self, p: int = 32003):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
+        if p >= _MR_BOUND:
+            raise InvalidParameterError(
+                f"{p} is too large to test for primality (limit {_MR_BOUND - 1})"
+            )
+        if not _is_prime(p):
+            raise InvalidParameterError(f"{p} is not prime")
         self.p = p
         self.name = f"fp:{p}"
         self.zero = 0
@@ -128,23 +186,51 @@ def _table_from_multigraded(
 
 
 class FreeComplex:
-    """Mutable labeled complex over a field; starts as the full subset complex."""
+    """Mutable labeled complex over a field; starts as the full subset complex.
+
+    The constructor takes ownership of `taylor`: its sign columns become
+    the matrices and its strata the surviving symbols, and both are then
+    mutated in place, so pass a fresh Taylor complex, as
+    `complex_from_taylor` does, and do not use it afterwards.
+
+    mats[s] maps each stratum-s column to {row: scalar}; rows[s] is its
+    transpose, {row: {column: None}}; queue[s] lists, in descending
+    order, the columns that may hold an equal-multidegree (invertible)
+    entry.
+    """
 
     def __init__(self, ideal: MonomialIdeal, field, taylor: TaylorComplex):
         self.ideal = ideal
         self.field = field
         self.q = ideal.q
-        self.mdeg_exps = taylor.mdeg_exps
-        self.strata = [list(st) for st in taylor.strata]
-        one, neg_one = field.one, field.neg(field.one)
-        self.mats: list[dict[int, dict[int, object]]] = [dict()]
-        for s in range(1, self.q + 1):
-            cols = {}
-            for sigma, col in taylor.diff[s].items():
-                cols[sigma] = {
-                    tau: (one if sign > 0 else neg_one) for tau, sign in col.items()
-                }
-            self.mats.append(cols)
+        self.mdeg_exps = exps = taylor.mdeg_exps
+        self.strata = taylor.strata
+        self.mats: list[dict[int, dict[int, object]]] = taylor.diff
+        neg_one = field.neg(field.one)
+        rewrite = neg_one != -1
+        self.rows: list[dict[int, dict[int, None]]] = [dict()]
+        self.queue: list[list[int]] = [[]]
+        for mat in self.mats[1:]:
+            rows: dict[int, dict[int, None]] = {}
+            queue = []
+            for sigma, col in mat.items():
+                up = exps[sigma]
+                hit = False
+                for tau, sign in col.items():
+                    if rewrite and sign < 0:
+                        col[tau] = neg_one
+                    row = rows.get(tau)
+                    if row is None:
+                        rows[tau] = {sigma: None}
+                    else:
+                        row[sigma] = None
+                    if not hit and exps[tau] == up:
+                        hit = True
+                if hit:
+                    queue.append(sigma)
+            queue.sort(reverse=True)
+            self.rows.append(rows)
+            self.queue.append(queue)
 
     def copy(self) -> "FreeComplex":
         dup = object.__new__(FreeComplex)
@@ -156,6 +242,10 @@ class FreeComplex:
         dup.mats = [
             {sigma: dict(col) for sigma, col in mat.items()} for mat in self.mats
         ]
+        dup.rows = [
+            {tau: dict(row) for tau, row in rows.items()} for rows in self.rows
+        ]
+        dup.queue = [list(queue) for queue in self.queue]
         return dup
 
     def mdeg(self, mask: int) -> Monomial:
@@ -173,20 +263,28 @@ class FreeComplex:
         )
 
     def find_invertible(self, start: int = 1):
-        """First invertible entry in scan order: degree, then column, then row."""
+        """First invertible entry in scan order: degree, then column, then row.
+
+        Reads the pivot queues, dropping columns that no longer hold an
+        invertible entry; `all_invertible` is the independent full scan.
+        """
+        exps = self.mdeg_exps
         for s in range(max(start, 1), self.q + 1):
-            mat = self.mats[s]
-            for sigma in self.strata[s]:
+            mat, queue = self.mats[s], self.queue[s]
+            while queue:
+                sigma = queue[-1]
                 col = mat.get(sigma)
-                if not col:
-                    continue
-                up = self.mdeg_exps[sigma]
-                for tau in sorted(col):
-                    if self.mdeg_exps[tau] == up:
-                        return s, tau, sigma
+                if col:
+                    up = exps[sigma]
+                    hits = [tau for tau in col if exps[tau] == up]
+                    if hits:
+                        return s, min(hits), sigma
+                queue.pop()
         return None
 
     def all_invertible(self):
+        """Every invertible entry in scan order, by a full scan of the matrices."""
+        exps = self.mdeg_exps
         out = []
         for s in range(1, self.q + 1):
             mat = self.mats[s]
@@ -194,44 +292,82 @@ class FreeComplex:
                 col = mat.get(sigma)
                 if not col:
                     continue
-                up = self.mdeg_exps[sigma]
-                out.extend((s, tau, sigma) for tau in sorted(col)
-                           if self.mdeg_exps[tau] == up)
+                up = exps[sigma]
+                hits = [tau for tau in col if exps[tau] == up]
+                if hits:
+                    out.extend((s, tau, sigma) for tau in sorted(hits))
         return out
 
     def cancel(self, s: int, tau: int, sigma: int) -> "FreeComplex":
-        """Cancel the invertible entry (tau, sigma) of matrix s, in place."""
+        """Cancel the invertible entry (tau, sigma) of matrix s, in place.
+
+        Only the columns in row tau change in matrix s; matrix s+1 loses
+        row sigma and matrix s-1 loses column tau, both found by index.
+        """
         if not self.is_invertible(s, tau, sigma):
             raise ValueError(
                 f"entry at degree {s}, row {tau:#x}, column {sigma:#x} is not invertible"
             )
         F = self.field
-        mat = self.mats[s]
-        col_rest = self.mats[s].pop(sigma)
+        mat, rows = self.mats[s], self.rows[s]
+        col_rest = mat.pop(sigma)
         a = col_rest.pop(tau)
-        row_rest = {}
-        for sig2, col2 in mat.items():
-            if tau in col2:
-                row_rest[sig2] = col2.pop(tau)
-        for sig2, b in row_rest.items():
+        for tau2 in col_rest:
+            del rows[tau2][sigma]
+        row_rest = rows.pop(tau)
+        del row_rest[sigma]
+        for sig2 in row_rest:
             col2 = mat[sig2]
-            factor = F.div(b, a)
+            factor = F.div(col2.pop(tau), a)
             for tau2, c in col_rest.items():
                 delta = F.mul(c, factor)
                 cur = col2.get(tau2)
                 new = F.neg(delta) if cur is None else F.sub(cur, delta)
                 if F.is_zero(new):
-                    col2.pop(tau2, None)
+                    if cur is not None:
+                        del col2[tau2]
+                        del rows[tau2][sig2]
                 else:
+                    if cur is None:
+                        rows[tau2][sig2] = None
                     col2[tau2] = new
-        self.strata[s].remove(sigma)
-        self.strata[s - 1].remove(tau)
-        if s + 1 <= self.q:
-            for col2 in self.mats[s + 1].values():
-                col2.pop(sigma, None)
-        if s - 1 >= 1:
-            self.mats[s - 1].pop(tau, None)
+        _discard(self.strata[s], sigma)
+        _discard(self.strata[s - 1], tau)
+        if s < self.q:
+            above = self.mats[s + 1]
+            for sig2 in self.rows[s + 1].pop(sigma, ()):
+                del above[sig2][sigma]
+        if s > 1:
+            below = self.rows[s - 1]
+            for rho in self.mats[s - 1].pop(tau, ()):
+                del below[rho][tau]
         return self
+
+    def check_index(self) -> None:
+        """rows must be the transpose of mats, and every column holding an
+        equal-multidegree entry must sit in its degree's pivot queue."""
+        exps = self.mdeg_exps
+        for s in range(1, self.q + 1):
+            mat, rows = self.mats[s], self.rows[s]
+            queued = set(self.queue[s])
+            entries = 0
+            for sigma, col in mat.items():
+                entries += len(col)
+                up = exps[sigma]
+                for tau in col:
+                    if sigma not in rows.get(tau, ()):
+                        raise InternalInvariantError(
+                            f"row index of matrix {s} is not the transpose of its columns"
+                        )
+                    if exps[tau] == up and sigma not in queued:
+                        raise InternalInvariantError(
+                            f"column {sigma:#x} of matrix {s} holds an invertible "
+                            "entry but is not queued"
+                        )
+            if entries != sum(map(len, rows.values())):
+                raise InternalInvariantError(
+                    f"row index of matrix {s} is not the transpose of its columns"
+                )
 
     def check_multihomogeneous(self) -> None:
         for s in range(1, self.q + 1):
@@ -283,9 +419,18 @@ class FreeComplex:
         ]
 
 
+def _discard(stratum: list[int], mask: int) -> None:
+    """Remove `mask` from an ascending stratum list."""
+    i = bisect_left(stratum, mask)
+    if i == len(stratum) or stratum[i] != mask:
+        raise InternalInvariantError(f"symbol {mask:#x} is not in its stratum")
+    del stratum[i]
+
+
 def complex_from_taylor(
     ideal: MonomialIdeal, field=RATIONAL, max_q: int = TAYLOR_GUARD
 ) -> FreeComplex:
+    """The subset complex of `ideal`, built fresh and owned by the result."""
     return FreeComplex(ideal, field, build_taylor(ideal, max_q))
 
 
@@ -329,7 +474,8 @@ def minimize(
         if validate:
             cx.validate()
     if validate:
-        if cx.find_invertible() is not None:
+        cx.check_index()
+        if cx.all_invertible():
             raise InternalInvariantError("minimization left an invertible entry")
     return cx, cx.betti_table()
 

@@ -21,7 +21,7 @@ from .dominance import (
     is_taylor_minimal,
     odom_by_dominance,
 )
-from .errors import FuzzFailure, GuardExceeded, TaylorTooLarge
+from .errors import FuzzFailure, GuardExceeded, InvalidParameterError, TaylorTooLarge
 from .monomials import Monomial, MonomialIdeal, VariableTable, minimalize, polarize
 from .nets import NET_FAMILY_GUARD, MinimalNetFamily, Net, minimal_nets, odom_by_nets
 from .resolution import (
@@ -72,7 +72,7 @@ class FuzzParams:
 
     def __post_init__(self):
         if self.n_max < 1 or self.q_max < 1 or self.exp_max < 1:
-            raise ValueError("n_max, q_max and exp_max must all be >= 1")
+            raise InvalidParameterError("n_max, q_max and exp_max must all be >= 1")
 
 
 def random_ideal(params: FuzzParams, trial_index: int) -> MonomialIdeal:

@@ -1,6 +1,17 @@
 import json
 
+import pytest
+
 from monodom.cli import main
+
+# Ideals whose `resolution --show-matrices` output is pinned byte for byte
+# in GOLDEN_TEXT and GOLDEN_JSON at the end of this file, over Q and F_3.
+GOLDEN_IDEALS = {
+    "P6": "x1*x2, x2*x3, x3*x4, x4*x5, x5*x6, x6*x7",
+    "C4": "a*b, b*c, c*d, a*d",
+    "nonscarf": "a^2*b, a*b^2, a*c, b*c^2, c^3",
+}
+GOLDEN_FIELDS = {"Q": (), "F3": ("--field", "fp", "--prime", "3")}
 
 
 def run(capsys, *argv):
@@ -149,6 +160,27 @@ class TestOtherCommands:
         assert code == 0
         assert "matrix f_2" in out
 
+    @pytest.mark.parametrize("field", GOLDEN_FIELDS)
+    @pytest.mark.parametrize("name", GOLDEN_IDEALS)
+    def test_resolution_matrices_golden_text(self, capsys, name, field):
+        code, out, _ = run(
+            capsys, "resolution", "--show-matrices", "--ideal", GOLDEN_IDEALS[name],
+            *GOLDEN_FIELDS[field],
+        )
+        assert code == 0
+        assert out == GOLDEN_TEXT[name, field]
+
+    @pytest.mark.parametrize("field", GOLDEN_FIELDS)
+    @pytest.mark.parametrize("name", GOLDEN_IDEALS)
+    def test_resolution_matrices_golden_json(self, capsys, name, field):
+        code, out, _ = run(
+            capsys, "resolution", "--show-matrices", "--json",
+            "--ideal", GOLDEN_IDEALS[name], *GOLDEN_FIELDS[field],
+        )
+        assert code == 0
+        golden = json.loads(GOLDEN_JSON[name, field])
+        assert out == json.dumps(golden, sort_keys=True, indent=2) + "\n"
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
 
@@ -198,6 +230,23 @@ class TestExitCodes:
         code, _, _ = run(capsys, "analyze")
         assert code == 1
 
+    def test_non_prime_field_is_1(self, capsys):
+        code, _, err = run(
+            capsys, "betti", "--ideal", "a^2,b", "--field", "fp", "--prime", "4"
+        )
+        assert code == 1 and err == "error: 4 is not prime\n"
+
+    def test_prime_beyond_primality_test_is_1(self, capsys):
+        code, _, err = run(
+            capsys, "betti", "--ideal", "a^2,b", "--field", "fp", "--prime", str(10**25)
+        )
+        assert code == 1 and err.startswith("error: ") and "too large" in err
+
+    def test_bad_fuzz_parameters_is_1(self, capsys):
+        code, _, err = run(capsys, "verify", "--n-max", "0")
+        assert code == 1
+        assert err == "error: n_max, q_max and exp_max must all be >= 1\n"
+
     def test_guard_is_2(self, capsys):
         big = ", ".join(f"x{i}" for i in range(1, 16))
         code, _, err = run(capsys, "analyze", "--ideal", big)
@@ -237,3 +286,563 @@ class TestExitCodes:
             code, out, _ = run(capsys, "polarize", "--ideal", "a, a*b")
         assert code == 0
         assert out.strip() == "a_1"
+
+
+GOLDEN_TEXT = {
+    ("P6", "Q"): """\
+minimal free resolution of the quotient; betti [1, 6, 11, 9, 3]
+degree 0:
+  [0]   mdeg 1
+degree 1:
+  [x1*x2]   mdeg x1*x2
+  [x2*x3]   mdeg x2*x3
+  [x3*x4]   mdeg x3*x4
+  [x4*x5]   mdeg x4*x5
+  [x5*x6]   mdeg x5*x6
+  [x6*x7]   mdeg x6*x7
+degree 2:
+  [x1*x2, x2*x3]   mdeg x1*x2*x3
+  [x2*x3, x3*x4]   mdeg x2*x3*x4
+  [x1*x2, x4*x5]   mdeg x1*x2*x4*x5
+  [x3*x4, x4*x5]   mdeg x3*x4*x5
+  [x1*x2, x5*x6]   mdeg x1*x2*x5*x6
+  [x2*x3, x5*x6]   mdeg x2*x3*x5*x6
+  [x4*x5, x5*x6]   mdeg x4*x5*x6
+  [x1*x2, x6*x7]   mdeg x1*x2*x6*x7
+  [x2*x3, x6*x7]   mdeg x2*x3*x6*x7
+  [x3*x4, x6*x7]   mdeg x3*x4*x6*x7
+  [x5*x6, x6*x7]   mdeg x5*x6*x7
+degree 3:
+  [x1*x2, x3*x4, x4*x5]   mdeg x1*x2*x3*x4*x5
+  [x1*x2, x2*x3, x5*x6]   mdeg x1*x2*x3*x5*x6
+  [x1*x2, x4*x5, x5*x6]   mdeg x1*x2*x4*x5*x6
+  [x2*x3, x4*x5, x5*x6]   mdeg x2*x3*x4*x5*x6
+  [x1*x2, x2*x3, x6*x7]   mdeg x1*x2*x3*x6*x7
+  [x2*x3, x3*x4, x6*x7]   mdeg x2*x3*x4*x6*x7
+  [x1*x2, x5*x6, x6*x7]   mdeg x1*x2*x5*x6*x7
+  [x2*x3, x5*x6, x6*x7]   mdeg x2*x3*x5*x6*x7
+  [x3*x4, x5*x6, x6*x7]   mdeg x3*x4*x5*x6*x7
+degree 4:
+  [x1*x2, x3*x4, x4*x5, x5*x6]   mdeg x1*x2*x3*x4*x5*x6
+  [x1*x2, x2*x3, x5*x6, x6*x7]   mdeg x1*x2*x3*x5*x6*x7
+  [x2*x3, x4*x5, x5*x6, x6*x7]   mdeg x2*x3*x4*x5*x6*x7
+matrix f_1:
+  [0] <- [x1*x2]: 1 * x1*x2
+  [0] <- [x2*x3]: 1 * x2*x3
+  [0] <- [x3*x4]: 1 * x3*x4
+  [0] <- [x4*x5]: 1 * x4*x5
+  [0] <- [x5*x6]: 1 * x5*x6
+  [0] <- [x6*x7]: 1 * x6*x7
+matrix f_2:
+  [x1*x2] <- [x1*x2, x2*x3]: -1 * x3
+  [x2*x3] <- [x1*x2, x2*x3]: 1 * x1
+  [x2*x3] <- [x2*x3, x3*x4]: -1 * x4
+  [x3*x4] <- [x2*x3, x3*x4]: 1 * x2
+  [x1*x2] <- [x1*x2, x4*x5]: -1 * x4*x5
+  [x4*x5] <- [x1*x2, x4*x5]: 1 * x1*x2
+  [x3*x4] <- [x3*x4, x4*x5]: -1 * x5
+  [x4*x5] <- [x3*x4, x4*x5]: 1 * x3
+  [x1*x2] <- [x1*x2, x5*x6]: -1 * x5*x6
+  [x5*x6] <- [x1*x2, x5*x6]: 1 * x1*x2
+  [x2*x3] <- [x2*x3, x5*x6]: -1 * x5*x6
+  [x5*x6] <- [x2*x3, x5*x6]: 1 * x2*x3
+  [x4*x5] <- [x4*x5, x5*x6]: -1 * x6
+  [x5*x6] <- [x4*x5, x5*x6]: 1 * x4
+  [x1*x2] <- [x1*x2, x6*x7]: -1 * x6*x7
+  [x6*x7] <- [x1*x2, x6*x7]: 1 * x1*x2
+  [x2*x3] <- [x2*x3, x6*x7]: -1 * x6*x7
+  [x6*x7] <- [x2*x3, x6*x7]: 1 * x2*x3
+  [x3*x4] <- [x3*x4, x6*x7]: -1 * x6*x7
+  [x6*x7] <- [x3*x4, x6*x7]: 1 * x3*x4
+  [x5*x6] <- [x5*x6, x6*x7]: -1 * x7
+  [x6*x7] <- [x5*x6, x6*x7]: 1 * x5
+matrix f_3:
+  [x1*x2, x2*x3] <- [x1*x2, x3*x4, x4*x5]: 1 * x4*x5
+  [x2*x3, x3*x4] <- [x1*x2, x3*x4, x4*x5]: 1 * x1*x5
+  [x1*x2, x4*x5] <- [x1*x2, x3*x4, x4*x5]: -1 * x3
+  [x3*x4, x4*x5] <- [x1*x2, x3*x4, x4*x5]: 1 * x1*x2
+  [x1*x2, x2*x3] <- [x1*x2, x2*x3, x5*x6]: 1 * x5*x6
+  [x1*x2, x5*x6] <- [x1*x2, x2*x3, x5*x6]: -1 * x3
+  [x2*x3, x5*x6] <- [x1*x2, x2*x3, x5*x6]: 1 * x1
+  [x1*x2, x4*x5] <- [x1*x2, x4*x5, x5*x6]: 1 * x6
+  [x1*x2, x5*x6] <- [x1*x2, x4*x5, x5*x6]: -1 * x4
+  [x4*x5, x5*x6] <- [x1*x2, x4*x5, x5*x6]: 1 * x1*x2
+  [x2*x3, x3*x4] <- [x2*x3, x4*x5, x5*x6]: 1 * x5*x6
+  [x3*x4, x4*x5] <- [x2*x3, x4*x5, x5*x6]: 1 * x2*x6
+  [x2*x3, x5*x6] <- [x2*x3, x4*x5, x5*x6]: -1 * x4
+  [x4*x5, x5*x6] <- [x2*x3, x4*x5, x5*x6]: 1 * x2*x3
+  [x1*x2, x2*x3] <- [x1*x2, x2*x3, x6*x7]: 1 * x6*x7
+  [x1*x2, x6*x7] <- [x1*x2, x2*x3, x6*x7]: -1 * x3
+  [x2*x3, x6*x7] <- [x1*x2, x2*x3, x6*x7]: 1 * x1
+  [x2*x3, x3*x4] <- [x2*x3, x3*x4, x6*x7]: 1 * x6*x7
+  [x2*x3, x6*x7] <- [x2*x3, x3*x4, x6*x7]: -1 * x4
+  [x3*x4, x6*x7] <- [x2*x3, x3*x4, x6*x7]: 1 * x2
+  [x1*x2, x5*x6] <- [x1*x2, x5*x6, x6*x7]: 1 * x7
+  [x1*x2, x6*x7] <- [x1*x2, x5*x6, x6*x7]: -1 * x5
+  [x5*x6, x6*x7] <- [x1*x2, x5*x6, x6*x7]: 1 * x1*x2
+  [x2*x3, x5*x6] <- [x2*x3, x5*x6, x6*x7]: 1 * x7
+  [x2*x3, x6*x7] <- [x2*x3, x5*x6, x6*x7]: -1 * x5
+  [x5*x6, x6*x7] <- [x2*x3, x5*x6, x6*x7]: 1 * x2*x3
+  [x3*x4, x4*x5] <- [x3*x4, x5*x6, x6*x7]: 1 * x6*x7
+  [x4*x5, x5*x6] <- [x3*x4, x5*x6, x6*x7]: 1 * x3*x7
+  [x3*x4, x6*x7] <- [x3*x4, x5*x6, x6*x7]: -1 * x5
+  [x5*x6, x6*x7] <- [x3*x4, x5*x6, x6*x7]: 1 * x3*x4
+matrix f_4:
+  [x1*x2, x3*x4, x4*x5] <- [x1*x2, x3*x4, x4*x5, x5*x6]: -1 * x6
+  [x1*x2, x2*x3, x5*x6] <- [x1*x2, x3*x4, x4*x5, x5*x6]: 1 * x4
+  [x1*x2, x4*x5, x5*x6] <- [x1*x2, x3*x4, x4*x5, x5*x6]: -1 * x3
+  [x2*x3, x4*x5, x5*x6] <- [x1*x2, x3*x4, x4*x5, x5*x6]: 1 * x1
+  [x1*x2, x2*x3, x5*x6] <- [x1*x2, x2*x3, x5*x6, x6*x7]: -1 * x7
+  [x1*x2, x2*x3, x6*x7] <- [x1*x2, x2*x3, x5*x6, x6*x7]: 1 * x5
+  [x1*x2, x5*x6, x6*x7] <- [x1*x2, x2*x3, x5*x6, x6*x7]: -1 * x3
+  [x2*x3, x5*x6, x6*x7] <- [x1*x2, x2*x3, x5*x6, x6*x7]: 1 * x1
+  [x2*x3, x4*x5, x5*x6] <- [x2*x3, x4*x5, x5*x6, x6*x7]: -1 * x7
+  [x2*x3, x3*x4, x6*x7] <- [x2*x3, x4*x5, x5*x6, x6*x7]: 1 * x5
+  [x2*x3, x5*x6, x6*x7] <- [x2*x3, x4*x5, x5*x6, x6*x7]: -1 * x4
+  [x3*x4, x5*x6, x6*x7] <- [x2*x3, x4*x5, x5*x6, x6*x7]: 1 * x2
+""",
+    ("P6", "F3"): """\
+minimal free resolution of the quotient; betti [1, 6, 11, 9, 3]
+degree 0:
+  [0]   mdeg 1
+degree 1:
+  [x1*x2]   mdeg x1*x2
+  [x2*x3]   mdeg x2*x3
+  [x3*x4]   mdeg x3*x4
+  [x4*x5]   mdeg x4*x5
+  [x5*x6]   mdeg x5*x6
+  [x6*x7]   mdeg x6*x7
+degree 2:
+  [x1*x2, x2*x3]   mdeg x1*x2*x3
+  [x2*x3, x3*x4]   mdeg x2*x3*x4
+  [x1*x2, x4*x5]   mdeg x1*x2*x4*x5
+  [x3*x4, x4*x5]   mdeg x3*x4*x5
+  [x1*x2, x5*x6]   mdeg x1*x2*x5*x6
+  [x2*x3, x5*x6]   mdeg x2*x3*x5*x6
+  [x4*x5, x5*x6]   mdeg x4*x5*x6
+  [x1*x2, x6*x7]   mdeg x1*x2*x6*x7
+  [x2*x3, x6*x7]   mdeg x2*x3*x6*x7
+  [x3*x4, x6*x7]   mdeg x3*x4*x6*x7
+  [x5*x6, x6*x7]   mdeg x5*x6*x7
+degree 3:
+  [x1*x2, x3*x4, x4*x5]   mdeg x1*x2*x3*x4*x5
+  [x1*x2, x2*x3, x5*x6]   mdeg x1*x2*x3*x5*x6
+  [x1*x2, x4*x5, x5*x6]   mdeg x1*x2*x4*x5*x6
+  [x2*x3, x4*x5, x5*x6]   mdeg x2*x3*x4*x5*x6
+  [x1*x2, x2*x3, x6*x7]   mdeg x1*x2*x3*x6*x7
+  [x2*x3, x3*x4, x6*x7]   mdeg x2*x3*x4*x6*x7
+  [x1*x2, x5*x6, x6*x7]   mdeg x1*x2*x5*x6*x7
+  [x2*x3, x5*x6, x6*x7]   mdeg x2*x3*x5*x6*x7
+  [x3*x4, x5*x6, x6*x7]   mdeg x3*x4*x5*x6*x7
+degree 4:
+  [x1*x2, x3*x4, x4*x5, x5*x6]   mdeg x1*x2*x3*x4*x5*x6
+  [x1*x2, x2*x3, x5*x6, x6*x7]   mdeg x1*x2*x3*x5*x6*x7
+  [x2*x3, x4*x5, x5*x6, x6*x7]   mdeg x2*x3*x4*x5*x6*x7
+matrix f_1:
+  [0] <- [x1*x2]: 1 * x1*x2
+  [0] <- [x2*x3]: 1 * x2*x3
+  [0] <- [x3*x4]: 1 * x3*x4
+  [0] <- [x4*x5]: 1 * x4*x5
+  [0] <- [x5*x6]: 1 * x5*x6
+  [0] <- [x6*x7]: 1 * x6*x7
+matrix f_2:
+  [x1*x2] <- [x1*x2, x2*x3]: 2 * x3
+  [x2*x3] <- [x1*x2, x2*x3]: 1 * x1
+  [x2*x3] <- [x2*x3, x3*x4]: 2 * x4
+  [x3*x4] <- [x2*x3, x3*x4]: 1 * x2
+  [x1*x2] <- [x1*x2, x4*x5]: 2 * x4*x5
+  [x4*x5] <- [x1*x2, x4*x5]: 1 * x1*x2
+  [x3*x4] <- [x3*x4, x4*x5]: 2 * x5
+  [x4*x5] <- [x3*x4, x4*x5]: 1 * x3
+  [x1*x2] <- [x1*x2, x5*x6]: 2 * x5*x6
+  [x5*x6] <- [x1*x2, x5*x6]: 1 * x1*x2
+  [x2*x3] <- [x2*x3, x5*x6]: 2 * x5*x6
+  [x5*x6] <- [x2*x3, x5*x6]: 1 * x2*x3
+  [x4*x5] <- [x4*x5, x5*x6]: 2 * x6
+  [x5*x6] <- [x4*x5, x5*x6]: 1 * x4
+  [x1*x2] <- [x1*x2, x6*x7]: 2 * x6*x7
+  [x6*x7] <- [x1*x2, x6*x7]: 1 * x1*x2
+  [x2*x3] <- [x2*x3, x6*x7]: 2 * x6*x7
+  [x6*x7] <- [x2*x3, x6*x7]: 1 * x2*x3
+  [x3*x4] <- [x3*x4, x6*x7]: 2 * x6*x7
+  [x6*x7] <- [x3*x4, x6*x7]: 1 * x3*x4
+  [x5*x6] <- [x5*x6, x6*x7]: 2 * x7
+  [x6*x7] <- [x5*x6, x6*x7]: 1 * x5
+matrix f_3:
+  [x1*x2, x2*x3] <- [x1*x2, x3*x4, x4*x5]: 1 * x4*x5
+  [x2*x3, x3*x4] <- [x1*x2, x3*x4, x4*x5]: 1 * x1*x5
+  [x1*x2, x4*x5] <- [x1*x2, x3*x4, x4*x5]: 2 * x3
+  [x3*x4, x4*x5] <- [x1*x2, x3*x4, x4*x5]: 1 * x1*x2
+  [x1*x2, x2*x3] <- [x1*x2, x2*x3, x5*x6]: 1 * x5*x6
+  [x1*x2, x5*x6] <- [x1*x2, x2*x3, x5*x6]: 2 * x3
+  [x2*x3, x5*x6] <- [x1*x2, x2*x3, x5*x6]: 1 * x1
+  [x1*x2, x4*x5] <- [x1*x2, x4*x5, x5*x6]: 1 * x6
+  [x1*x2, x5*x6] <- [x1*x2, x4*x5, x5*x6]: 2 * x4
+  [x4*x5, x5*x6] <- [x1*x2, x4*x5, x5*x6]: 1 * x1*x2
+  [x2*x3, x3*x4] <- [x2*x3, x4*x5, x5*x6]: 1 * x5*x6
+  [x3*x4, x4*x5] <- [x2*x3, x4*x5, x5*x6]: 1 * x2*x6
+  [x2*x3, x5*x6] <- [x2*x3, x4*x5, x5*x6]: 2 * x4
+  [x4*x5, x5*x6] <- [x2*x3, x4*x5, x5*x6]: 1 * x2*x3
+  [x1*x2, x2*x3] <- [x1*x2, x2*x3, x6*x7]: 1 * x6*x7
+  [x1*x2, x6*x7] <- [x1*x2, x2*x3, x6*x7]: 2 * x3
+  [x2*x3, x6*x7] <- [x1*x2, x2*x3, x6*x7]: 1 * x1
+  [x2*x3, x3*x4] <- [x2*x3, x3*x4, x6*x7]: 1 * x6*x7
+  [x2*x3, x6*x7] <- [x2*x3, x3*x4, x6*x7]: 2 * x4
+  [x3*x4, x6*x7] <- [x2*x3, x3*x4, x6*x7]: 1 * x2
+  [x1*x2, x5*x6] <- [x1*x2, x5*x6, x6*x7]: 1 * x7
+  [x1*x2, x6*x7] <- [x1*x2, x5*x6, x6*x7]: 2 * x5
+  [x5*x6, x6*x7] <- [x1*x2, x5*x6, x6*x7]: 1 * x1*x2
+  [x2*x3, x5*x6] <- [x2*x3, x5*x6, x6*x7]: 1 * x7
+  [x2*x3, x6*x7] <- [x2*x3, x5*x6, x6*x7]: 2 * x5
+  [x5*x6, x6*x7] <- [x2*x3, x5*x6, x6*x7]: 1 * x2*x3
+  [x3*x4, x4*x5] <- [x3*x4, x5*x6, x6*x7]: 1 * x6*x7
+  [x4*x5, x5*x6] <- [x3*x4, x5*x6, x6*x7]: 1 * x3*x7
+  [x3*x4, x6*x7] <- [x3*x4, x5*x6, x6*x7]: 2 * x5
+  [x5*x6, x6*x7] <- [x3*x4, x5*x6, x6*x7]: 1 * x3*x4
+matrix f_4:
+  [x1*x2, x3*x4, x4*x5] <- [x1*x2, x3*x4, x4*x5, x5*x6]: 2 * x6
+  [x1*x2, x2*x3, x5*x6] <- [x1*x2, x3*x4, x4*x5, x5*x6]: 1 * x4
+  [x1*x2, x4*x5, x5*x6] <- [x1*x2, x3*x4, x4*x5, x5*x6]: 2 * x3
+  [x2*x3, x4*x5, x5*x6] <- [x1*x2, x3*x4, x4*x5, x5*x6]: 1 * x1
+  [x1*x2, x2*x3, x5*x6] <- [x1*x2, x2*x3, x5*x6, x6*x7]: 2 * x7
+  [x1*x2, x2*x3, x6*x7] <- [x1*x2, x2*x3, x5*x6, x6*x7]: 1 * x5
+  [x1*x2, x5*x6, x6*x7] <- [x1*x2, x2*x3, x5*x6, x6*x7]: 2 * x3
+  [x2*x3, x5*x6, x6*x7] <- [x1*x2, x2*x3, x5*x6, x6*x7]: 1 * x1
+  [x2*x3, x4*x5, x5*x6] <- [x2*x3, x4*x5, x5*x6, x6*x7]: 2 * x7
+  [x2*x3, x3*x4, x6*x7] <- [x2*x3, x4*x5, x5*x6, x6*x7]: 1 * x5
+  [x2*x3, x5*x6, x6*x7] <- [x2*x3, x4*x5, x5*x6, x6*x7]: 2 * x4
+  [x3*x4, x5*x6, x6*x7] <- [x2*x3, x4*x5, x5*x6, x6*x7]: 1 * x2
+""",
+    ("C4", "Q"): """\
+minimal free resolution of the quotient; betti [1, 4, 4, 1]
+degree 0:
+  [0]   mdeg 1
+degree 1:
+  [a*b]   mdeg a*b
+  [a*d]   mdeg a*d
+  [b*c]   mdeg b*c
+  [c*d]   mdeg c*d
+degree 2:
+  [a*b, a*d]   mdeg a*b*d
+  [a*b, b*c]   mdeg a*b*c
+  [a*d, c*d]   mdeg a*c*d
+  [b*c, c*d]   mdeg b*c*d
+degree 3:
+  [a*d, b*c, c*d]   mdeg a*b*c*d
+matrix f_1:
+  [0] <- [a*b]: 1 * a*b
+  [0] <- [a*d]: 1 * a*d
+  [0] <- [b*c]: 1 * b*c
+  [0] <- [c*d]: 1 * c*d
+matrix f_2:
+  [a*b] <- [a*b, a*d]: -1 * d
+  [a*d] <- [a*b, a*d]: 1 * b
+  [a*b] <- [a*b, b*c]: -1 * c
+  [b*c] <- [a*b, b*c]: 1 * a
+  [a*d] <- [a*d, c*d]: -1 * c
+  [c*d] <- [a*d, c*d]: 1 * a
+  [b*c] <- [b*c, c*d]: -1 * d
+  [c*d] <- [b*c, c*d]: 1 * b
+matrix f_3:
+  [a*b, a*d] <- [a*d, b*c, c*d]: -1 * c
+  [a*b, b*c] <- [a*d, b*c, c*d]: 1 * d
+  [a*d, c*d] <- [a*d, b*c, c*d]: -1 * b
+  [b*c, c*d] <- [a*d, b*c, c*d]: 1 * a
+""",
+    ("C4", "F3"): """\
+minimal free resolution of the quotient; betti [1, 4, 4, 1]
+degree 0:
+  [0]   mdeg 1
+degree 1:
+  [a*b]   mdeg a*b
+  [a*d]   mdeg a*d
+  [b*c]   mdeg b*c
+  [c*d]   mdeg c*d
+degree 2:
+  [a*b, a*d]   mdeg a*b*d
+  [a*b, b*c]   mdeg a*b*c
+  [a*d, c*d]   mdeg a*c*d
+  [b*c, c*d]   mdeg b*c*d
+degree 3:
+  [a*d, b*c, c*d]   mdeg a*b*c*d
+matrix f_1:
+  [0] <- [a*b]: 1 * a*b
+  [0] <- [a*d]: 1 * a*d
+  [0] <- [b*c]: 1 * b*c
+  [0] <- [c*d]: 1 * c*d
+matrix f_2:
+  [a*b] <- [a*b, a*d]: 2 * d
+  [a*d] <- [a*b, a*d]: 1 * b
+  [a*b] <- [a*b, b*c]: 2 * c
+  [b*c] <- [a*b, b*c]: 1 * a
+  [a*d] <- [a*d, c*d]: 2 * c
+  [c*d] <- [a*d, c*d]: 1 * a
+  [b*c] <- [b*c, c*d]: 2 * d
+  [c*d] <- [b*c, c*d]: 1 * b
+matrix f_3:
+  [a*b, a*d] <- [a*d, b*c, c*d]: 2 * c
+  [a*b, b*c] <- [a*d, b*c, c*d]: 1 * d
+  [a*d, c*d] <- [a*d, b*c, c*d]: 2 * b
+  [b*c, c*d] <- [a*d, b*c, c*d]: 1 * a
+""",
+    ("nonscarf", "Q"): """\
+minimal free resolution of the quotient; betti [1, 5, 6, 2]
+degree 0:
+  [0]   mdeg 1
+degree 1:
+  [a^2*b]   mdeg a^2*b
+  [a*b^2]   mdeg a*b^2
+  [a*c]   mdeg a*c
+  [b*c^2]   mdeg b*c^2
+  [c^3]   mdeg c^3
+degree 2:
+  [a^2*b, a*b^2]   mdeg a^2*b^2
+  [a^2*b, a*c]   mdeg a^2*b*c
+  [a*b^2, a*c]   mdeg a*b^2*c
+  [a*c, b*c^2]   mdeg a*b*c^2
+  [a*c, c^3]   mdeg a*c^3
+  [b*c^2, c^3]   mdeg b*c^3
+degree 3:
+  [a^2*b, a*b^2, a*c]   mdeg a^2*b^2*c
+  [a*c, b*c^2, c^3]   mdeg a*b*c^3
+matrix f_1:
+  [0] <- [a^2*b]: 1 * a^2*b
+  [0] <- [a*b^2]: 1 * a*b^2
+  [0] <- [a*c]: 1 * a*c
+  [0] <- [b*c^2]: 1 * b*c^2
+  [0] <- [c^3]: 1 * c^3
+matrix f_2:
+  [a^2*b] <- [a^2*b, a*b^2]: -1 * b
+  [a*b^2] <- [a^2*b, a*b^2]: 1 * a
+  [a^2*b] <- [a^2*b, a*c]: -1 * c
+  [a*c] <- [a^2*b, a*c]: 1 * a*b
+  [a*b^2] <- [a*b^2, a*c]: -1 * c
+  [a*c] <- [a*b^2, a*c]: 1 * b^2
+  [a*c] <- [a*c, b*c^2]: -1 * b*c
+  [b*c^2] <- [a*c, b*c^2]: 1 * a
+  [a*c] <- [a*c, c^3]: -1 * c^2
+  [c^3] <- [a*c, c^3]: 1 * a
+  [b*c^2] <- [b*c^2, c^3]: -1 * c
+  [c^3] <- [b*c^2, c^3]: 1 * b
+matrix f_3:
+  [a^2*b, a*b^2] <- [a^2*b, a*b^2, a*c]: 1 * c
+  [a^2*b, a*c] <- [a^2*b, a*b^2, a*c]: -1 * b
+  [a*b^2, a*c] <- [a^2*b, a*b^2, a*c]: 1 * a
+  [a*c, b*c^2] <- [a*c, b*c^2, c^3]: 1 * c
+  [a*c, c^3] <- [a*c, b*c^2, c^3]: -1 * b
+  [b*c^2, c^3] <- [a*c, b*c^2, c^3]: 1 * a
+""",
+    ("nonscarf", "F3"): """\
+minimal free resolution of the quotient; betti [1, 5, 6, 2]
+degree 0:
+  [0]   mdeg 1
+degree 1:
+  [a^2*b]   mdeg a^2*b
+  [a*b^2]   mdeg a*b^2
+  [a*c]   mdeg a*c
+  [b*c^2]   mdeg b*c^2
+  [c^3]   mdeg c^3
+degree 2:
+  [a^2*b, a*b^2]   mdeg a^2*b^2
+  [a^2*b, a*c]   mdeg a^2*b*c
+  [a*b^2, a*c]   mdeg a*b^2*c
+  [a*c, b*c^2]   mdeg a*b*c^2
+  [a*c, c^3]   mdeg a*c^3
+  [b*c^2, c^3]   mdeg b*c^3
+degree 3:
+  [a^2*b, a*b^2, a*c]   mdeg a^2*b^2*c
+  [a*c, b*c^2, c^3]   mdeg a*b*c^3
+matrix f_1:
+  [0] <- [a^2*b]: 1 * a^2*b
+  [0] <- [a*b^2]: 1 * a*b^2
+  [0] <- [a*c]: 1 * a*c
+  [0] <- [b*c^2]: 1 * b*c^2
+  [0] <- [c^3]: 1 * c^3
+matrix f_2:
+  [a^2*b] <- [a^2*b, a*b^2]: 2 * b
+  [a*b^2] <- [a^2*b, a*b^2]: 1 * a
+  [a^2*b] <- [a^2*b, a*c]: 2 * c
+  [a*c] <- [a^2*b, a*c]: 1 * a*b
+  [a*b^2] <- [a*b^2, a*c]: 2 * c
+  [a*c] <- [a*b^2, a*c]: 1 * b^2
+  [a*c] <- [a*c, b*c^2]: 2 * b*c
+  [b*c^2] <- [a*c, b*c^2]: 1 * a
+  [a*c] <- [a*c, c^3]: 2 * c^2
+  [c^3] <- [a*c, c^3]: 1 * a
+  [b*c^2] <- [b*c^2, c^3]: 2 * c
+  [c^3] <- [b*c^2, c^3]: 1 * b
+matrix f_3:
+  [a^2*b, a*b^2] <- [a^2*b, a*b^2, a*c]: 1 * c
+  [a^2*b, a*c] <- [a^2*b, a*b^2, a*c]: 2 * b
+  [a*b^2, a*c] <- [a^2*b, a*b^2, a*c]: 1 * a
+  [a*c, b*c^2] <- [a*c, b*c^2, c^3]: 1 * c
+  [a*c, c^3] <- [a*c, b*c^2, c^3]: 2 * b
+  [b*c^2, c^3] <- [a*c, b*c^2, c^3]: 1 * a
+""",
+}
+
+# compact JSON; the CLI prints the same payload with sort_keys=True, indent=2
+GOLDEN_JSON = {
+    ("P6", "Q"): (
+        '{"betti":[1,6,11,9,3],"matrices":{"1":[["[0]","[x1*x2]","1","x1*x2"],["[0]","[x2'
+        '*x3]","1","x2*x3"],["[0]","[x3*x4]","1","x3*x4"],["[0]","[x4*x5]","1","x4*x5"],['
+        '"[0]","[x5*x6]","1","x5*x6"],["[0]","[x6*x7]","1","x6*x7"]],"2":[["[x1*x2]","[x1'
+        '*x2, x2*x3]","-1","x3"],["[x2*x3]","[x1*x2, x2*x3]","1","x1"],["[x2*x3]","[x2*x3'
+        ', x3*x4]","-1","x4"],["[x3*x4]","[x2*x3, x3*x4]","1","x2"],["[x1*x2]","[x1*x2, x'
+        '4*x5]","-1","x4*x5"],["[x4*x5]","[x1*x2, x4*x5]","1","x1*x2"],["[x3*x4]","[x3*x4'
+        ', x4*x5]","-1","x5"],["[x4*x5]","[x3*x4, x4*x5]","1","x3"],["[x1*x2]","[x1*x2, x'
+        '5*x6]","-1","x5*x6"],["[x5*x6]","[x1*x2, x5*x6]","1","x1*x2"],["[x2*x3]","[x2*x3'
+        ', x5*x6]","-1","x5*x6"],["[x5*x6]","[x2*x3, x5*x6]","1","x2*x3"],["[x4*x5]","[x4'
+        '*x5, x5*x6]","-1","x6"],["[x5*x6]","[x4*x5, x5*x6]","1","x4"],["[x1*x2]","[x1*x2'
+        ', x6*x7]","-1","x6*x7"],["[x6*x7]","[x1*x2, x6*x7]","1","x1*x2"],["[x2*x3]","[x2'
+        '*x3, x6*x7]","-1","x6*x7"],["[x6*x7]","[x2*x3, x6*x7]","1","x2*x3"],["[x3*x4]","'
+        '[x3*x4, x6*x7]","-1","x6*x7"],["[x6*x7]","[x3*x4, x6*x7]","1","x3*x4"],["[x5*x6]'
+        '","[x5*x6, x6*x7]","-1","x7"],["[x6*x7]","[x5*x6, x6*x7]","1","x5"]],"3":[["[x1*'
+        'x2, x2*x3]","[x1*x2, x3*x4, x4*x5]","1","x4*x5"],["[x2*x3, x3*x4]","[x1*x2, x3*x'
+        '4, x4*x5]","1","x1*x5"],["[x1*x2, x4*x5]","[x1*x2, x3*x4, x4*x5]","-1","x3"],["['
+        'x3*x4, x4*x5]","[x1*x2, x3*x4, x4*x5]","1","x1*x2"],["[x1*x2, x2*x3]","[x1*x2, x'
+        '2*x3, x5*x6]","1","x5*x6"],["[x1*x2, x5*x6]","[x1*x2, x2*x3, x5*x6]","-1","x3"],'
+        '["[x2*x3, x5*x6]","[x1*x2, x2*x3, x5*x6]","1","x1"],["[x1*x2, x4*x5]","[x1*x2, x'
+        '4*x5, x5*x6]","1","x6"],["[x1*x2, x5*x6]","[x1*x2, x4*x5, x5*x6]","-1","x4"],["['
+        'x4*x5, x5*x6]","[x1*x2, x4*x5, x5*x6]","1","x1*x2"],["[x2*x3, x3*x4]","[x2*x3, x'
+        '4*x5, x5*x6]","1","x5*x6"],["[x3*x4, x4*x5]","[x2*x3, x4*x5, x5*x6]","1","x2*x6"'
+        '],["[x2*x3, x5*x6]","[x2*x3, x4*x5, x5*x6]","-1","x4"],["[x4*x5, x5*x6]","[x2*x3'
+        ', x4*x5, x5*x6]","1","x2*x3"],["[x1*x2, x2*x3]","[x1*x2, x2*x3, x6*x7]","1","x6*'
+        'x7"],["[x1*x2, x6*x7]","[x1*x2, x2*x3, x6*x7]","-1","x3"],["[x2*x3, x6*x7]","[x1'
+        '*x2, x2*x3, x6*x7]","1","x1"],["[x2*x3, x3*x4]","[x2*x3, x3*x4, x6*x7]","1","x6*'
+        'x7"],["[x2*x3, x6*x7]","[x2*x3, x3*x4, x6*x7]","-1","x4"],["[x3*x4, x6*x7]","[x2'
+        '*x3, x3*x4, x6*x7]","1","x2"],["[x1*x2, x5*x6]","[x1*x2, x5*x6, x6*x7]","1","x7"'
+        '],["[x1*x2, x6*x7]","[x1*x2, x5*x6, x6*x7]","-1","x5"],["[x5*x6, x6*x7]","[x1*x2'
+        ', x5*x6, x6*x7]","1","x1*x2"],["[x2*x3, x5*x6]","[x2*x3, x5*x6, x6*x7]","1","x7"'
+        '],["[x2*x3, x6*x7]","[x2*x3, x5*x6, x6*x7]","-1","x5"],["[x5*x6, x6*x7]","[x2*x3'
+        ', x5*x6, x6*x7]","1","x2*x3"],["[x3*x4, x4*x5]","[x3*x4, x5*x6, x6*x7]","1","x6*'
+        'x7"],["[x4*x5, x5*x6]","[x3*x4, x5*x6, x6*x7]","1","x3*x7"],["[x3*x4, x6*x7]","['
+        'x3*x4, x5*x6, x6*x7]","-1","x5"],["[x5*x6, x6*x7]","[x3*x4, x5*x6, x6*x7]","1","'
+        'x3*x4"]],"4":[["[x1*x2, x3*x4, x4*x5]","[x1*x2, x3*x4, x4*x5, x5*x6]","-1","x6"]'
+        ',["[x1*x2, x2*x3, x5*x6]","[x1*x2, x3*x4, x4*x5, x5*x6]","1","x4"],["[x1*x2, x4*'
+        'x5, x5*x6]","[x1*x2, x3*x4, x4*x5, x5*x6]","-1","x3"],["[x2*x3, x4*x5, x5*x6]","'
+        '[x1*x2, x3*x4, x4*x5, x5*x6]","1","x1"],["[x1*x2, x2*x3, x5*x6]","[x1*x2, x2*x3,'
+        ' x5*x6, x6*x7]","-1","x7"],["[x1*x2, x2*x3, x6*x7]","[x1*x2, x2*x3, x5*x6, x6*x7'
+        ']","1","x5"],["[x1*x2, x5*x6, x6*x7]","[x1*x2, x2*x3, x5*x6, x6*x7]","-1","x3"],'
+        '["[x2*x3, x5*x6, x6*x7]","[x1*x2, x2*x3, x5*x6, x6*x7]","1","x1"],["[x2*x3, x4*x'
+        '5, x5*x6]","[x2*x3, x4*x5, x5*x6, x6*x7]","-1","x7"],["[x2*x3, x3*x4, x6*x7]","['
+        'x2*x3, x4*x5, x5*x6, x6*x7]","1","x5"],["[x2*x3, x5*x6, x6*x7]","[x2*x3, x4*x5, '
+        'x5*x6, x6*x7]","-1","x4"],["[x3*x4, x5*x6, x6*x7]","[x2*x3, x4*x5, x5*x6, x6*x7]'
+        '","1","x2"]]},"strata":[["[0]"],["[x1*x2]","[x2*x3]","[x3*x4]","[x4*x5]","[x5*x6'
+        ']","[x6*x7]"],["[x1*x2, x2*x3]","[x2*x3, x3*x4]","[x1*x2, x4*x5]","[x3*x4, x4*x5'
+        ']","[x1*x2, x5*x6]","[x2*x3, x5*x6]","[x4*x5, x5*x6]","[x1*x2, x6*x7]","[x2*x3, '
+        'x6*x7]","[x3*x4, x6*x7]","[x5*x6, x6*x7]"],["[x1*x2, x3*x4, x4*x5]","[x1*x2, x2*'
+        'x3, x5*x6]","[x1*x2, x4*x5, x5*x6]","[x2*x3, x4*x5, x5*x6]","[x1*x2, x2*x3, x6*x'
+        '7]","[x2*x3, x3*x4, x6*x7]","[x1*x2, x5*x6, x6*x7]","[x2*x3, x5*x6, x6*x7]","[x3'
+        '*x4, x5*x6, x6*x7]"],["[x1*x2, x3*x4, x4*x5, x5*x6]","[x1*x2, x2*x3, x5*x6, x6*x'
+        '7]","[x2*x3, x4*x5, x5*x6, x6*x7]"]]}'
+    ),
+    ("P6", "F3"): (
+        '{"betti":[1,6,11,9,3],"matrices":{"1":[["[0]","[x1*x2]","1","x1*x2"],["[0]","[x2'
+        '*x3]","1","x2*x3"],["[0]","[x3*x4]","1","x3*x4"],["[0]","[x4*x5]","1","x4*x5"],['
+        '"[0]","[x5*x6]","1","x5*x6"],["[0]","[x6*x7]","1","x6*x7"]],"2":[["[x1*x2]","[x1'
+        '*x2, x2*x3]","2","x3"],["[x2*x3]","[x1*x2, x2*x3]","1","x1"],["[x2*x3]","[x2*x3,'
+        ' x3*x4]","2","x4"],["[x3*x4]","[x2*x3, x3*x4]","1","x2"],["[x1*x2]","[x1*x2, x4*'
+        'x5]","2","x4*x5"],["[x4*x5]","[x1*x2, x4*x5]","1","x1*x2"],["[x3*x4]","[x3*x4, x'
+        '4*x5]","2","x5"],["[x4*x5]","[x3*x4, x4*x5]","1","x3"],["[x1*x2]","[x1*x2, x5*x6'
+        ']","2","x5*x6"],["[x5*x6]","[x1*x2, x5*x6]","1","x1*x2"],["[x2*x3]","[x2*x3, x5*'
+        'x6]","2","x5*x6"],["[x5*x6]","[x2*x3, x5*x6]","1","x2*x3"],["[x4*x5]","[x4*x5, x'
+        '5*x6]","2","x6"],["[x5*x6]","[x4*x5, x5*x6]","1","x4"],["[x1*x2]","[x1*x2, x6*x7'
+        ']","2","x6*x7"],["[x6*x7]","[x1*x2, x6*x7]","1","x1*x2"],["[x2*x3]","[x2*x3, x6*'
+        'x7]","2","x6*x7"],["[x6*x7]","[x2*x3, x6*x7]","1","x2*x3"],["[x3*x4]","[x3*x4, x'
+        '6*x7]","2","x6*x7"],["[x6*x7]","[x3*x4, x6*x7]","1","x3*x4"],["[x5*x6]","[x5*x6,'
+        ' x6*x7]","2","x7"],["[x6*x7]","[x5*x6, x6*x7]","1","x5"]],"3":[["[x1*x2, x2*x3]"'
+        ',"[x1*x2, x3*x4, x4*x5]","1","x4*x5"],["[x2*x3, x3*x4]","[x1*x2, x3*x4, x4*x5]",'
+        '"1","x1*x5"],["[x1*x2, x4*x5]","[x1*x2, x3*x4, x4*x5]","2","x3"],["[x3*x4, x4*x5'
+        ']","[x1*x2, x3*x4, x4*x5]","1","x1*x2"],["[x1*x2, x2*x3]","[x1*x2, x2*x3, x5*x6]'
+        '","1","x5*x6"],["[x1*x2, x5*x6]","[x1*x2, x2*x3, x5*x6]","2","x3"],["[x2*x3, x5*'
+        'x6]","[x1*x2, x2*x3, x5*x6]","1","x1"],["[x1*x2, x4*x5]","[x1*x2, x4*x5, x5*x6]"'
+        ',"1","x6"],["[x1*x2, x5*x6]","[x1*x2, x4*x5, x5*x6]","2","x4"],["[x4*x5, x5*x6]"'
+        ',"[x1*x2, x4*x5, x5*x6]","1","x1*x2"],["[x2*x3, x3*x4]","[x2*x3, x4*x5, x5*x6]",'
+        '"1","x5*x6"],["[x3*x4, x4*x5]","[x2*x3, x4*x5, x5*x6]","1","x2*x6"],["[x2*x3, x5'
+        '*x6]","[x2*x3, x4*x5, x5*x6]","2","x4"],["[x4*x5, x5*x6]","[x2*x3, x4*x5, x5*x6]'
+        '","1","x2*x3"],["[x1*x2, x2*x3]","[x1*x2, x2*x3, x6*x7]","1","x6*x7"],["[x1*x2, '
+        'x6*x7]","[x1*x2, x2*x3, x6*x7]","2","x3"],["[x2*x3, x6*x7]","[x1*x2, x2*x3, x6*x'
+        '7]","1","x1"],["[x2*x3, x3*x4]","[x2*x3, x3*x4, x6*x7]","1","x6*x7"],["[x2*x3, x'
+        '6*x7]","[x2*x3, x3*x4, x6*x7]","2","x4"],["[x3*x4, x6*x7]","[x2*x3, x3*x4, x6*x7'
+        ']","1","x2"],["[x1*x2, x5*x6]","[x1*x2, x5*x6, x6*x7]","1","x7"],["[x1*x2, x6*x7'
+        ']","[x1*x2, x5*x6, x6*x7]","2","x5"],["[x5*x6, x6*x7]","[x1*x2, x5*x6, x6*x7]","'
+        '1","x1*x2"],["[x2*x3, x5*x6]","[x2*x3, x5*x6, x6*x7]","1","x7"],["[x2*x3, x6*x7]'
+        '","[x2*x3, x5*x6, x6*x7]","2","x5"],["[x5*x6, x6*x7]","[x2*x3, x5*x6, x6*x7]","1'
+        '","x2*x3"],["[x3*x4, x4*x5]","[x3*x4, x5*x6, x6*x7]","1","x6*x7"],["[x4*x5, x5*x'
+        '6]","[x3*x4, x5*x6, x6*x7]","1","x3*x7"],["[x3*x4, x6*x7]","[x3*x4, x5*x6, x6*x7'
+        ']","2","x5"],["[x5*x6, x6*x7]","[x3*x4, x5*x6, x6*x7]","1","x3*x4"]],"4":[["[x1*'
+        'x2, x3*x4, x4*x5]","[x1*x2, x3*x4, x4*x5, x5*x6]","2","x6"],["[x1*x2, x2*x3, x5*'
+        'x6]","[x1*x2, x3*x4, x4*x5, x5*x6]","1","x4"],["[x1*x2, x4*x5, x5*x6]","[x1*x2, '
+        'x3*x4, x4*x5, x5*x6]","2","x3"],["[x2*x3, x4*x5, x5*x6]","[x1*x2, x3*x4, x4*x5, '
+        'x5*x6]","1","x1"],["[x1*x2, x2*x3, x5*x6]","[x1*x2, x2*x3, x5*x6, x6*x7]","2","x'
+        '7"],["[x1*x2, x2*x3, x6*x7]","[x1*x2, x2*x3, x5*x6, x6*x7]","1","x5"],["[x1*x2, '
+        'x5*x6, x6*x7]","[x1*x2, x2*x3, x5*x6, x6*x7]","2","x3"],["[x2*x3, x5*x6, x6*x7]"'
+        ',"[x1*x2, x2*x3, x5*x6, x6*x7]","1","x1"],["[x2*x3, x4*x5, x5*x6]","[x2*x3, x4*x'
+        '5, x5*x6, x6*x7]","2","x7"],["[x2*x3, x3*x4, x6*x7]","[x2*x3, x4*x5, x5*x6, x6*x'
+        '7]","1","x5"],["[x2*x3, x5*x6, x6*x7]","[x2*x3, x4*x5, x5*x6, x6*x7]","2","x4"],'
+        '["[x3*x4, x5*x6, x6*x7]","[x2*x3, x4*x5, x5*x6, x6*x7]","1","x2"]]},"strata":[["'
+        '[0]"],["[x1*x2]","[x2*x3]","[x3*x4]","[x4*x5]","[x5*x6]","[x6*x7]"],["[x1*x2, x2'
+        '*x3]","[x2*x3, x3*x4]","[x1*x2, x4*x5]","[x3*x4, x4*x5]","[x1*x2, x5*x6]","[x2*x'
+        '3, x5*x6]","[x4*x5, x5*x6]","[x1*x2, x6*x7]","[x2*x3, x6*x7]","[x3*x4, x6*x7]","'
+        '[x5*x6, x6*x7]"],["[x1*x2, x3*x4, x4*x5]","[x1*x2, x2*x3, x5*x6]","[x1*x2, x4*x5'
+        ', x5*x6]","[x2*x3, x4*x5, x5*x6]","[x1*x2, x2*x3, x6*x7]","[x2*x3, x3*x4, x6*x7]'
+        '","[x1*x2, x5*x6, x6*x7]","[x2*x3, x5*x6, x6*x7]","[x3*x4, x5*x6, x6*x7]"],["[x1'
+        '*x2, x3*x4, x4*x5, x5*x6]","[x1*x2, x2*x3, x5*x6, x6*x7]","[x2*x3, x4*x5, x5*x6,'
+        ' x6*x7]"]]}'
+    ),
+    ("C4", "Q"): (
+        '{"betti":[1,4,4,1],"matrices":{"1":[["[0]","[a*b]","1","a*b"],["[0]","[a*d]","1"'
+        ',"a*d"],["[0]","[b*c]","1","b*c"],["[0]","[c*d]","1","c*d"]],"2":[["[a*b]","[a*b'
+        ', a*d]","-1","d"],["[a*d]","[a*b, a*d]","1","b"],["[a*b]","[a*b, b*c]","-1","c"]'
+        ',["[b*c]","[a*b, b*c]","1","a"],["[a*d]","[a*d, c*d]","-1","c"],["[c*d]","[a*d, '
+        'c*d]","1","a"],["[b*c]","[b*c, c*d]","-1","d"],["[c*d]","[b*c, c*d]","1","b"]],"'
+        '3":[["[a*b, a*d]","[a*d, b*c, c*d]","-1","c"],["[a*b, b*c]","[a*d, b*c, c*d]","1'
+        '","d"],["[a*d, c*d]","[a*d, b*c, c*d]","-1","b"],["[b*c, c*d]","[a*d, b*c, c*d]"'
+        ',"1","a"]]},"strata":[["[0]"],["[a*b]","[a*d]","[b*c]","[c*d]"],["[a*b, a*d]","['
+        'a*b, b*c]","[a*d, c*d]","[b*c, c*d]"],["[a*d, b*c, c*d]"]]}'
+    ),
+    ("C4", "F3"): (
+        '{"betti":[1,4,4,1],"matrices":{"1":[["[0]","[a*b]","1","a*b"],["[0]","[a*d]","1"'
+        ',"a*d"],["[0]","[b*c]","1","b*c"],["[0]","[c*d]","1","c*d"]],"2":[["[a*b]","[a*b'
+        ', a*d]","2","d"],["[a*d]","[a*b, a*d]","1","b"],["[a*b]","[a*b, b*c]","2","c"],['
+        '"[b*c]","[a*b, b*c]","1","a"],["[a*d]","[a*d, c*d]","2","c"],["[c*d]","[a*d, c*d'
+        ']","1","a"],["[b*c]","[b*c, c*d]","2","d"],["[c*d]","[b*c, c*d]","1","b"]],"3":['
+        '["[a*b, a*d]","[a*d, b*c, c*d]","2","c"],["[a*b, b*c]","[a*d, b*c, c*d]","1","d"'
+        '],["[a*d, c*d]","[a*d, b*c, c*d]","2","b"],["[b*c, c*d]","[a*d, b*c, c*d]","1","'
+        'a"]]},"strata":[["[0]"],["[a*b]","[a*d]","[b*c]","[c*d]"],["[a*b, a*d]","[a*b, b'
+        '*c]","[a*d, c*d]","[b*c, c*d]"],["[a*d, b*c, c*d]"]]}'
+    ),
+    ("nonscarf", "Q"): (
+        '{"betti":[1,5,6,2],"matrices":{"1":[["[0]","[a^2*b]","1","a^2*b"],["[0]","[a*b^2'
+        ']","1","a*b^2"],["[0]","[a*c]","1","a*c"],["[0]","[b*c^2]","1","b*c^2"],["[0]","'
+        '[c^3]","1","c^3"]],"2":[["[a^2*b]","[a^2*b, a*b^2]","-1","b"],["[a*b^2]","[a^2*b'
+        ', a*b^2]","1","a"],["[a^2*b]","[a^2*b, a*c]","-1","c"],["[a*c]","[a^2*b, a*c]","'
+        '1","a*b"],["[a*b^2]","[a*b^2, a*c]","-1","c"],["[a*c]","[a*b^2, a*c]","1","b^2"]'
+        ',["[a*c]","[a*c, b*c^2]","-1","b*c"],["[b*c^2]","[a*c, b*c^2]","1","a"],["[a*c]"'
+        ',"[a*c, c^3]","-1","c^2"],["[c^3]","[a*c, c^3]","1","a"],["[b*c^2]","[b*c^2, c^3'
+        ']","-1","c"],["[c^3]","[b*c^2, c^3]","1","b"]],"3":[["[a^2*b, a*b^2]","[a^2*b, a'
+        '*b^2, a*c]","1","c"],["[a^2*b, a*c]","[a^2*b, a*b^2, a*c]","-1","b"],["[a*b^2, a'
+        '*c]","[a^2*b, a*b^2, a*c]","1","a"],["[a*c, b*c^2]","[a*c, b*c^2, c^3]","1","c"]'
+        ',["[a*c, c^3]","[a*c, b*c^2, c^3]","-1","b"],["[b*c^2, c^3]","[a*c, b*c^2, c^3]"'
+        ',"1","a"]]},"strata":[["[0]"],["[a^2*b]","[a*b^2]","[a*c]","[b*c^2]","[c^3]"],["'
+        '[a^2*b, a*b^2]","[a^2*b, a*c]","[a*b^2, a*c]","[a*c, b*c^2]","[a*c, c^3]","[b*c^'
+        '2, c^3]"],["[a^2*b, a*b^2, a*c]","[a*c, b*c^2, c^3]"]]}'
+    ),
+    ("nonscarf", "F3"): (
+        '{"betti":[1,5,6,2],"matrices":{"1":[["[0]","[a^2*b]","1","a^2*b"],["[0]","[a*b^2'
+        ']","1","a*b^2"],["[0]","[a*c]","1","a*c"],["[0]","[b*c^2]","1","b*c^2"],["[0]","'
+        '[c^3]","1","c^3"]],"2":[["[a^2*b]","[a^2*b, a*b^2]","2","b"],["[a*b^2]","[a^2*b,'
+        ' a*b^2]","1","a"],["[a^2*b]","[a^2*b, a*c]","2","c"],["[a*c]","[a^2*b, a*c]","1"'
+        ',"a*b"],["[a*b^2]","[a*b^2, a*c]","2","c"],["[a*c]","[a*b^2, a*c]","1","b^2"],["'
+        '[a*c]","[a*c, b*c^2]","2","b*c"],["[b*c^2]","[a*c, b*c^2]","1","a"],["[a*c]","[a'
+        '*c, c^3]","2","c^2"],["[c^3]","[a*c, c^3]","1","a"],["[b*c^2]","[b*c^2, c^3]","2'
+        '","c"],["[c^3]","[b*c^2, c^3]","1","b"]],"3":[["[a^2*b, a*b^2]","[a^2*b, a*b^2, '
+        'a*c]","1","c"],["[a^2*b, a*c]","[a^2*b, a*b^2, a*c]","2","b"],["[a*b^2, a*c]","['
+        'a^2*b, a*b^2, a*c]","1","a"],["[a*c, b*c^2]","[a*c, b*c^2, c^3]","1","c"],["[a*c'
+        ', c^3]","[a*c, b*c^2, c^3]","2","b"],["[b*c^2, c^3]","[a*c, b*c^2, c^3]","1","a"'
+        ']]},"strata":[["[0]"],["[a^2*b]","[a*b^2]","[a*c]","[b*c^2]","[c^3]"],["[a^2*b, '
+        'a*b^2]","[a^2*b, a*c]","[a*b^2, a*c]","[a*c, b*c^2]","[a*c, c^3]","[b*c^2, c^3]"'
+        '],["[a^2*b, a*b^2, a*c]","[a*c, b*c^2, c^3]"]]}'
+    ),
+}

@@ -1,4 +1,5 @@
 import random
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monodom import (
+    RATIONAL,
+    InternalInvariantError,
+    InvalidParameterError,
     Monomial,
     PrimeField,
     betti_oracle,
@@ -196,6 +200,27 @@ class TestFields:
         with pytest.raises(ValueError):
             PrimeField(32004)
 
+    @pytest.mark.parametrize("p", [2**61 - 1, 10**18 + 3])
+    def test_large_primes_accepted(self, p):
+        assert PrimeField(p).name == f"fp:{p}"
+
+    # 561 is a Carmichael number, 3215031751 a strong pseudoprime to the
+    # bases 2, 3, 5 and 7, and the last one to every prime base up to 37
+    @pytest.mark.parametrize("n", [4, 561, 3215031751, 318665857834031151167461])
+    def test_composites_rejected(self, n):
+        with pytest.raises(InvalidParameterError, match="not prime"):
+            PrimeField(n)
+
+    def test_prime_beyond_deterministic_range_rejected(self):
+        with pytest.raises(InvalidParameterError, match="too large"):
+            PrimeField(10**25 + 13)
+
+    def test_rational_quotient_is_int_unless_fractional(self):
+        half = RATIONAL.div(1, 2)
+        assert half == Fraction(1, 2) and type(half) is Fraction
+        quot = RATIONAL.div(-4, 2)
+        assert quot == -2 and type(quot) is int
+
 
 class TestPivotOrderIndependence:
     def test_randomized_orders_agree(self):
@@ -240,22 +265,56 @@ class TestValidation:
             seq_naive = []
             while True:
                 hit = naive.find_invertible(1)
+                assert hit == next(iter(naive.all_invertible()), None)
                 if hit is None:
                     break
                 seq_naive.append(hit)
                 naive.cancel(*hit)
+                naive.check_index()
             fast_cx = complex_from_taylor(M)
             seq_fast = []
             cursor = 1
             while True:
                 hit = fast_cx.find_invertible(cursor)
+                assert hit == next(iter(fast_cx.all_invertible()), None)
                 if hit is None:
                     break
                 seq_fast.append(hit)
                 fast_cx.cancel(*hit)
+                fast_cx.check_index()
                 cursor = hit[0]
             assert seq_fast == seq_naive
             assert fast_cx.strata == naive.strata
+
+
+class TestIndex:
+    def test_missing_row_entry_is_detected(self):
+        cx = complex_from_taylor(I("a^2, a*b, b^2"))
+        cx.check_index()
+        row = next(iter(cx.rows[2].values()))
+        del row[next(iter(row))]
+        with pytest.raises(InternalInvariantError, match="transpose"):
+            cx.check_index()
+
+    def test_dropped_queue_entry_is_detected(self):
+        cx = complex_from_taylor(I("a^2, a*b, b^2"))
+        s, _, sigma = cx.all_invertible()[0]
+        cx.queue[s].remove(sigma)
+        with pytest.raises(InternalInvariantError, match="not queued"):
+            cx.check_index()
+
+    def test_cancelling_in_a_copy_leaves_the_original(self):
+        cx = complex_from_taylor(I("a^2*b, a*b^2, a*c, b*c^2, c^3"))
+        before = deepcopy((cx.mats, cx.rows, cx.queue, cx.strata))
+        dup = cx.copy()
+        steps = 0
+        while (hit := dup.find_invertible()) is not None:
+            dup.cancel(*hit)
+            steps += 1
+        dup.check_index()
+        assert steps >= 2
+        assert (cx.mats, cx.rows, cx.queue, cx.strata) == before
+        cx.check_index()
 
 
 class TestPredicates:
@@ -328,6 +387,8 @@ def replay_matched(base, variables):
         fs = bin(mask_map[sigma]).count("1")
         assert cx_b.is_invertible(fs, mask_map[tau], mask_map[sigma])
         cx_b.cancel(fs, mask_map[tau], mask_map[sigma])
+        cx_a.check_index()
+        cx_b.check_index()
         assert_matched()
         steps += 1
     cx_a.validate()
