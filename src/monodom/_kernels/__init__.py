@@ -3,10 +3,16 @@
 The compiled extension is preferred when importable; the pure-Python
 module is the fallback. Set MONODOM_PURE=1 to force the fallback (used
 by the benchmark and by CI to exercise both paths).
+
+The compiled kernels work in fixed-width integers and raise
+OverflowError on inputs that do not fit (an exponent >= 2^31, an int64
+elimination that blows up); every kernel then answers with the exact
+pure result instead.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 from . import py as _py
@@ -23,16 +29,24 @@ if not os.environ.get("MONODOM_PURE"):
     except ImportError:
         pass
 
-subset_lcms = impl.subset_lcms
-minimal_transversals = impl.minimal_transversals
-dominance_masks = impl.dominance_masks
-rank_modp = impl.rank_modp
+
+def exact(compiled, pure):
+    """`compiled`, falling back to `pure` whenever it raises OverflowError."""
+    if compiled is pure:
+        return pure
+
+    @functools.wraps(pure)
+    def kernel(*args):
+        try:
+            return compiled(*args)
+        except OverflowError:
+            return pure(*args)
+
+    return kernel
 
 
-def rank_int(rows):
-    # compiled backend works in int64 and signals blowup via OverflowError;
-    # the big-int fallback is always exact
-    try:
-        return impl.rank_int(rows)
-    except OverflowError:
-        return _py.rank_int(rows)
+subset_lcms = exact(impl.subset_lcms, _py.subset_lcms)
+minimal_transversals = exact(impl.minimal_transversals, _py.minimal_transversals)
+dominance_masks = exact(impl.dominance_masks, _py.dominance_masks)
+rank_int = exact(impl.rank_int, _py.rank_int)
+rank_modp = exact(impl.rank_modp, _py.rank_modp)

@@ -60,32 +60,31 @@ def minimal_transversals(edges, n_vars, cap):
         suffix_cover[i] = suffix_cover[i + 1] | (1 << order[i])
 
     found = []
-    all_edges = list(edges)
-
-    def walk(i, chosen, uncovered):
+    # depth-first over (position, chosen, uncovered), include branch first;
+    # an explicit stack, since k can exceed the recursion limit
+    stack = [(0, 0, list(edges))]
+    while stack:
+        i, chosen, uncovered = stack.pop()
         if not uncovered:
             found.append(chosen)
             if len(found) > cap:
                 raise GuardExceeded(
                     f"more than {cap} candidate minimal nets; raise the cap to proceed"
                 )
-            return
-        if i == k:
-            return
-        hit_all = True
+            continue
+        hit = 0
         for e in uncovered:
-            if not e & suffix_cover[i]:
-                hit_all = False
-                break
-        if not hit_all:
-            return
+            hit |= e
+        while i < k and not hit >> order[i] & 1:
+            i += 1  # order[i] covers nothing new, so only excluding it can be minimal
+        if i == k:
+            continue
+        cover = suffix_cover[i]
+        if not all(e & cover for e in uncovered):
+            continue
         bit = 1 << order[i]
-        remaining = [e for e in uncovered if not e & bit]
-        if len(remaining) < len(uncovered):  # include only if it covers something new
-            walk(i + 1, chosen | bit, remaining)
-        walk(i + 1, chosen, uncovered)
-
-    walk(0, 0, all_edges)
+        stack.append((i + 1, chosen, uncovered))
+        stack.append((i + 1, chosen | bit, [e for e in uncovered if not e & bit]))
 
     # antichain filter: drop any candidate containing a smaller candidate
     found.sort(key=_popcount)

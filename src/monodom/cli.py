@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import (
@@ -23,8 +24,8 @@ from .errors import (
 from .dominance import odom_by_dominance
 from .monomials import MonomialIdeal, parse_ideal, polarize
 from .nets import minimal_nets, odom_by_nets
-from .resolution import RATIONAL, PrimeField, betti_oracle, minimize
-from .taylor import scarf_basis
+from .resolution import RATIONAL, BettiTable, PrimeField, betti_oracle, minimize
+from .taylor import scarf_basis, symbol_label
 from .verify import FuzzParams, InvariantReport, check_report, fuzz
 
 
@@ -46,14 +47,26 @@ def _load_ideal(args) -> MonomialIdeal:
     return parse_ideal(text, var_names)
 
 
+def _multigraded_keys(table: BettiTable):
+    """(i, monomial) keys by homological degree, then exponent vector."""
+    return sorted(table.multigraded, key=lambda key: (key[0], key[1].exponents))
+
+
+def _betti_json(table: BettiTable) -> dict:
+    """The total, graded and multigraded Betti numbers as JSON fields."""
+    return {
+        "betti": list(table.total),
+        "graded_betti": [[i, j, c] for (i, j), c in sorted(table.graded.items())],
+        "multigraded_betti": [
+            [i, str(m), table.multigraded[(i, m)]] for i, m in _multigraded_keys(table)
+        ],
+    }
+
+
 def emit_json(report: InvariantReport) -> str:
     """Stable-key JSON rendering of a full report."""
     ideal = report.ideal
     pol = report.polarized
-    multigraded = sorted(
-        ((i, m) for (i, m) in report.betti.multigraded),
-        key=lambda key: (key[0], key[1].exponents),
-    )
     payload = {
         "ideal": ideal.render(),
         "vars": list(ideal.table.names),
@@ -63,13 +76,7 @@ def emit_json(report: InvariantReport) -> str:
         "codim": report.codim,
         "odom": report.odom,
         "pd": report.pd,
-        "betti": list(report.betti.total),
-        "graded_betti": [
-            [i, j, c] for (i, j), c in sorted(report.betti.graded.items())
-        ],
-        "multigraded_betti": [
-            [i, str(m), report.betti.multigraded[(i, m)]] for i, m in multigraded
-        ],
+        **_betti_json(report.betti),
         "taylor_minimal": report.taylor_minimal,
         "scarf": report.scarf,
         "complete_intersection": report.complete_intersection,
@@ -141,29 +148,15 @@ def _cmd_betti(args) -> int:
     field = _field_from_args(args)
     table = betti_oracle(ideal, field) if args.oracle else minimize(ideal, field)[1]
     if args.json:
-        multigraded = sorted(table.multigraded, key=lambda k: (k[0], k[1].exponents))
-        print(
-            json.dumps(
-                {
-                    "betti": list(table.total),
-                    "graded_betti": [[i, j, c] for (i, j), c in sorted(table.graded.items())],
-                    "multigraded_betti": [
-                        [i, str(m), table.multigraded[(i, m)]] for i, m in multigraded
-                    ],
-                    "pd": table.pd,
-                    "field": table.field_name,
-                },
-                sort_keys=True,
-                indent=2,
-            )
-        )
+        payload = {**_betti_json(table), "pd": table.pd, "field": table.field_name}
+        print(json.dumps(payload, sort_keys=True, indent=2))
         return 0
     print(f"betti: {list(table.total)}   pd = {table.pd}")
     print("graded (i, j -> count):")
     for (i, j), c in sorted(table.graded.items()):
         print(f"  ({i}, {j}) -> {c}")
     print("multigraded (i, monomial -> count):")
-    for i, m in sorted(table.multigraded, key=lambda k: (k[0], k[1].exponents)):
+    for i, m in _multigraded_keys(table):
         print(f"  ({i}, {m}) -> {table.multigraded[(i, m)]}")
     return 0
 
@@ -204,18 +197,10 @@ def _cmd_resolution(args) -> int:
                 for tau in sorted(col):
                     mono = cx.mdeg(sigma).quotient(cx.mdeg(tau))
                     print(
-                        f"  {_label(cx, tau)} <- {_label(cx, sigma)}: "
+                        f"  {symbol_label(ideal, tau)} <- {symbol_label(ideal, sigma)}: "
                         f"{col[tau]} * {mono}"
                     )
     return 0
-
-
-def _label(cx, mask: int) -> str:
-    from .taylor import members_of
-
-    if mask == 0:
-        return "[0]"
-    return "[" + ", ".join(str(cx.ideal.generators[i]) for i in members_of(mask)) + "]"
 
 
 def _matrix_payload(cx, ideal):
@@ -226,8 +211,8 @@ def _matrix_payload(cx, ideal):
             for tau in sorted(cx.mats[s].get(sigma, {})):
                 entries.append(
                     [
-                        _label(cx, tau),
-                        _label(cx, sigma),
+                        symbol_label(ideal, tau),
+                        symbol_label(ideal, sigma),
                         str(cx.mats[s][sigma][tau]),
                         str(cx.mdeg(sigma).quotient(cx.mdeg(tau))),
                     ]
@@ -426,7 +411,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`monodom ... | head`). Point stdout at
+        # devnull so the flush at exit cannot fail again; see the SIGPIPE
+        # note in the documentation of Python's `signal` module.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (IdealSyntaxError, InvalidIdealError, UnknownVariableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

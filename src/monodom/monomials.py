@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
+    GuardExceeded,
     IdealSyntaxError,
     InvalidIdealError,
     TableMismatchError,
@@ -22,6 +23,8 @@ from .errors import (
 )
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+
+POLARIZE_GUARD = 1000  # polarized variables; net enumeration over them is quadratic
 
 
 @dataclass(frozen=True)
@@ -260,13 +263,16 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
     """Squarefree polarization, expanding x^e into e consecutive copies.
 
     Copy j of variable `x` is named `x_j`; the output table contains
-    exactly the copies that occur in some polarized generator.
+    exactly the copies that occur in some polarized generator. Raises
+    GuardExceeded, before building anything, when that is more than
+    POLARIZE_GUARD variables.
     """
-    copies = [0] * ideal.n
-    for g in ideal.generators:
-        for i, e in enumerate(g.exponents):
-            if e > copies[i]:
-                copies[i] = e
+    copies = list(map(max, zip(*ideal.exponent_rows)))
+    total = sum(copies)
+    if total > POLARIZE_GUARD:
+        raise GuardExceeded(
+            f"refusing to polarize into {total} variables (limit {POLARIZE_GUARD})"
+        )
     names = []
     origins = []
     slot = {}

@@ -51,6 +51,17 @@ class MinimalNetFamily:
     def max_card(self) -> int:
         return max(net.cardinality for net in self.nets)
 
+    @cached_property
+    def widest(self) -> Net:
+        """The lexicographically least net of the largest cardinality.
+
+        Over the polarization this is the witness of the nets route to odom.
+        """
+        return min(
+            (net for net in self.nets if net.cardinality == self.max_card),
+            key=lambda net: net.variables,
+        )
+
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(net.cardinality for net in self.nets)
 
@@ -104,13 +115,11 @@ def odom_by_nets(
 ) -> tuple[int, Net]:
     """Order of dominance as the largest minimal net of the polarization.
 
-    The witness is the lexicographically least maximal minimal net, in
-    the polarized table's indices.
+    The witness is the family's `widest` net, in the polarized table's
+    indices.
     """
     family = minimal_nets(polarize(ideal), cap)
-    best = family.max_card
-    witness = min(net.variables for net in family if net.cardinality == best)
-    return best, Net(witness)
+    return family.max_card, family.widest
 
 
 def big_height(ideal: MonomialIdeal, cap: int = NET_FAMILY_GUARD) -> int:

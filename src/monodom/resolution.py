@@ -14,9 +14,10 @@ quotient of the two symbols' multidegrees. Rational scalars are Python
 ints; `RationalField.div` returns a Fraction only when the quotient is
 not integral, which keeps the common ±1 pivots on the int fast path.
 
-`FreeComplex` takes ownership of the Taylor complex it is built from:
-the sign columns become its matrices without a copy (over F_p the -1
-signs are rewritten to p - 1 in place). Cancellation is local. Each
+`FreeComplex` reads the shared Taylor lattice and builds its own
+matrices from `facets`, with the row index and the pivot queues in the
+same pass; it copies the strata, the only part of the lattice that
+cancelling changes. Cancellation is local. Each
 matrix keeps a row index, the transpose of its columns, so cancelling
 (tau, sigma) touches only the columns in row tau, row sigma of the
 matrix above and column tau of the matrix below. Each degree keeps a
@@ -42,7 +43,7 @@ from fractions import Fraction
 from . import _kernels
 from .errors import InternalInvariantError, InvalidParameterError
 from .monomials import Monomial, MonomialIdeal
-from .taylor import TAYLOR_GUARD, TaylorComplex, build_taylor
+from .taylor import TAYLOR_GUARD, TaylorComplex, TaylorSymbol, build_taylor, facets
 
 
 class RationalField:
@@ -188,15 +189,10 @@ def _table_from_multigraded(
 class FreeComplex:
     """Mutable labeled complex over a field; starts as the full subset complex.
 
-    The constructor takes ownership of `taylor`: its sign columns become
-    the matrices and its strata the surviving symbols, and both are then
-    mutated in place, so pass a fresh Taylor complex, as
-    `complex_from_taylor` does, and do not use it afterwards.
-
     mats[s] maps each stratum-s column to {row: scalar}; rows[s] is its
     transpose, {row: {column: None}}; queue[s] lists, in descending
     order, the columns that may hold an equal-multidegree (invertible)
-    entry.
+    entry. The Taylor lattice it starts from is left unchanged.
     """
 
     def __init__(self, ideal: MonomialIdeal, field, taylor: TaylorComplex):
@@ -204,21 +200,23 @@ class FreeComplex:
         self.field = field
         self.q = ideal.q
         self.mdeg_exps = exps = taylor.mdeg_exps
-        self.strata = taylor.strata
-        self.mats: list[dict[int, dict[int, object]]] = taylor.diff
-        neg_one = field.neg(field.one)
-        rewrite = neg_one != -1
+        self.strata = [list(stratum) for stratum in taylor.strata]
+        masks = taylor.masks  # keys share the lattice's int per mask
+        one, neg_one = field.one, field.neg(field.one)
+        self.mats: list[dict[int, dict[int, object]]] = [dict()]
         self.rows: list[dict[int, dict[int, None]]] = [dict()]
         self.queue: list[list[int]] = [[]]
-        for mat in self.mats[1:]:
+        for stratum in taylor.strata[1:]:
+            mat: dict[int, dict[int, object]] = {}
             rows: dict[int, dict[int, None]] = {}
             queue = []
-            for sigma, col in mat.items():
+            for sigma in stratum:
                 up = exps[sigma]
+                col: dict[int, object] = {}
                 hit = False
-                for tau, sign in col.items():
-                    if rewrite and sign < 0:
-                        col[tau] = neg_one
+                for tau, sign in facets(sigma):
+                    tau = masks[tau]
+                    col[tau] = one if sign > 0 else neg_one
                     row = rows.get(tau)
                     if row is None:
                         rows[tau] = {sigma: None}
@@ -226,9 +224,11 @@ class FreeComplex:
                         row[sigma] = None
                     if not hit and exps[tau] == up:
                         hit = True
+                mat[sigma] = col
                 if hit:
                     queue.append(sigma)
-            queue.sort(reverse=True)
+            queue.reverse()  # strata are ascending
+            self.mats.append(mat)
             self.rows.append(rows)
             self.queue.append(queue)
 
@@ -411,8 +411,6 @@ class FreeComplex:
         return _table_from_multigraded(multigraded, self.field.name)
 
     def surviving_symbols(self):
-        from .taylor import TaylorSymbol
-
         return [
             [TaylorSymbol(mask, h, self.mdeg(mask)) for mask in masks]
             for h, masks in enumerate(self.strata)
@@ -430,7 +428,7 @@ def _discard(stratum: list[int], mask: int) -> None:
 def complex_from_taylor(
     ideal: MonomialIdeal, field=RATIONAL, max_q: int = TAYLOR_GUARD
 ) -> FreeComplex:
-    """The subset complex of `ideal`, built fresh and owned by the result."""
+    """The subset complex of `ideal`, over `field`, before any cancellation."""
     return FreeComplex(ideal, field, build_taylor(ideal, max_q))
 
 
@@ -495,7 +493,7 @@ def betti_oracle(
     for exps, group in cx.mdeg_groups.items():
         levels: dict[int, list[int]] = {}
         for mask in group:
-            levels.setdefault(bin(mask).count("1"), []).append(mask)
+            levels.setdefault(mask.bit_count(), []).append(mask)
         ranks: dict[int, int] = {}
         for h, columns in levels.items():
             if h == 0 or h - 1 not in levels:
@@ -503,7 +501,7 @@ def betti_oracle(
             row_index = {m: i for i, m in enumerate(levels[h - 1])}
             dense = [[0] * len(columns) for _ in row_index]
             for ci, sigma in enumerate(columns):
-                for tau, sign in cx.diff[h][sigma].items():
+                for tau, sign in facets(sigma):
                     ri = row_index.get(tau)
                     if ri is not None:
                         dense[ri][ci] = sign

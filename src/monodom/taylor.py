@@ -1,16 +1,20 @@
-"""The full 2^q labeled free complex on generator subsets, and its Scarf core.
+"""The lcm lattice of generator subsets (the Taylor complex), and its Scarf core.
 
 Symbols are encoded as q-bit masks over the canonical generator order.
 The differential of a symbol removes one member at a time with sign
 (-1)^(j+1), j being the member's 1-based position in the ascending index
-list; the monomial part of every entry is the quotient of the two
-symbols' multidegrees and is therefore never stored.
+list; `facets` yields those pairs. The monomial part of every entry is
+the quotient of the two symbols' multidegrees, so nothing but the lcm
+table is stored, and `build_taylor` shares one lattice per ideal,
+read-only, between the engine, the oracle and the Scarf basis.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from . import _kernels
 from .errors import InternalInvariantError, TaylorTooLarge
@@ -28,6 +32,25 @@ def members_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def facets(sigma: int) -> Iterator[tuple[int, int]]:
+    """(tau, sign) for each facet tau of sigma.
+
+    Members are dropped in ascending order with signs +1, -1, +1, ...
+    """
+    sign, rest = 1, sigma
+    while rest:
+        low = rest & -rest
+        yield sigma ^ low, sign
+        sign, rest = -sign, rest ^ low
+
+
+def symbol_label(ideal: MonomialIdeal, mask: int) -> str:
+    """The symbol's generators, e.g. ``[a^2, a*b]``; the empty symbol is ``[0]``."""
+    if mask == 0:
+        return "[0]"
+    return "[" + ", ".join(str(ideal.generators[i]) for i in members_of(mask)) + "]"
+
+
 @dataclass(frozen=True)
 class TaylorSymbol:
     mask: int
@@ -38,67 +61,52 @@ class TaylorSymbol:
         return members_of(self.mask)
 
     def label(self, ideal: MonomialIdeal) -> str:
-        if self.mask == 0:
-            return "[0]"
-        return "[" + ", ".join(str(ideal.generators[i]) for i in self.members()) + "]"
+        return symbol_label(ideal, self.mask)
 
 
 class TaylorComplex:
-    """Strata of subset symbols plus sign-only differential columns.
+    """The lcm lattice of generator subsets, read-only once built.
 
-    diff[s] maps each stratum-s symbol mask to {facet mask: sign}. The
-    scalar composition of consecutive differentials vanishes; since the
-    monomial part of a path from sigma to rho is mdeg(sigma)/mdeg(rho)
-    however it is routed, that scalar check is the whole of d∘d = 0.
+    mdeg_exps[mask] is the lcm exponent tuple of the subset `mask`;
+    strata[h] holds the masks with h members in ascending order; masks[m]
+    is m itself, one int object per mask for callers that key tables by
+    mask. The differential is never stored: `facets` gives each column.
     """
 
     def __init__(self, ideal: MonomialIdeal):
-        self.ideal = ideal
+        self.table = ideal.table
         self.q = ideal.q
-        # Symbols with equal lcms share one tuple, and every facet key reuses
-        # its mask's int from `masks`: the path ideal with q = 14 has 114,688
-        # facet keys over 16,384 masks, and 3,329 distinct lcms.
+        # Symbols with equal lcms share one tuple: the path ideal with
+        # q = 14 has 16,384 masks and 3,329 distinct lcms.
         lcms = _kernels.subset_lcms(ideal.exponent_rows, ideal.n)
         distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.mdeg_exps = list(map(distinct.setdefault, lcms, lcms))
-        masks = list(range(1 << self.q))
+        self.mdeg_exps = tuple(map(distinct.setdefault, lcms, lcms))
+        self.masks = tuple(range(1 << self.q))
         strata: list[list[int]] = [[] for _ in range(self.q + 1)]
-        for mask in masks:
+        for mask in self.masks:
             strata[mask.bit_count()].append(mask)
-        self.strata = strata  # ascending mask order within each stratum
-        diff: list[dict[int, dict[int, int]]] = [dict() for _ in range(self.q + 1)]
-        for s in range(1, self.q + 1):
-            cols = diff[s]
-            for sigma in strata[s]:
-                col: dict[int, int] = {}
-                sign, rest = 1, sigma
-                while rest:  # members in ascending order, signs +1, -1, ...
-                    low = rest & -rest
-                    col[masks[sigma ^ low]] = sign
-                    sign, rest = -sign, rest ^ low
-                cols[sigma] = col
-        self.diff = diff
+        self.strata = tuple(map(tuple, strata))
 
     def mdeg(self, mask: int) -> Monomial:
-        return Monomial(self.ideal.table, self.mdeg_exps[mask])
+        return Monomial(self.table, self.mdeg_exps[mask])
 
     def symbol(self, mask: int) -> TaylorSymbol:
-        return TaylorSymbol(mask, bin(mask).count("1"), self.mdeg(mask))
+        return TaylorSymbol(mask, mask.bit_count(), self.mdeg(mask))
 
     @cached_property
-    def mdeg_groups(self) -> dict[tuple[int, ...], list[int]]:
-        """Symbols sharing one multidegree, keyed by exponent tuple."""
+    def mdeg_groups(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Symbols sharing one multidegree, keyed by exponent tuple, masks ascending."""
         groups: dict[tuple[int, ...], list[int]] = {}
-        for mask in range(1 << self.q):
-            groups.setdefault(self.mdeg_exps[mask], []).append(mask)
-        return groups
+        for mask, exps in enumerate(self.mdeg_exps):
+            groups.setdefault(exps, []).append(mask)
+        return {exps: tuple(group) for exps, group in groups.items()}
 
     def d_squared_is_zero(self) -> bool:
-        for s in range(2, self.q + 1):
-            for sigma, col in self.diff[s].items():
+        for stratum in self.strata[2:]:
+            for sigma in stratum:
                 acc: dict[int, int] = {}
-                for tau, sign in col.items():
-                    for rho, sign2 in self.diff[s - 1][tau].items():
+                for tau, sign in facets(sigma):
+                    for rho, sign2 in facets(tau):
                         acc[rho] = acc.get(rho, 0) + sign * sign2
                 if any(acc.values()):
                     return False
@@ -106,9 +114,21 @@ class TaylorComplex:
 
 
 def build_taylor(ideal: MonomialIdeal, max_q: int = TAYLOR_GUARD) -> TaylorComplex:
+    """The subset lattice of `ideal`, shared by every caller while one holds it.
+
+    The ideal keeps a weak reference to its lattice, so whoever holds the
+    lattice (as `check_report` does for a whole report) makes every later
+    call return the same object, which no caller may change; a lattice
+    nobody holds is freed instead of living as long as its ideal.
+    """
     if ideal.q > max_q:
         raise TaylorTooLarge(ideal.q, max_q)
-    return TaylorComplex(ideal)
+    ref = vars(ideal).get("_taylor")
+    cx = ref() if ref is not None else None
+    if cx is None:
+        cx = TaylorComplex(ideal)
+        object.__setattr__(ideal, "_taylor", weakref.ref(cx))  # a frozen dataclass
+    return cx
 
 
 @dataclass(frozen=True)
@@ -127,7 +147,7 @@ def scarf_basis(ideal: MonomialIdeal, max_q: int = TAYLOR_GUARD) -> ScarfBasis:
         if len(group) == 1:
             (mask,) = group
             symbols.append(cx.symbol(mask))
-            counts[bin(mask).count("1")] += 1
+            counts[mask.bit_count()] += 1
     symbols.sort(key=lambda sym: (sym.hdeg, sym.mask))
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
@@ -143,7 +163,7 @@ def mdeg_multiplicity_table(
     for exps, group in cx.mdeg_groups.items():
         per_deg: dict[int, int] = {}
         for mask in group:
-            h = bin(mask).count("1")
+            h = mask.bit_count()
             per_deg[h] = per_deg.get(h, 0) + 1
         out[Monomial(ideal.table, exps)] = per_deg
     return out
@@ -164,9 +184,9 @@ def is_scarf(ideal: MonomialIdeal, max_q: int = TAYLOR_GUARD) -> bool:
 def validate_taylor(cx: TaylorComplex) -> None:
     if not cx.d_squared_is_zero():
         raise InternalInvariantError("Taylor differential does not square to zero")
-    for s in range(1, cx.q + 1):
-        for sigma, col in cx.diff[s].items():
+    for stratum in cx.strata[1:]:
+        for sigma in stratum:
             up = cx.mdeg_exps[sigma]
-            for tau in col:
+            for tau, _ in facets(sigma):
                 if any(a > b for a, b in zip(cx.mdeg_exps[tau], up)):
                     raise InternalInvariantError("facet multidegree does not divide")

@@ -21,9 +21,9 @@ from .dominance import (
     is_taylor_minimal,
     odom_by_dominance,
 )
-from .errors import FuzzFailure, GuardExceeded, InvalidParameterError, TaylorTooLarge
+from .errors import FuzzFailure, GuardExceeded, InvalidParameterError
 from .monomials import Monomial, MonomialIdeal, VariableTable, minimalize, polarize
-from .nets import NET_FAMILY_GUARD, MinimalNetFamily, Net, minimal_nets, odom_by_nets
+from .nets import NET_FAMILY_GUARD, MinimalNetFamily, Net, minimal_nets
 from .resolution import (
     RATIONAL,
     BettiTable,
@@ -31,7 +31,7 @@ from .resolution import (
     is_complete_intersection,
     minimize,
 )
-from .taylor import TAYLOR_GUARD, scarf_basis
+from .taylor import TAYLOR_GUARD, build_taylor, scarf_basis
 
 # ---------------------------------------------------------------------------
 # splitmix64: chosen because it is bit-exactly specifiable in a few lines
@@ -215,13 +215,14 @@ def check_report(
     net_cap: int = NET_FAMILY_GUARD,
 ) -> InvariantReport:
     """Compute every invariant of the quotient and evaluate all checks."""
-    if ideal.q > taylor_max_q:
-        raise TaylorTooLarge(ideal.q, taylor_max_q)
+    # held until the report is done, so minimize, the oracle and the Scarf
+    # basis all read this one lattice (build_taylor caches it weakly)
+    lattice = build_taylor(ideal, taylor_max_q)  # noqa: F841
     pol = polarize(ideal)
     odom_d, dom_witness = odom_by_dominance(ideal, dominance_max_q)
-    odom_n, net_witness = odom_by_nets(ideal, net_cap)
     nets_base = minimal_nets(ideal, net_cap)
     nets_pol = minimal_nets(pol, net_cap)
+    odom_n, net_witness = nets_pol.max_card, nets_pol.widest  # as odom_by_nets
     cod = nets_base.min_card
     _, betti_min = minimize(ideal, field, taylor_max_q)
     betti_orc = betti_oracle(ideal, field, taylor_max_q)

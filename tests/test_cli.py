@@ -288,6 +288,93 @@ class TestExitCodes:
         assert out.strip() == "a_1"
 
 
+HUGE = "a^3000000000*b, b^2"  # an exponent past every fixed-width kernel
+
+
+class TestHostileInputs:
+    def test_closed_stdout_exits_1_quietly(self):
+        import os
+        import subprocess
+        import sys
+
+        import monodom
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(monodom.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        # about 160 KB of matrices, well past what a pipe buffers
+        ideal = ", ".join(f"x{i}*x{i + 1}" for i in range(1, 12))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "monodom.cli", "resolution", "--show-matrices",
+             "--ideal", ideal],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"minimal free resolution")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""
+
+    def test_deep_polarization_analyze(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--json", "--ideal", "a^990*b, b^2")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["betti"] == [1, 2, 1] and payload["odom"] == 2
+        assert len(payload["witnesses"]["net"]) == 2
+
+    def test_deep_polarization_odom(self, capsys):
+        code, out, _ = run(capsys, "odom", "--json", "--ideal", "a^990*b, b^2")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["nets"]["odom"] == payload["dominant-sets"]["odom"] == 2
+
+    def test_deep_polarization_nets(self, capsys):
+        code, out, _ = run(
+            capsys, "nets", "--polarized", "--json", "--ideal", "a^990*b, b^2"
+        )
+        payload = json.loads(out)
+        assert code == 0
+        # b_1 alone, or b_2 with any one copy of a
+        assert len(payload["minimal_nets"]) == 991
+        assert payload["minimal_nets"][0] == ["b_1"]
+
+    def test_nets_of_one_wide_generator(self, capsys):
+        gen = "*".join(f"x{i}" for i in range(1, 1201))
+        code, out, _ = run(capsys, "nets", "--json", "--ideal", gen)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["minimal_nets"] == [[f"x{i}"] for i in range(1, 1201)]
+
+    def test_huge_exponent_analyze_is_guarded(self, capsys):
+        code, out, err = run(capsys, "analyze", "--ideal", HUGE)
+        assert code == 2 and out == ""
+        assert err == "error: refusing to polarize into 3000000002 variables (limit 1000)\n"
+
+    def test_huge_exponent_betti(self, capsys):
+        code, out, _ = run(capsys, "betti", "--json", "--ideal", HUGE)
+        assert code == 0
+        assert json.loads(out)["multigraded_betti"] == [
+            [0, "1", 1], [1, "b^2", 1], [1, "a^3000000000*b", 1],
+            [2, "a^3000000000*b^2", 1],
+        ]
+
+    def test_huge_exponent_scarf(self, capsys):
+        code, out, _ = run(capsys, "scarf", "--json", "--ideal", HUGE)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["is_scarf"] is True and payload["ranks"] == [1, 2, 1]
+
+    def test_huge_exponent_odom(self, capsys):
+        code, out, _ = run(
+            capsys, "odom", "--json", "--method", "dominant-sets", "--ideal", HUGE
+        )
+        assert code == 0
+        assert json.loads(out)["dominant-sets"]["odom"] == 2
+        # the nets route polarizes, which the variable bound refuses
+        code, _, err = run(capsys, "odom", "--ideal", HUGE)
+        assert code == 2 and "polarize" in err
+
+
 GOLDEN_TEXT = {
     ("P6", "Q"): """\
 minimal free resolution of the quotient; betti [1, 6, 11, 9, 3]

@@ -1,4 +1,8 @@
-"""Pure and compiled kernel backends must agree bit for bit."""
+"""Pure and compiled kernel backends must agree bit for bit.
+
+Backend-independent values live in test_kernel_values.py, which runs
+without the compiled extension.
+"""
 
 import random
 
@@ -6,15 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monodom import GuardExceeded
 from monodom._kernels import py as pure
 
 fast = pytest.importorskip(
     "monodom._kernels._fast", reason="compiled kernels not built"
 )
-
-
-BACKENDS = [pure, fast]
 
 
 @st.composite
@@ -80,15 +80,6 @@ def test_ranks_equivalent(data):
     assert pure.rank_modp(mat, 32003) == fast.rank_modp(mat, 32003)
 
 
-def test_rank_matches_known_values():
-    for backend in BACKENDS:
-        assert backend.rank_int([[1, 0], [0, 1]]) == 2
-        assert backend.rank_int([[1, 2], [2, 4]]) == 1
-        assert backend.rank_int([[0, 0], [0, 0]]) == 0
-        assert backend.rank_int([]) == 0
-        assert backend.rank_int([[1, -1, 0], [0, 1, -1], [1, 0, -1]]) == 2
-
-
 def test_compiled_overflow_falls_back_to_exact():
     from monodom import _kernels
 
@@ -96,13 +87,13 @@ def test_compiled_overflow_falls_back_to_exact():
     with pytest.raises(OverflowError):
         fast.rank_int(big)
     assert _kernels.rank_int(big) == pure.rank_int(big) == 2
-
-
-def test_transversal_cap_raises_in_both():
-    edges = [0b01, 0b10]
-    for backend in BACKENDS:
-        with pytest.raises(GuardExceeded):
-            backend.minimal_transversals(edges, 2, 0)
+    rows = ((3 * 10**9, 1), (0, 2))
+    with pytest.raises(OverflowError):
+        fast.subset_lcms(rows, 2)
+    with pytest.raises(OverflowError):
+        fast.dominance_masks(rows, (0, 1))
+    assert _kernels.subset_lcms(rows, 2) == pure.subset_lcms(rows, 2)
+    assert _kernels.dominance_masks(rows, (0, 1)) == pure.dominance_masks(rows, (0, 1))
 
 
 def test_wide_tables_fall_back_to_pure_paths():

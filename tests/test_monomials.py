@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monodom import (
+    GuardExceeded,
     IdealSyntaxError,
     InvalidIdealError,
     Monomial,
@@ -139,6 +140,15 @@ class TestPolarize:
         P = polarize(I("a^2, b"))
         assert P.table.origins == (("a", 1), ("a", 2), ("b", 1))
         assert P.table.base_of(1) == "a"
+
+    def test_variable_bound(self):
+        from monodom.monomials import POLARIZE_GUARD
+
+        assert polarize(I(f"a^{POLARIZE_GUARD - 1}*b")).n == POLARIZE_GUARD
+        with pytest.raises(GuardExceeded, match="1001 variables"):
+            polarize(I(f"a^{POLARIZE_GUARD}*b"))
+        with pytest.raises(GuardExceeded):
+            polarize(I("a^3000000000*b, b^2"))
 
 
 class TestCanonicalOrder:

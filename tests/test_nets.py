@@ -117,6 +117,14 @@ class TestOdomByNets:
         assert is_net(P, net.variables)
         assert net.cardinality == value == 4
 
+    def test_witness_is_widest_polarized_net(self):
+        M = I("a^2*b, a*b^2, a*c, b*c^2, c^3")
+        family = minimal_nets(polarize(M))
+        value, net = odom_by_nets(M)
+        assert (value, net) == (family.max_card, family.widest)
+        widest = [n.variables for n in family if n.cardinality == family.max_card]
+        assert net.variables == min(widest)
+
     def test_big_height(self):
         assert big_height(I("a*d, b*d, c*d, d^2", ["a", "b", "c", "d"])) == 4
 

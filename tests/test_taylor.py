@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from monodom import (
     Monomial,
     TaylorTooLarge,
+    betti_oracle,
     build_taylor,
     is_scarf,
     is_taylor_minimal,
@@ -14,13 +15,13 @@ from monodom import (
     scarf_basis,
     table,
 )
-from monodom.taylor import members_of, validate_taylor
+from monodom.taylor import facets, members_of, validate_taylor
 
 from conftest import I
 
 
-def sym_by_members(cx, *gen_texts):
-    lookup = {str(g): i for i, g in enumerate(cx.ideal.generators)}
+def sym_by_members(ideal, *gen_texts):
+    lookup = {str(g): i for i, g in enumerate(ideal.generators)}
     mask = 0
     for t in gen_texts:
         mask |= 1 << lookup[t]
@@ -32,13 +33,13 @@ class TestBuildTaylor:
         M = I("a, b")
         cx = build_taylor(M)
         top = 0b11
-        col = cx.diff[2][top]
+        col = dict(facets(top))
         # removing the first member carries +, the second -
         first, second = members_of(top)
         assert col[top ^ (1 << first)] == 1
         assert col[top ^ (1 << second)] == -1
         for single in cx.strata[1]:
-            assert cx.diff[1][single] == {0: 1}
+            assert dict(facets(single)) == {0: 1}
         # quotient monomials: mdeg([a,b]) / mdeg single = the other variable
         assert str(cx.mdeg(top)) == "a*b"
 
@@ -50,8 +51,8 @@ class TestBuildTaylor:
     def test_collision_example(self):
         M = I("a^2, a*b, b^2")
         cx = build_taylor(M)
-        pair = sym_by_members(cx, "a^2", "b^2")
-        triple = sym_by_members(cx, "a^2", "a*b", "b^2")
+        pair = sym_by_members(M, "a^2", "b^2")
+        triple = sym_by_members(M, "a^2", "a*b", "b^2")
         assert cx.mdeg_exps[pair] == cx.mdeg_exps[triple]
         assert str(cx.mdeg(pair)) == "a^2*b^2"
 
@@ -64,6 +65,20 @@ class TestBuildTaylor:
         with pytest.raises(TaylorTooLarge):
             build_taylor(M)
         build_taylor(M, max_q=15)
+
+    def test_lattice_is_shared_and_read_only(self):
+        M = I("a^2*b, a*b^2, a*c, b*c^2, c^3")
+        cx = build_taylor(M)
+        strata = [list(st) for st in cx.strata]
+        exps = list(cx.mdeg_exps)
+        scarf = scarf_basis(M)
+        engine = minimize(M)[1]
+        assert build_taylor(M) is cx
+        assert [list(st) for st in cx.strata] == strata
+        assert list(cx.mdeg_exps) == exps
+        assert betti_oracle(M) == engine
+        assert scarf_basis(M) == scarf
+        assert not hasattr(cx, "diff")
 
     def test_d_squared_zero_and_multihomogeneous(self):
         for text in ("a, b", "a^2, a*b, b^2", "a*d, b*d, c*d, d^2", "a*b, c*d, a*c, b*d"):
