@@ -8,6 +8,8 @@ trivially interchangeable.
 
 from __future__ import annotations
 
+from math import gcd
+
 from monodom.errors import GuardExceeded
 
 
@@ -38,9 +40,11 @@ def minimal_transversals(edges, n_vars, cap):
 
     edges: nonzero variable bitmasks. Depth-first include/exclude search
     over variables in descending edge-degree order; a branch stops as soon
-    as every edge is hit (supersets cannot be minimal), and candidate sets
-    are filtered down to the antichain at the end. Raises GuardExceeded
-    when more than `cap` candidate sets accumulate.
+    as every edge is hit (supersets cannot be minimal). A candidate can
+    still contain a variable that later choices made redundant, so only
+    the candidates in which every variable has a private edge are kept,
+    ordered by size (stably, in search order within one size). Raises
+    GuardExceeded when more than `cap` candidate sets accumulate.
     """
     if not edges:
         return []
@@ -86,13 +90,23 @@ def minimal_transversals(edges, n_vars, cap):
         stack.append((i + 1, chosen, uncovered))
         stack.append((i + 1, chosen | bit, [e for e in uncovered if not e & bit]))
 
-    # antichain filter: drop any candidate containing a smaller candidate
-    found.sort(key=_popcount)
-    minimal = []
-    for cand in found:
-        if not any(cand & m == m for m in minimal):
-            minimal.append(cand)
+    minimal = [cand for cand in found if _is_minimal(cand, edges)]
+    minimal.sort(key=_popcount)
     return minimal
+
+
+def _is_minimal(chosen, edges):
+    """Whether the hitting set `chosen` is minimal.
+
+    It is when every chosen variable has a private edge: one that
+    `chosen` meets in that variable alone. O(len(edges)).
+    """
+    private = 0
+    for e in edges:
+        hit = e & chosen
+        if not hit & (hit - 1):
+            private |= hit
+    return private == chosen
 
 
 def dominance_masks(exps, members):
@@ -122,71 +136,75 @@ def dominance_masks(exps, members):
 
 
 def rank_int(rows):
-    """Exact rank over the rationals of an integer matrix (Bareiss)."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    pr = 0
-    for pc in range(nc):
-        piv = -1
-        for r in range(pr, nr):
-            if m[r][pc]:
-                piv = r
+    """Exact rank over the rationals of an integer matrix.
+
+    Sparse fraction-free row reduction. Each row is held as a
+    {column: value} dict of its nonzero entries and reduced, one leading
+    column at a time, against the pivot rows kept by leading column:
+    r := (a/g)*r - (f/g)*pivot, where a is the pivot's leading entry, f
+    is r's and g = gcd(a, f). A row that reaches a free leading column
+    becomes a pivot row, divided by the gcd of its entries and signed so
+    that its leading entry is positive; a unit pivot then never rescales
+    the row it reduces. Only nonzero entries are ever touched, so the
+    cost follows the fill-in rather than the matrix's area; entries are
+    Python ints and never overflow.
+    """
+    pivots = {}
+    for row in rows:
+        r = {c: v for c, v in enumerate(row) if v}
+        while r:
+            lead = min(r)
+            piv = pivots.get(lead)
+            if piv is None:
+                g = 0
+                for v in r.values():
+                    g = gcd(g, v)
+                if r[lead] < 0:
+                    g = -g
+                if g != 1:
+                    r = {c: v // g for c, v in r.items()}
+                pivots[lead] = r
                 break
-        if piv < 0:
-            continue
-        if piv != pr:
-            m[pr], m[piv] = m[piv], m[pr]
-        pivot = m[pr][pc]
-        for r in range(pr + 1, nr):
-            mr = m[r]
-            mp = m[pr]
-            f = mr[pc]
-            for c in range(pc + 1, nc):
-                mr[c] = (mr[c] * pivot - f * mp[c]) // prev
-            mr[pc] = 0
-        prev = pivot
-        pr += 1
-        rank += 1
-        if pr == nr:
-            break
-    return rank
+            a, f = piv[lead], r[lead]
+            if a != 1:
+                g = gcd(a, f)
+                a, f = a // g, f // g
+                if a != 1:
+                    r = {c: a * v for c, v in r.items()}
+            for c, v in piv.items():
+                x = r.get(c, 0) - f * v
+                if x:
+                    r[c] = x
+                elif c in r:
+                    del r[c]
+    return len(pivots)
 
 
 def rank_modp(rows, p):
-    """Rank of an integer matrix over the prime field F_p."""
-    m = [[v % p for v in r] for r in rows]
-    if not m or not m[0]:
-        return 0
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    pr = 0
-    for pc in range(nc):
-        piv = -1
-        for r in range(pr, nr):
-            if m[r][pc]:
-                piv = r
+    """Rank of an integer matrix over the prime field F_p.
+
+    Sparse row reduction as in `rank_int`, with entries reduced mod p and
+    each pivot row scaled by the inverse of its leading entry, so a row
+    is reduced by r := r - f*pivot with f its own leading entry.
+    """
+    pivots = {}
+    for row in rows:
+        r = {c: x for c, v in enumerate(row) if v and (x := v % p)}
+        while r:
+            lead = min(r)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(r[lead], -1, p)
+                pivots[lead] = {c: v * inv % p for c, v in r.items()}
                 break
-        if piv < 0:
-            continue
-        if piv != pr:
-            m[pr], m[piv] = m[piv], m[pr]
-        inv = pow(m[pr][pc], p - 2, p)
-        mp = m[pr]
-        for r in range(pr + 1, nr):
-            mr = m[r]
-            if mr[pc]:
-                f = (mr[pc] * inv) % p
-                for c in range(pc, nc):
-                    mr[c] = (mr[c] - f * mp[c]) % p
-        pr += 1
-        rank += 1
-        if pr == nr:
-            break
-    return rank
+            f = r[lead]
+            for c, v in piv.items():
+                x = (r.get(c, 0) - f * v) % p
+                if x:
+                    r[c] = x
+                elif c in r:
+                    del r[c]
+    return len(pivots)
 
 
 def _popcount(x):

@@ -25,7 +25,7 @@ from .dominance import odom_by_dominance
 from .monomials import MonomialIdeal, parse_ideal, polarize
 from .nets import minimal_nets, odom_by_nets
 from .resolution import RATIONAL, BettiTable, PrimeField, betti_oracle, minimize
-from .taylor import scarf_basis, symbol_label
+from .taylor import build_taylor, scarf_basis, symbol_label
 from .verify import FuzzParams, InvariantReport, check_report, fuzz
 
 
@@ -288,6 +288,8 @@ def _cmd_odom(args) -> int:
 def _cmd_scarf(args) -> int:
     ideal = _load_ideal(args)
     field = _field_from_args(args)
+    # held, so the Scarf basis and minimize read one lattice
+    lattice = build_taylor(ideal)  # noqa: F841
     basis = scarf_basis(ideal)
     betti = minimize(ideal, field)[1]
     verdict = basis.ranks == betti.total

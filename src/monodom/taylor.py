@@ -176,6 +176,8 @@ def is_scarf(ideal: MonomialIdeal, max_q: int = TAYLOR_GUARD) -> bool:
     """
     from .resolution import minimize  # local import; resolution builds on this module
 
+    # held, so the Scarf basis and minimize read one lattice
+    lattice = build_taylor(ideal, max_q)  # noqa: F841
     ranks = scarf_basis(ideal, max_q).ranks
     betti = minimize(ideal, max_q=max_q)[1].total
     return ranks == betti

@@ -14,6 +14,22 @@ def I(text, var_names=None):
     return parse_ideal(text, var_names)
 
 
+@pytest.fixture
+def lattice_builds(monkeypatch):
+    """A list that gains one entry per `subset_lcms` call, i.e. per lattice built."""
+    from monodom import _kernels
+
+    calls = []
+    kernel = _kernels.subset_lcms
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "subset_lcms", counted)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # independent brute-force oracles, written directly from the definitions and
 # kept free of the package's enumeration code

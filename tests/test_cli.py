@@ -153,6 +153,12 @@ class TestOtherCommands:
         assert payload["is_scarf"] is True
         assert payload["ranks"] == [1, 3, 2]
 
+    def test_scarf_builds_one_lattice(self, capsys, lattice_builds):
+        code, out, _ = run(capsys, "scarf", "--ideal", "a^2*b, a*b^2, a*c, b*c^2, c^3", "--json")
+        assert code == 0
+        assert json.loads(out)["is_scarf"] is True
+        assert len(lattice_builds) == 1
+
     def test_resolution_matrices(self, capsys):
         code, out, _ = run(
             capsys, "resolution", "--show-matrices", "--ideal", "a^2,a*b,b^2"

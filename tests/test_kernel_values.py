@@ -1,6 +1,10 @@
 """Known kernel values and the selector's overflow rule, on every backend present."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monodom import GuardExceeded, _kernels
 from monodom._kernels import py as pure
@@ -57,3 +61,107 @@ def test_every_kernel_is_exported():
     for name in ("subset_lcms", "minimal_transversals", "dominance_masks",
                  "rank_int", "rank_modp"):
         assert callable(getattr(_kernels, name))
+
+
+def reference_rank(rows, p=None):
+    """Dense Gaussian elimination over Q (Fractions) or over F_p (p given)."""
+    if p is None:
+        m = [[Fraction(v) for v in row] for row in rows]
+    else:
+        m = [[v % p for v in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rank + 1, len(m)):
+            if p is None:
+                f = m[r][c] / m[rank][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+            else:
+                f = m[r][c] * pow(m[rank][c], p - 2, p) % p
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+# mostly zeros and small entries, with non-unit and beyond-int64 values mixed in
+ENTRY = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.sampled_from([1, -1, 2, -2, 3, 6, -9]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+
+
+@st.composite
+def matrices(draw):
+    nr = draw(st.integers(min_value=0, max_value=9))
+    nc = draw(st.integers(min_value=0, max_value=9))
+    rows = [[draw(ENTRY) for _ in range(nc)] for _ in range(nr)]
+    if nr and nc and draw(st.booleans()):
+        # a copy of a combination of earlier rows, so the rank drops
+        a, b = draw(ENTRY), draw(ENTRY)
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    return rows
+
+
+PRIMES = (2, 3, 32003, 2**61 - 1)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(rows=matrices())
+@settings(max_examples=150, deadline=None)
+def test_ranks_match_dense_elimination(backend, rows):
+    assert backend.rank_int(rows) == reference_rank(rows)
+    for p in PRIMES:
+        assert backend.rank_modp(rows, p) == reference_rank(rows, p)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_rank_edge_shapes(backend):
+    for rows in ([], [[]], [[], []], [[0, 0, 0]], [[0], [0], [0]]):
+        assert backend.rank_int(rows) == 0
+        for p in PRIMES:
+            assert backend.rank_modp(rows, p) == 0
+    wide = [[0, 2, 0, 4, 0, 6, 0, 8]]
+    tall = [[0], [3], [0], [-5]]
+    assert backend.rank_int(wide) == backend.rank_int(tall) == 1
+    assert backend.rank_modp(wide, 2) == 0
+    assert backend.rank_modp(tall, 3) == 1
+    # a non-unit pivot and determinant -12: rank 2 over Q, 1 over F_3, 0 over F_2
+    rows = [[2, 4], [4, 2]]
+    assert backend.rank_int(rows) == 2
+    assert backend.rank_modp(rows, 3) == 1
+    assert backend.rank_modp(rows, 2) == 0
+
+
+def brute_transversals(edges, n):
+    hitting = [s for s in range(1 << n) if all(e & s for e in edges)]
+    return {s for s in hitting if not any(t != s and t & s == t for t in hitting)}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_transversals_match_brute_force(backend, data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    edges = data.draw(
+        st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), min_size=1, max_size=10)
+    )
+    found = backend.minimal_transversals(edges, n, 10**5)
+    assert len(found) == len(set(found))
+    assert set(found) == brute_transversals(edges, n)
+    sizes = [s.bit_count() for s in found]
+    assert sizes == sorted(sizes)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_transversals_of_two_wide_generators(backend):
+    # x1*...*x60, y1*...*y60: every net is one x and one y
+    k = 60
+    xs, ys = (1 << k) - 1, ((1 << k) - 1) << k
+    found = backend.minimal_transversals([xs, ys], 2 * k, 10**5)
+    assert len(found) == 3600
+    assert set(found) == {1 << i | 1 << j for i in range(k) for j in range(k, 2 * k)}

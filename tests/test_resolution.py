@@ -1,6 +1,7 @@
 import random
 from copy import deepcopy
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +192,26 @@ class TestFields:
             M = I(text)
             assert minimize(M, field=fp)[1].total == minimize(M)[1].total
             assert betti_oracle(M, field=fp).total == betti_oracle(M).total
+
+    @pytest.mark.parametrize(
+        "field,total",
+        [
+            (RATIONAL, (1, 10, 15, 6)),
+            (PrimeField(2), (1, 10, 15, 7, 1)),
+            (PrimeField(3), (1, 10, 15, 6)),
+        ],
+    )
+    def test_rp2_betti_numbers_depend_on_the_characteristic(self, field, total):
+        # Stanley-Reisner ideal of the 6-vertex triangulation of RP^2: the
+        # ten triangles that are not faces; its H_1 is Z/2
+        faces = {(1, 2, 4), (1, 2, 6), (1, 3, 5), (1, 3, 6), (1, 4, 5),
+                 (2, 3, 4), (2, 3, 5), (2, 5, 6), (3, 4, 6), (4, 5, 6)}
+        gens = ["*".join(f"x{i}" for i in t)
+                for t in combinations(range(1, 7), 3) if t not in faces]
+        M = I(", ".join(gens), [f"x{i}" for i in range(1, 7)])
+        engine = minimize(M, field)[1]
+        assert engine == betti_oracle(M, field)
+        assert engine.total == total
 
     def test_field_recorded(self):
         assert minimize(I("a"))[1].field_name == "rational"

@@ -133,6 +133,10 @@ class TestScarf:
     def test_is_scarf(self, text, expected):
         assert is_scarf(I(text)) is expected
 
+    def test_is_scarf_builds_one_lattice(self, lattice_builds):
+        assert is_scarf(I("a^2*b, a*b^2, a*c, b*c^2, c^3")) is True
+        assert len(lattice_builds) == 1
+
     def test_scarf_ranks_bounded_by_betti(self):
         for text in ("a*b, c*d, a*c, b*d", "a^2, a*b, b^2", "a*e, b*e, c*e, d*e, a*b, c*d"):
             M = I(text)
