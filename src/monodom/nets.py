@@ -16,6 +16,7 @@ from . import _kernels
 from .dominance import DominanceWitness, is_dominant_set
 from .errors import InternalInvariantError, UnknownVariableError
 from .monomials import MonomialIdeal, lcm_of, polarize
+from .taylor import members_of
 
 NET_FAMILY_GUARD = 100_000
 
@@ -97,10 +98,7 @@ def is_net(ideal: MonomialIdeal, X: Iterable) -> bool:
 def minimal_nets(ideal: MonomialIdeal, cap: int = NET_FAMILY_GUARD) -> MinimalNetFamily:
     """Complete family of minimal nets (minimal transversals of the supports)."""
     masks = _kernels.minimal_transversals(list(ideal.support_masks), ideal.n, cap)
-    nets = []
-    for m in masks:
-        variables = tuple(i for i in range(ideal.n) if m >> i & 1)
-        nets.append(Net(variables))
+    nets = [Net(members_of(m)) for m in masks]
     nets.sort(key=lambda net: (net.cardinality, net.variables))
     return MinimalNetFamily(tuple(nets))
 

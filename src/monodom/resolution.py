@@ -31,10 +31,17 @@ join a queue later: a Schur update creates (tau2, sig2) from the entries
 that already held the equal-multidegree entry (tau, sig2) and is
 therefore still queued. `check_index` verifies the row index and the
 queues, and `all_invertible` is the full scan that relies on neither.
+
+`validate` checks multihomogeneity and d∘d = 0. Run after every
+cancellation, it re-checks only what changed since the last passing
+check: it compares every column with a copy kept from that check, by
+value, and trusts neither the row index nor `cancel`, so each step gets
+the verdict and the first error message of the full check.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
@@ -369,38 +376,92 @@ class FreeComplex:
                     f"row index of matrix {s} is not the transpose of its columns"
                 )
 
-    def check_multihomogeneous(self) -> None:
+    def _columns(self, s: int, only: list[set[int]] | None):
+        """(sigma, column) pairs of matrix s in `mats` order, limited to
+        `only[s]` when a per-degree column filter is given."""
+        mat = self.mats[s]
+        if only is None:
+            return mat.items()
+        keep = only[s]
+        if not keep:
+            return ()
+        return [(sigma, col) for sigma, col in mat.items() if sigma in keep]
+
+    def check_multihomogeneous(self, only: list[set[int]] | None = None) -> None:
+        is_zero, exps, le = self.field.is_zero, self.mdeg_exps, operator.le
         for s in range(1, self.q + 1):
-            for sigma, col in self.mats[s].items():
-                up = self.mdeg_exps[sigma]
+            for sigma, col in self._columns(s, only):
+                up = exps[sigma]
                 for tau, val in col.items():
-                    if self.field.is_zero(val):
+                    if is_zero(val):
                         raise InternalInvariantError("stored zero entry")
-                    if any(a > b for a, b in zip(self.mdeg_exps[tau], up)):
+                    if not all(map(le, exps[tau], up)):
                         raise InternalInvariantError(
                             "entry between incomparable multidegrees"
                         )
 
-    def check_d_squared(self) -> None:
+    def check_d_squared(self, only: list[set[int]] | None = None) -> None:
         F = self.field
+        mul, add, is_zero = F.mul, F.add, F.is_zero
         for s in range(2, self.q + 1):
             lower = self.mats[s - 1]
-            for sigma, col in self.mats[s].items():
+            for sigma, col in self._columns(s, only):
                 acc: dict[int, object] = {}
                 for tau, val in col.items():
                     for rho, val2 in lower.get(tau, {}).items():
-                        prod = F.mul(val, val2)
+                        prod = mul(val, val2)
                         cur = acc.get(rho)
-                        acc[rho] = prod if cur is None else F.add(cur, prod)
-                for rho, total in acc.items():
-                    if not F.is_zero(total):
+                        acc[rho] = prod if cur is None else add(cur, prod)
+                for total in acc.values():
+                    if not is_zero(total):
                         raise InternalInvariantError(
                             f"d∘d != 0 between degrees {s} and {s - 2}"
                         )
 
-    def validate(self) -> None:
-        self.check_multihomogeneous()
-        self.check_d_squared()
+    def validate(self, seen: _Snapshot | None = None) -> _Snapshot:
+        """Check multihomogeneity and d∘d = 0; return a snapshot of the columns.
+
+        With no argument every column is checked. Given the snapshot an
+        earlier passing call returned, every column is compared with its
+        copy by value, and only what that comparison cannot vouch for is
+        re-checked: multihomogeneity on the changed columns, d∘d on each
+        column that changed or has an entry in a changed or deleted column
+        one degree down. A column's verdict depends only on itself, the
+        columns below it, `mdeg_exps` and the field, so the verdict, and
+        the first error message, are those of the full check. A snapshot
+        taken against another lcm table or field gets the full check. The
+        snapshot is brought up to date in place only when the check passes.
+        """
+        mats = self.mats
+        if (
+            seen is None
+            or seen.mdeg_exps is not self.mdeg_exps
+            or seen.field is not self.field
+        ):
+            self.check_multihomogeneous()
+            self.check_d_squared()
+            return _Snapshot(self)
+        changed: list[set[int]] = []
+        affected: list[set[int]] = []
+        dirty: set[int] = set()  # changed or deleted columns one degree down
+        for mat, old in zip(mats, seen):
+            new = {sigma for sigma, col in mat.items() if old.get(sigma) != col}
+            stale = new
+            if dirty:
+                stale = new.union(
+                    sigma for sigma, col in mat.items() if not dirty.isdisjoint(col)
+                )
+            changed.append(new)
+            affected.append(stale)
+            dirty = new | (old.keys() - mat.keys())
+        self.check_multihomogeneous(changed)
+        self.check_d_squared(affected)
+        for mat, old, new in zip(mats, seen, changed):
+            for sigma in old.keys() - mat.keys():
+                del old[sigma]
+            for sigma in new:
+                old[sigma] = dict(mat[sigma])
+        return seen
 
     def betti_table(self) -> BettiTable:
         multigraded: dict[tuple[int, Monomial], int] = {}
@@ -415,6 +476,20 @@ class FreeComplex:
             [TaylorSymbol(mask, h, self.mdeg(mask)) for mask in masks]
             for h, masks in enumerate(self.strata)
         ]
+
+
+class _Snapshot(list):
+    """Per degree, {column: copy of the column} as of the last passing
+    `validate`, with the lcm table and field it was checked against."""
+
+    __slots__ = ("mdeg_exps", "field")
+
+    def __init__(self, cx: FreeComplex):
+        super().__init__(
+            {sigma: dict(col) for sigma, col in mat.items()} for mat in cx.mats
+        )
+        self.mdeg_exps = cx.mdeg_exps
+        self.field = cx.field
 
 
 def _discard(stratum: list[int], mask: int) -> None:
@@ -452,11 +527,16 @@ def minimize(
     The canonical pivot order is the fixed scan order; passing a seeded
     `pivot_rng` picks uniformly among the currently invertible entries
     instead (the resulting table must not change, and tests check that).
-    `validate` defaults to full checks for small complexes.
+    `validate` (on by default for q <= 8) checks the complex after every
+    cancellation; each check after the first re-checks only the columns
+    that changed since the previous one, against a snapshot held here
+    and freed on return. The final complex also gets `check_index` and
+    the full scan for a leftover invertible entry.
     """
     cx = complex_from_taylor(ideal, field, max_q)
     if validate is None:
         validate = ideal.q <= 8
+    seen = None  # the last passing validation's snapshot
     cursor = 1
     while True:
         if pivot_rng is None:
@@ -470,7 +550,7 @@ def minimize(
         cx.cancel(s, tau, sigma)
         cursor = s  # degrees below s were already clean and cannot regress
         if validate:
-            cx.validate()
+            seen = cx.validate(seen)
     if validate:
         cx.check_index()
         if cx.all_invertible():

@@ -73,6 +73,8 @@ class FuzzParams:
     def __post_init__(self):
         if self.n_max < 1 or self.q_max < 1 or self.exp_max < 1:
             raise InvalidParameterError("n_max, q_max and exp_max must all be >= 1")
+        if self.trials < 0:
+            raise InvalidParameterError("trials must be >= 0")
 
 
 def random_ideal(params: FuzzParams, trial_index: int) -> MonomialIdeal:

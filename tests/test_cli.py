@@ -253,6 +253,11 @@ class TestExitCodes:
         assert code == 1
         assert err == "error: n_max, q_max and exp_max must all be >= 1\n"
 
+    def test_negative_trials_is_1(self, capsys):
+        code, out, err = run(capsys, "verify", "--trials", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: trials must be >= 0\n"
+
     def test_guard_is_2(self, capsys):
         big = ", ".join(f"x{i}" for i in range(1, 16))
         code, _, err = run(capsys, "analyze", "--ideal", big)

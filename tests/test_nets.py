@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from monodom import (
     polarize,
     table,
 )
+from monodom import _kernels
 
 from conftest import I, brute_minimal_nets, family_as_tuples
 
@@ -88,6 +91,26 @@ class TestMinimalNets:
         M = I("a*b, c*d")
         with pytest.raises(GuardExceeded):
             minimal_nets(M, cap=1)
+
+    def test_nets_equal_the_all_bits_construction(self):
+        # reading each net's variables off the set bits of its mask must
+        # give the nets that testing every variable bit in turn gives
+        rng = random.Random(6)
+        for _ in range(60):
+            n = rng.randint(1, 40)
+            tbl = table(*(f"x{i}" for i in range(1, n + 1)))
+            edges = []
+            for _ in range(rng.randint(1, 8)):
+                support = rng.sample(range(n), rng.randint(1, min(n, 6)))
+                edges.append(Monomial(tbl, tuple(int(i in support) for i in range(n))))
+            M = minimalize(edges)
+            masks = _kernels.minimal_transversals(list(M.support_masks), M.n, 10**5)
+            old = sorted(
+                (bin(m).count("1"), tuple(i for i in range(n) if m >> i & 1))
+                for m in masks
+            )
+            fam = minimal_nets(M)
+            assert [(net.cardinality, net.variables) for net in fam] == old
 
 
 class TestCodim:
