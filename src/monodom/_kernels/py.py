@@ -1,9 +1,10 @@
-"""Pure-Python implementations of the hot kernels.
+"""The hot kernels: the subset-lcm lattice, minimal transversals,
+dominance scans and exact rank.
 
-The compiled backend (:mod:`monodom._kernels._fast`) mirrors these
-signatures exactly; :mod:`monodom._kernels` picks one at import time.
-Everything here works on plain ints/tuples so both backends stay
-trivially interchangeable.
+They take and return plain ints, tuples, lists and dicts, so they know
+nothing of the monomial and complex types built on them. Python ints
+never overflow, so every result is exact however large the exponents
+or matrix entries grow.
 """
 
 from __future__ import annotations
@@ -136,10 +137,13 @@ def dominance_masks(exps, members):
 
 
 def rank_int(rows):
-    """Exact rank over the rationals of an integer matrix.
+    """Exact rank over the rationals of a sparse integer matrix.
 
-    Sparse fraction-free row reduction. Each row is held as a
-    {column: value} dict of its nonzero entries and reduced, one leading
+    rows: one {column: value} dict per row holding only that row's
+    nonzero entries, with int columns. A stored zero is not allowed: it
+    would be taken for a leading entry. The dicts are not modified.
+
+    Sparse fraction-free row reduction. Each row is reduced, one leading
     column at a time, against the pivot rows kept by leading column:
     r := (a/g)*r - (f/g)*pivot, where a is the pivot's leading entry, f
     is r's and g = gcd(a, f). A row that reaches a free leading column
@@ -151,7 +155,7 @@ def rank_int(rows):
     """
     pivots = {}
     for row in rows:
-        r = {c: v for c, v in enumerate(row) if v}
+        r = dict(row)
         while r:
             lead = min(r)
             piv = pivots.get(lead)
@@ -181,7 +185,10 @@ def rank_int(rows):
 
 
 def rank_modp(rows, p):
-    """Rank of an integer matrix over the prime field F_p.
+    """Rank of a sparse integer matrix over the prime field F_p.
+
+    rows: one {column: value} dict per row, as for `rank_int`: nonzero
+    entries only. Entries divisible by p are dropped on input.
 
     Sparse row reduction as in `rank_int`, with entries reduced mod p and
     each pivot row scaled by the inverse of its leading entry, so a row
@@ -189,7 +196,7 @@ def rank_modp(rows, p):
     """
     pivots = {}
     for row in rows:
-        r = {c: x for c, v in enumerate(row) if v and (x := v % p)}
+        r = {c: x for c, v in row.items() if (x := v % p)}
         while r:
             lead = min(r)
             piv = pivots.get(lead)

@@ -89,6 +89,7 @@ class RationalField:
         return x == 0
 
     def rank(self, rows):
+        """Rank of an integer matrix given as {column: nonzero int} row dicts."""
         return _kernels.rank_int(rows)
 
 
@@ -156,6 +157,7 @@ class PrimeField:
         return x % self.p == 0
 
     def rank(self, rows):
+        """Rank over F_p of an integer matrix given as {column: nonzero int} row dicts."""
         return _kernels.rank_modp(rows, self.p)
 
 
@@ -579,13 +581,13 @@ def betti_oracle(
             if h == 0 or h - 1 not in levels:
                 continue
             row_index = {m: i for i, m in enumerate(levels[h - 1])}
-            dense = [[0] * len(columns) for _ in row_index]
+            rows = [{} for _ in row_index]
             for ci, sigma in enumerate(columns):
                 for tau, sign in facets(sigma):
                     ri = row_index.get(tau)
                     if ri is not None:
-                        dense[ri][ci] = sign
-            ranks[h] = field.rank(dense)
+                        rows[ri][ci] = sign
+            ranks[h] = field.rank(rows)
         for h, masks in levels.items():
             b = len(masks) - ranks.get(h, 0) - ranks.get(h + 1, 0)
             if b < 0:

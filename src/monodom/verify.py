@@ -15,12 +15,7 @@ from itertools import product as iter_product
 from math import comb
 from typing import Iterator, Sequence
 
-from .dominance import (
-    DOMINANCE_GUARD,
-    DominanceWitness,
-    is_taylor_minimal,
-    odom_by_dominance,
-)
+from .dominance import DOMINANCE_GUARD, DominanceWitness, odom_by_dominance
 from .errors import FuzzFailure, GuardExceeded, InvalidParameterError
 from .monomials import Monomial, MonomialIdeal, VariableTable, minimalize, polarize
 from .nets import NET_FAMILY_GUARD, MinimalNetFamily, Net, minimal_nets
@@ -107,6 +102,11 @@ def random_ideal(params: FuzzParams, trial_index: int) -> MonomialIdeal:
     return minimalize(monomials)
 
 
+def _comparable(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether one exponent vector divides the other."""
+    return all(x <= y for x, y in zip(a, b)) or all(x >= y for x, y in zip(a, b))
+
+
 def exhaustive_ideals(params: FuzzParams) -> Iterator[MonomialIdeal]:
     """Every minimal monomial ideal with n <= n_max, exponents <= exp_max,
     and at most q_max generators, enumerated deterministically per ambient n.
@@ -122,18 +122,10 @@ def exhaustive_ideals(params: FuzzParams) -> Iterator[MonomialIdeal]:
             reverse=True,
         )
         k = len(pool)
-        comparable = [
-            [
-                all(a <= b for a, b in zip(pool[i], pool[j]))
-                or all(a >= b for a, b in zip(pool[i], pool[j]))
-                for j in range(k)
-            ]
-            for i in range(k)
-        ]
 
         def walk(start: int, chosen: list[int]):
             for i in range(start, k):
-                if any(comparable[i][j] for j in chosen):
+                if any(_comparable(pool[i], pool[j]) for j in chosen):
                     continue
                 chosen.append(i)
                 yield MonomialIdeal(
@@ -231,7 +223,8 @@ def check_report(
     pd = betti_min.pd
     ranks = scarf_basis(ideal, taylor_max_q).ranks
     scarf = ranks == betti_min.total
-    tmin = is_taylor_minimal(ideal)
+    # the Taylor resolution is minimal when nothing cancels: 2^q symbols survive
+    tmin = betti_min.sum == 2**ideal.q
     ci = is_complete_intersection(ideal)
     cm = cod == pd
     odom_pol, _ = odom_by_dominance(pol, dominance_max_q)

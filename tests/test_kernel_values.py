@@ -1,4 +1,4 @@
-"""Known kernel values and the selector's overflow rule, on every backend present."""
+"""Known kernel values, and ranks against dense reference elimination."""
 
 from fractions import Fraction
 
@@ -6,21 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monodom import GuardExceeded, _kernels
+from monodom import GuardExceeded, _kernels, kernel_backend
 from monodom._kernels import py as pure
 
-# the pure module, and the selected backend behind its overflow rule
-BACKENDS = [pure] if _kernels.impl is pure else [pure, _kernels]
+# the kernel module under test, named in each test id
+BACKENDS = [pure]
+
+
+def sparse(rows):
+    """Dense integer rows as the {column: nonzero value} dicts the rank kernels take."""
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_rank_matches_known_values(backend):
-    assert backend.rank_int([[1, 0], [0, 1]]) == 2
-    assert backend.rank_int([[1, 2], [2, 4]]) == 1
-    assert backend.rank_int([[0, 0], [0, 0]]) == 0
-    assert backend.rank_int([]) == 0
-    assert backend.rank_int([[1, -1, 0], [0, 1, -1], [1, 0, -1]]) == 2
-    assert backend.rank_int([[2**62, 1], [1, 2**62]]) == 2
+    assert backend.rank_int(sparse([[1, 0], [0, 1]])) == 2
+    assert backend.rank_int(sparse([[1, 2], [2, 4]])) == 1
+    assert backend.rank_int(sparse([[0, 0], [0, 0]])) == 0
+    assert backend.rank_int(sparse([])) == 0
+    assert backend.rank_int(sparse([[1, -1, 0], [0, 1, -1], [1, 0, -1]])) == 2
+    assert backend.rank_int(sparse([[2**62, 1], [1, 2**62]])) == 2
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -44,23 +49,11 @@ def test_huge_exponents(backend):
     assert backend.dominance_masks(rows, (0, 1)) == [0b01, 0b10]
 
 
-def test_overflow_falls_back_to_pure():
-    def compiled(rows):
-        raise OverflowError("does not fit")
-
-    def exact_rank(rows):
-        return 7
-
-    kernel = _kernels.exact(compiled, exact_rank)
-    assert kernel([[1]]) == 7
-    assert kernel.__name__ == "exact_rank"
-    assert _kernels.exact(exact_rank, exact_rank) is exact_rank
-
-
 def test_every_kernel_is_exported():
     for name in ("subset_lcms", "minimal_transversals", "dominance_masks",
                  "rank_int", "rank_modp"):
-        assert callable(getattr(_kernels, name))
+        assert getattr(_kernels, name) is getattr(pure, name)
+    assert kernel_backend == "pure"
 
 
 def reference_rank(rows, p=None):
@@ -114,24 +107,24 @@ PRIMES = (2, 3, 32003, 2**61 - 1)
 @given(rows=matrices())
 @settings(max_examples=150, deadline=None)
 def test_ranks_match_dense_elimination(backend, rows):
-    assert backend.rank_int(rows) == reference_rank(rows)
+    assert backend.rank_int(sparse(rows)) == reference_rank(rows)
     for p in PRIMES:
-        assert backend.rank_modp(rows, p) == reference_rank(rows, p)
+        assert backend.rank_modp(sparse(rows), p) == reference_rank(rows, p)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_rank_edge_shapes(backend):
     for rows in ([], [[]], [[], []], [[0, 0, 0]], [[0], [0], [0]]):
-        assert backend.rank_int(rows) == 0
+        assert backend.rank_int(sparse(rows)) == 0
         for p in PRIMES:
-            assert backend.rank_modp(rows, p) == 0
-    wide = [[0, 2, 0, 4, 0, 6, 0, 8]]
-    tall = [[0], [3], [0], [-5]]
+            assert backend.rank_modp(sparse(rows), p) == 0
+    wide = sparse([[0, 2, 0, 4, 0, 6, 0, 8]])
+    tall = sparse([[0], [3], [0], [-5]])
     assert backend.rank_int(wide) == backend.rank_int(tall) == 1
     assert backend.rank_modp(wide, 2) == 0
     assert backend.rank_modp(tall, 3) == 1
     # a non-unit pivot and determinant -12: rank 2 over Q, 1 over F_3, 0 over F_2
-    rows = [[2, 4], [4, 2]]
+    rows = sparse([[2, 4], [4, 2]])
     assert backend.rank_int(rows) == 2
     assert backend.rank_modp(rows, 3) == 1
     assert backend.rank_modp(rows, 2) == 0

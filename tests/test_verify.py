@@ -94,6 +94,11 @@ class TestExhaustive:
             per_n[M.n] = per_n.get(M.n, 0) + 1
         assert per_n == {1: 1, 2: 4, 3: 18}
 
+    def test_single_generators_with_a_large_exponent_range(self):
+        # one ideal per nonzero exponent vector: sum of 10^n - 1 over n <= 4
+        p = FuzzParams(n_max=4, q_max=1, exp_max=9, trials=0, exhaustive=True)
+        assert sum(1 for _ in exhaustive_ideals(p)) == 11106
+
 
 class TestCheckReport:
     def test_m3_report(self):
@@ -125,6 +130,29 @@ class TestCheckReport:
         status = {c.name: c.status for c in r.checks}
         assert status["three-variables"] == "vacuous"
         assert status["codim-le-odom-le-pd"] == "pass"
+
+    def test_taylor_minimality_is_read_from_the_resolution(self, monkeypatch):
+        from monodom import _kernels
+
+        def lax_dominance_masks(exps, members):
+            # the dominance kernel with `<=` for `<`: a tied exponent counts
+            rows = [exps[i] for i in members]
+            masks = []
+            for a, row in enumerate(rows):
+                mask = 0
+                for v, e in enumerate(row):
+                    if e and all(o[v] <= e for b, o in enumerate(rows) if b != a):
+                        mask |= 1 << v
+                if not mask:
+                    return None
+                masks.append(mask)
+            return masks
+
+        monkeypatch.setattr(_kernels, "dominance_masks", lax_dominance_masks)
+        # betti (1, 3, 2): the Taylor resolution is not minimal, but the lax odom is q = 3
+        r = check_report(I("a*b^3, a*c, b*c"))
+        assert r.odom == 3 and r.betti.sum == 6
+        assert "taylor-minimal-iff-odom-q" in [c.name for c in r.failed_checks()]
 
     def test_guard_raises(self):
         M = I(", ".join(f"x{i}" for i in range(1, 16)))
