@@ -72,9 +72,9 @@ from .taylor import (
     scarf_basis,
 )
 from .verify import (
+    Analysis,
     FuzzParams,
     FuzzSummary,
-    InvariantReport,
     LemmaInstance,
     check_lemma_hypotheses,
     check_report,
@@ -89,6 +89,7 @@ __version__ = "0.1.0"
 kernel_backend = "pure"
 
 __all__ = [
+    "Analysis",
     "BettiTable",
     "DominanceWitness",
     "FreeComplex",
@@ -100,7 +101,6 @@ __all__ = [
     "InternalInvariantError",
     "InvalidIdealError",
     "InvalidParameterError",
-    "InvariantReport",
     "LemmaInstance",
     "MinimalNetFamily",
     "Monomial",

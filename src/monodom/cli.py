@@ -21,12 +21,10 @@ from .errors import (
     MonodomError,
     UnknownVariableError,
 )
-from .dominance import odom_by_dominance
-from .monomials import MonomialIdeal, parse_ideal, polarize
-from .nets import minimal_nets, odom_by_nets
-from .resolution import RATIONAL, BettiTable, PrimeField, betti_oracle, minimize
-from .taylor import build_taylor, scarf_basis, symbol_label
-from .verify import FuzzParams, InvariantReport, check_report, fuzz
+from .monomials import MonomialIdeal, parse_ideal
+from .resolution import RATIONAL, BettiTable, PrimeField, minimize
+from .taylor import symbol_label
+from .verify import Analysis, FuzzParams, check_report, fuzz
 
 
 def _field_from_args(args):
@@ -63,7 +61,7 @@ def _betti_json(table: BettiTable) -> dict:
     }
 
 
-def emit_json(report: InvariantReport) -> str:
+def emit_json(report: Analysis) -> str:
     """Stable-key JSON rendering of a full report."""
     ideal = report.ideal
     pol = report.polarized
@@ -96,7 +94,7 @@ def emit_json(report: InvariantReport) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _print_report(report: InvariantReport) -> None:
+def _print_report(report: Analysis) -> None:
     ideal = report.ideal
     pol = report.polarized
     print(f"ideal:        ({ideal.render()})")
@@ -144,9 +142,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_betti(args) -> int:
-    ideal = _load_ideal(args)
-    field = _field_from_args(args)
-    table = betti_oracle(ideal, field) if args.oracle else minimize(ideal, field)[1]
+    analysis = Analysis(_load_ideal(args), _field_from_args(args))
+    table = analysis.betti_by_oracle if args.oracle else analysis.betti
     if args.json:
         payload = {**_betti_json(table), "pd": table.pd, "field": table.field_name}
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -163,8 +160,7 @@ def _cmd_betti(args) -> int:
 
 def _cmd_resolution(args) -> int:
     ideal = _load_ideal(args)
-    field = _field_from_args(args)
-    cx, table = minimize(ideal, field)
+    cx, table = minimize(ideal, _field_from_args(args))
     strata = cx.surviving_symbols()
     if args.json:
         payload = {
@@ -185,21 +181,10 @@ def _cmd_resolution(args) -> int:
         for sym in syms:
             print(f"  {sym.label(ideal)}   mdeg {sym.mdeg}")
     if args.show_matrices:
-        for s in range(1, cx.q + 1):
-            mat = cx.mats[s]
-            if not any(mat.values()):
-                continue
+        for s, entries in _matrix_payload(cx, ideal).items():
             print(f"matrix f_{s}:")
-            for sigma in cx.strata[s]:
-                col = mat.get(sigma)
-                if not col:
-                    continue
-                for tau in sorted(col):
-                    mono = cx.mdeg(sigma).quotient(cx.mdeg(tau))
-                    print(
-                        f"  {symbol_label(ideal, tau)} <- {symbol_label(ideal, sigma)}: "
-                        f"{col[tau]} * {mono}"
-                    )
+            for tau, sigma, scalar, mono in entries:
+                print(f"  {tau} <- {sigma}: {scalar} * {mono}")
     return 0
 
 
@@ -223,9 +208,11 @@ def _matrix_payload(cx, ideal):
 
 
 def _cmd_nets(args) -> int:
-    ideal = _load_ideal(args)
-    target = polarize(ideal) if args.polarized else ideal
-    family = minimal_nets(target)
+    analysis = Analysis(_load_ideal(args))
+    if args.polarized:
+        target, family = analysis.polarized, analysis.nets_polarized
+    else:
+        target, family = analysis.ideal, analysis.nets_base
     if args.json:
         print(
             json.dumps(
@@ -251,18 +238,20 @@ def _cmd_nets(args) -> int:
 
 
 def _cmd_odom(args) -> int:
-    ideal = _load_ideal(args)
+    analysis = Analysis(_load_ideal(args))
     results = {}
     if args.method in ("dominant-sets", "both"):
-        value, witness = odom_by_dominance(ideal)
+        witness = analysis.dominance_witness
         results["dominant-sets"] = (
-            value,
-            [str(m) for m in witness.member_monomials(ideal)],
+            analysis.odom_dominance,
+            [str(m) for m in witness.member_monomials(analysis.ideal)],
         )
     if args.method in ("nets", "both"):
-        value, net = odom_by_nets(ideal)
-        pol = polarize(ideal)
-        results["nets"] = (value, [pol.table.names[v] for v in net.variables])
+        names = analysis.polarized.table.names
+        results["nets"] = (
+            analysis.odom_nets,
+            [names[v] for v in analysis.net_witness.variables],
+        )
     if args.json:
         print(
             json.dumps(
@@ -287,12 +276,8 @@ def _cmd_odom(args) -> int:
 
 def _cmd_scarf(args) -> int:
     ideal = _load_ideal(args)
-    field = _field_from_args(args)
-    # held, so the Scarf basis and minimize read one lattice
-    lattice = build_taylor(ideal)  # noqa: F841
-    basis = scarf_basis(ideal)
-    betti = minimize(ideal, field)[1]
-    verdict = basis.ranks == betti.total
+    analysis = Analysis(ideal, _field_from_args(args))
+    basis, betti, verdict = analysis.scarf_basis, analysis.betti, analysis.scarf
     if args.json:
         print(
             json.dumps(
@@ -314,8 +299,7 @@ def _cmd_scarf(args) -> int:
 
 
 def _cmd_polarize(args) -> int:
-    ideal = _load_ideal(args)
-    pol = polarize(ideal)
+    pol = Analysis(_load_ideal(args)).polarized
     if args.json:
         print(
             json.dumps(

@@ -194,13 +194,12 @@ def is_taylor_minimal(ideal: MonomialIdeal) -> bool:
     return is_dominant_set(ideal, range(ideal.q))[0]
 
 
-def has_full_dominant_set(
-    ideal: MonomialIdeal, max_q: int = DOMINANCE_GUARD
-) -> tuple[bool, DominanceWitness | None]:
+def has_full_dominant_set(ideal: MonomialIdeal) -> tuple[bool, DominanceWitness | None]:
     """Search for a dominant subset of size n whose lcm no generator strongly divides."""
-    if ideal.q > max_q:
+    if ideal.q > DOMINANCE_GUARD:
         raise GuardExceeded(
-            f"dominant-set search over 2^{ideal.q} subsets exceeds the q <= {max_q} guard"
+            f"dominant-set search over 2^{ideal.q} subsets exceeds the "
+            f"q <= {DOMINANCE_GUARD} guard"
         )
     n = ideal.n
     if ideal.q < n or len(ideal.appearing_variables()) < n:

@@ -368,7 +368,7 @@ def _parse_exponents(toks) -> list[list[tuple[str, int, int]]]:
             state = "after_var"
         elif state in ("after_var", "after_exp"):
             if tok == "^" and state == "after_var":
-                if i + 1 >= len(toks) or not toks[i + 1][0].isdigit():
+                if i + 1 >= len(toks) or not re.fullmatch("[0-9]+", toks[i + 1][0]):
                     raise IdealSyntaxError("'^' must be followed by an integer", pos)
                 k = int(toks[i + 1][0])
                 if k < 1:

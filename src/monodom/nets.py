@@ -108,21 +108,19 @@ def codim(ideal: MonomialIdeal) -> int:
     return minimal_nets(ideal).min_card
 
 
-def odom_by_nets(
-    ideal: MonomialIdeal, cap: int = NET_FAMILY_GUARD
-) -> tuple[int, Net]:
+def odom_by_nets(ideal: MonomialIdeal) -> tuple[int, Net]:
     """Order of dominance as the largest minimal net of the polarization.
 
     The witness is the family's `widest` net, in the polarized table's
     indices.
     """
-    family = minimal_nets(polarize(ideal), cap)
+    family = minimal_nets(polarize(ideal))
     return family.max_card, family.widest
 
 
-def big_height(ideal: MonomialIdeal, cap: int = NET_FAMILY_GUARD) -> int:
+def big_height(ideal: MonomialIdeal) -> int:
     """Largest codimension of a minimal prime of the polarization."""
-    return odom_by_nets(ideal, cap)[0]
+    return odom_by_nets(ideal)[0]
 
 
 def associated_prime_view(ideal: MonomialIdeal) -> tuple[tuple[str, ...], ...]:

@@ -50,7 +50,7 @@ from fractions import Fraction
 from . import _kernels
 from .errors import InternalInvariantError, InvalidParameterError
 from .monomials import Monomial, MonomialIdeal
-from .taylor import TAYLOR_GUARD, TaylorComplex, TaylorSymbol, build_taylor, facets
+from .taylor import TaylorComplex, TaylorSymbol, build_taylor, facets
 
 
 class RationalField:
@@ -502,11 +502,9 @@ def _discard(stratum: list[int], mask: int) -> None:
     del stratum[i]
 
 
-def complex_from_taylor(
-    ideal: MonomialIdeal, field=RATIONAL, max_q: int = TAYLOR_GUARD
-) -> FreeComplex:
+def complex_from_taylor(ideal: MonomialIdeal, field=RATIONAL) -> FreeComplex:
     """The subset complex of `ideal`, over `field`, before any cancellation."""
-    return FreeComplex(ideal, field, build_taylor(ideal, max_q))
+    return FreeComplex(ideal, field, build_taylor(ideal))
 
 
 def find_invertible_entry(cx: FreeComplex):
@@ -520,7 +518,6 @@ def cancel(cx: FreeComplex, s: int, tau: int, sigma: int) -> FreeComplex:
 def minimize(
     ideal: MonomialIdeal,
     field=RATIONAL,
-    max_q: int = TAYLOR_GUARD,
     pivot_rng: random.Random | None = None,
     validate: bool | None = None,
 ) -> tuple[FreeComplex, BettiTable]:
@@ -535,7 +532,7 @@ def minimize(
     and freed on return. The final complex also gets `check_index` and
     the full scan for a leftover invertible entry.
     """
-    cx = complex_from_taylor(ideal, field, max_q)
+    cx = complex_from_taylor(ideal, field)
     if validate is None:
         validate = ideal.q <= 8
     seen = None  # the last passing validation's snapshot
@@ -560,9 +557,7 @@ def minimize(
     return cx, cx.betti_table()
 
 
-def betti_oracle(
-    ideal: MonomialIdeal, field=RATIONAL, max_q: int = TAYLOR_GUARD
-) -> BettiTable:
+def betti_oracle(ideal: MonomialIdeal, field=RATIONAL) -> BettiTable:
     """Multigraded Betti numbers from strand homology, no cancellations.
 
     Reducing the subset complex modulo the variables kills every entry
@@ -570,7 +565,7 @@ def betti_oracle(
     into one scalar strand per multidegree, whose homology ranks are
     computed by exact elimination.
     """
-    cx = build_taylor(ideal, max_q)
+    cx = build_taylor(ideal)
     multigraded: dict[tuple[int, Monomial], int] = {}
     for exps, group in cx.mdeg_groups.items():
         levels: dict[int, list[int]] = {}
@@ -607,10 +602,8 @@ def is_complete_intersection(ideal: MonomialIdeal) -> bool:
     return True
 
 
-def is_cohen_macaulay(
-    ideal: MonomialIdeal, field=RATIONAL, max_q: int = TAYLOR_GUARD
-) -> bool:
+def is_cohen_macaulay(ideal: MonomialIdeal, field=RATIONAL) -> bool:
     """codim equals projective dimension."""
-    from .nets import codim
+    from .verify import Analysis  # local import; verify builds on this module
 
-    return codim(ideal) == minimize(ideal, field, max_q)[1].pd
+    return Analysis(ideal, field).cohen_macaulay

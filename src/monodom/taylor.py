@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterator
 
 from . import _kernels
-from .errors import InternalInvariantError, TaylorTooLarge
+from .errors import TaylorTooLarge
 from .monomials import Monomial, MonomialIdeal
 
 TAYLOR_GUARD = 14  # 2^q symbols; C(14,7) columns is still tens of MB
@@ -101,23 +101,12 @@ class TaylorComplex:
             groups.setdefault(exps, []).append(mask)
         return {exps: tuple(group) for exps, group in groups.items()}
 
-    def d_squared_is_zero(self) -> bool:
-        for stratum in self.strata[2:]:
-            for sigma in stratum:
-                acc: dict[int, int] = {}
-                for tau, sign in facets(sigma):
-                    for rho, sign2 in facets(tau):
-                        acc[rho] = acc.get(rho, 0) + sign * sign2
-                if any(acc.values()):
-                    return False
-        return True
-
 
 def build_taylor(ideal: MonomialIdeal, max_q: int = TAYLOR_GUARD) -> TaylorComplex:
     """The subset lattice of `ideal`, shared by every caller while one holds it.
 
     The ideal keeps a weak reference to its lattice, so whoever holds the
-    lattice (as `check_report` does for a whole report) makes every later
+    lattice (as an `Analysis` does for its lifetime) makes every later
     call return the same object, which no caller may change; a lattice
     nobody holds is freed instead of living as long as its ideal.
     """
@@ -139,8 +128,8 @@ class ScarfBasis:
     ranks: tuple[int, ...]  # index = homological degree, trailing zeros trimmed
 
 
-def scarf_basis(ideal: MonomialIdeal, max_q: int = TAYLOR_GUARD) -> ScarfBasis:
-    cx = build_taylor(ideal, max_q)
+def scarf_basis(ideal: MonomialIdeal) -> ScarfBasis:
+    cx = build_taylor(ideal)
     symbols = []
     counts = [0] * (cx.q + 1)
     for group in cx.mdeg_groups.values():
@@ -154,11 +143,9 @@ def scarf_basis(ideal: MonomialIdeal, max_q: int = TAYLOR_GUARD) -> ScarfBasis:
     return ScarfBasis(tuple(symbols), tuple(counts))
 
 
-def mdeg_multiplicity_table(
-    ideal: MonomialIdeal, max_q: int = TAYLOR_GUARD
-) -> dict[Monomial, dict[int, int]]:
+def mdeg_multiplicity_table(ideal: MonomialIdeal) -> dict[Monomial, dict[int, int]]:
     """How many symbols attain each multidegree, split by homological degree."""
-    cx = build_taylor(ideal, max_q)
+    cx = build_taylor(ideal)
     out: dict[Monomial, dict[int, int]] = {}
     for exps, group in cx.mdeg_groups.items():
         per_deg: dict[int, int] = {}
@@ -169,26 +156,11 @@ def mdeg_multiplicity_table(
     return out
 
 
-def is_scarf(ideal: MonomialIdeal, max_q: int = TAYLOR_GUARD) -> bool:
+def is_scarf(ideal: MonomialIdeal) -> bool:
     """Whether the unique-multidegree symbols already resolve the quotient.
 
     Compared rank-by-rank against the minimization engine's Betti numbers.
     """
-    from .resolution import minimize  # local import; resolution builds on this module
+    from .verify import Analysis  # local import; verify builds on this module
 
-    # held, so the Scarf basis and minimize read one lattice
-    lattice = build_taylor(ideal, max_q)  # noqa: F841
-    ranks = scarf_basis(ideal, max_q).ranks
-    betti = minimize(ideal, max_q=max_q)[1].total
-    return ranks == betti
-
-
-def validate_taylor(cx: TaylorComplex) -> None:
-    if not cx.d_squared_is_zero():
-        raise InternalInvariantError("Taylor differential does not square to zero")
-    for stratum in cx.strata[1:]:
-        for sigma in stratum:
-            up = cx.mdeg_exps[sigma]
-            for tau, _ in facets(sigma):
-                if any(a > b for a, b in zip(cx.mdeg_exps[tau], up)):
-                    raise InternalInvariantError("facet multidegree does not divide")
+    return Analysis(ideal).scarf

@@ -10,7 +10,8 @@ check is reported by name, never swallowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 from math import comb
 from typing import Iterator, Sequence
@@ -18,7 +19,7 @@ from typing import Iterator, Sequence
 from .dominance import DOMINANCE_GUARD, DominanceWitness, odom_by_dominance
 from .errors import FuzzFailure, GuardExceeded, InvalidParameterError
 from .monomials import Monomial, MonomialIdeal, VariableTable, minimalize, polarize
-from .nets import NET_FAMILY_GUARD, MinimalNetFamily, Net, minimal_nets
+from .nets import MinimalNetFamily, Net, minimal_nets
 from .resolution import (
     RATIONAL,
     BettiTable,
@@ -26,7 +27,7 @@ from .resolution import (
     is_complete_intersection,
     minimize,
 )
-from .taylor import TAYLOR_GUARD, build_taylor, scarf_basis
+from .taylor import ScarfBasis, TaylorComplex, build_taylor, scarf_basis
 
 # ---------------------------------------------------------------------------
 # splitmix64: chosen because it is bit-exactly specifiable in a few lines
@@ -149,48 +150,6 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass
-class InvariantReport:
-    ideal: MonomialIdeal
-    polarized: MonomialIdeal
-    field_name: str
-    codim: int
-    odom_dominance: int
-    odom_nets: int
-    pd: int
-    betti: BettiTable
-    betti_by_oracle: BettiTable
-    scarf_ranks: tuple[int, ...]
-    taylor_minimal: bool
-    scarf: bool
-    complete_intersection: bool
-    cohen_macaulay: bool
-    nets_base: MinimalNetFamily
-    nets_polarized: MinimalNetFamily
-    dominance_witness: DominanceWitness
-    net_witness: Net
-    checks: list[CheckResult] = dc_field(default_factory=list)
-
-    @property
-    def n(self) -> int:
-        return self.ideal.n
-
-    @property
-    def q(self) -> int:
-        return self.ideal.q
-
-    @property
-    def odom(self) -> int:
-        return self.odom_dominance
-
-    @property
-    def ok(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
-
-    def failed_checks(self) -> list[CheckResult]:
-        return [c for c in self.checks if c.status == "fail"]
-
-
 def _both(name: str, ok: bool, detail: str) -> CheckResult:
     return CheckResult(name, "pass" if ok else "fail", detail)
 
@@ -201,152 +160,241 @@ def _implication(name: str, antecedent: bool, consequent: bool, detail: str) -> 
     return CheckResult(name, "pass" if consequent else "fail", detail)
 
 
-def check_report(
-    ideal: MonomialIdeal,
-    field=RATIONAL,
-    taylor_max_q: int = TAYLOR_GUARD,
-    dominance_max_q: int = DOMINANCE_GUARD,
-    net_cap: int = NET_FAMILY_GUARD,
-) -> InvariantReport:
+class Analysis:
+    """Every invariant of the quotient S/M over `field`, each computed once.
+
+    Each stage calls one public function the first time it is read and
+    keeps the result, so a caller pays for, and trips the guards of, only
+    the stages it reads. Every stage that reads the Taylor lattice touches
+    `taylor` first: the lattice is then held for the object's lifetime,
+    and minimize, the oracle and the Scarf basis all read that one lattice
+    (`build_taylor` caches it weakly on the ideal).
+    """
+
+    def __init__(self, ideal: MonomialIdeal, field=RATIONAL):
+        self.ideal = ideal
+        self.field = field
+        self.field_name = field.name
+        self.n, self.q = ideal.n, ideal.q
+
+    # -- stages
+
+    @cached_property
+    def taylor(self) -> TaylorComplex:
+        return build_taylor(self.ideal)
+
+    @cached_property
+    def polarized(self) -> MonomialIdeal:
+        return polarize(self.ideal)
+
+    @cached_property
+    def dominance(self) -> tuple[int, DominanceWitness]:
+        return odom_by_dominance(self.ideal)
+
+    @cached_property
+    def nets_base(self) -> MinimalNetFamily:
+        return minimal_nets(self.ideal)
+
+    @cached_property
+    def nets_polarized(self) -> MinimalNetFamily:
+        return minimal_nets(self.polarized)
+
+    @cached_property
+    def betti(self) -> BettiTable:
+        # only the table is kept: the minimized complex still holds the hash
+        # tables of its full-size matrices, about 5 MB for the q = 14 path
+        self.taylor
+        return minimize(self.ideal, self.field)[1]
+
+    @cached_property
+    def betti_by_oracle(self) -> BettiTable:
+        self.taylor
+        return betti_oracle(self.ideal, self.field)
+
+    @cached_property
+    def scarf_basis(self) -> ScarfBasis:
+        self.taylor
+        return scarf_basis(self.ideal)
+
+    @cached_property
+    def complete_intersection(self) -> bool:
+        return is_complete_intersection(self.ideal)
+
+    @cached_property
+    def odom_polarized(self) -> int:
+        return odom_by_dominance(self.polarized)[0]
+
+    # -- invariants read off the stages
+
+    @property
+    def odom_dominance(self) -> int:
+        return self.dominance[0]
+
+    @property
+    def dominance_witness(self) -> DominanceWitness:
+        return self.dominance[1]
+
+    odom = odom_dominance
+
+    @property
+    def odom_nets(self) -> int:
+        return self.nets_polarized.max_card  # as odom_by_nets
+
+    @property
+    def net_witness(self) -> Net:
+        return self.nets_polarized.widest
+
+    @property
+    def codim(self) -> int:
+        return self.nets_base.min_card
+
+    @property
+    def pd(self) -> int:
+        return self.betti.pd
+
+    @property
+    def scarf(self) -> bool:
+        return self.scarf_basis.ranks == self.betti.total
+
+    @property
+    def taylor_minimal(self) -> bool:
+        # the Taylor resolution is minimal when nothing cancels: 2^q symbols survive
+        return self.betti.sum == 2**self.q
+
+    @property
+    def cohen_macaulay(self) -> bool:
+        return self.codim == self.pd
+
+    # -- theorem checks
+
+    @cached_property
+    def checks(self) -> list[CheckResult]:
+        n, q = self.n, self.q
+        cod, odom, pd, betti = self.codim, self.odom, self.pd, self.betti
+        total, bsum = betti.total, betti.sum
+        pol_cards = self.nets_polarized.cardinalities()
+        same_card = min(pol_cards) == max(pol_cards)
+        return [
+            _both(
+                "odom-routes-agree",
+                self.odom_dominance == self.odom_nets,
+                f"dominance {self.odom_dominance} vs nets {self.odom_nets}",
+            ),
+            _both(
+                "codim-le-odom-le-pd",
+                cod <= odom <= pd,
+                f"codim {cod}, odom {odom}, pd {pd}",
+            ),
+            _both(
+                "pd-n-iff-odom-n",
+                (pd == n) == (odom == n),
+                f"pd {pd}, odom {odom}, n {n}",
+            ),
+            _both(
+                "pd-1-iff-odom-1",
+                (pd == 1) == (odom == 1),
+                f"pd {pd}, odom {odom}",
+            ),
+            _implication(
+                "odom-n-minus-1-forces-pd",
+                odom == n - 1,
+                pd == n - 1,
+                f"odom {odom}, pd {pd}, n {n}",
+            ),
+            _implication(
+                "odom-q-minus-1-forces-pd",
+                odom == q - 1,
+                pd == q - 1,
+                f"odom {odom}, pd {pd}, q {q}",
+            ),
+            _implication(
+                "scarf-forces-pd-eq-odom",
+                self.scarf,
+                pd == odom,
+                f"pd {pd}, odom {odom}",
+            ),
+            _both(
+                "taylor-minimal-iff-odom-q",
+                self.taylor_minimal == (odom == q),
+                f"taylor_minimal {self.taylor_minimal}, odom {odom}, q {q}",
+            ),
+            _both(
+                "betti-binomial-odom",
+                all(betti.beta(r) >= comb(odom, r) for r in range(pd + 1)),
+                f"betti {total} vs C({odom}, r)",
+            ),
+            _both(
+                "betti-binomial-pd",
+                all(betti.beta(r) >= comb(pd, r) for r in range(pd + 1)),
+                f"betti {total} vs C({pd}, r)",
+            ),
+            _implication(
+                "betti-sum-two-pow-odom",
+                odom > cod,
+                bsum >= 2**odom and 2**odom > 2**cod + 2 ** (cod - 1),
+                f"sum {bsum}, odom {odom}, codim {cod}",
+            ),
+            _implication(
+                "betti-sum-non-ci",
+                not self.complete_intersection,
+                bsum >= 2**cod + 2 ** (cod - 1),
+                f"sum {bsum}, codim {cod}",
+            ),
+            _implication(
+                "three-variables",
+                n == 3,
+                pd == odom and self.cohen_macaulay == same_card,
+                f"pd {pd}, odom {odom}, CM {self.cohen_macaulay}, net cards {pol_cards}",
+            ),
+            _implication(
+                "scarf-cm-iff-equal-net-cards",
+                self.scarf,
+                self.cohen_macaulay == same_card,
+                f"CM {self.cohen_macaulay}, net cards {pol_cards}",
+            ),
+            _both(
+                "odom-polarization-invariant",
+                odom == self.odom_polarized,
+                f"odom {odom}, odom of polarization {self.odom_polarized}",
+            ),
+            _both(
+                "betti-engine-vs-oracle",
+                betti == self.betti_by_oracle,
+                f"engine {total} vs oracle {self.betti_by_oracle.total}",
+            ),
+        ]
+
+    @property
+    def ok(self) -> bool:
+        return all(c.status != "fail" for c in self.checks)
+
+    def failed_checks(self) -> list[CheckResult]:
+        return [c for c in self.checks if c.status == "fail"]
+
+
+# The order check_report reads the stages in, so that of several guards an
+# ideal exceeds, the one reported is always the same.
+_REPORT_STAGES = (
+    "taylor",
+    "polarized",
+    "dominance",
+    "nets_base",
+    "nets_polarized",
+    "betti",
+    "betti_by_oracle",
+    "scarf_basis",
+    "complete_intersection",
+    "odom_polarized",
+    "checks",
+)
+
+
+def check_report(ideal: MonomialIdeal, field=RATIONAL) -> Analysis:
     """Compute every invariant of the quotient and evaluate all checks."""
-    # held until the report is done, so minimize, the oracle and the Scarf
-    # basis all read this one lattice (build_taylor caches it weakly)
-    lattice = build_taylor(ideal, taylor_max_q)  # noqa: F841
-    pol = polarize(ideal)
-    odom_d, dom_witness = odom_by_dominance(ideal, dominance_max_q)
-    nets_base = minimal_nets(ideal, net_cap)
-    nets_pol = minimal_nets(pol, net_cap)
-    odom_n, net_witness = nets_pol.max_card, nets_pol.widest  # as odom_by_nets
-    cod = nets_base.min_card
-    _, betti_min = minimize(ideal, field, taylor_max_q)
-    betti_orc = betti_oracle(ideal, field, taylor_max_q)
-    pd = betti_min.pd
-    ranks = scarf_basis(ideal, taylor_max_q).ranks
-    scarf = ranks == betti_min.total
-    # the Taylor resolution is minimal when nothing cancels: 2^q symbols survive
-    tmin = betti_min.sum == 2**ideal.q
-    ci = is_complete_intersection(ideal)
-    cm = cod == pd
-    odom_pol, _ = odom_by_dominance(pol, dominance_max_q)
-
-    n, q = ideal.n, ideal.q
-    odom = odom_d
-    total = betti_min.total
-    bsum = betti_min.sum
-    pol_cards = nets_pol.cardinalities()
-    same_card = min(pol_cards) == max(pol_cards)
-
-    checks = [
-        _both(
-            "odom-routes-agree",
-            odom_d == odom_n,
-            f"dominance {odom_d} vs nets {odom_n}",
-        ),
-        _both(
-            "codim-le-odom-le-pd",
-            cod <= odom <= pd,
-            f"codim {cod}, odom {odom}, pd {pd}",
-        ),
-        _both(
-            "pd-n-iff-odom-n",
-            (pd == n) == (odom == n),
-            f"pd {pd}, odom {odom}, n {n}",
-        ),
-        _both(
-            "pd-1-iff-odom-1",
-            (pd == 1) == (odom == 1),
-            f"pd {pd}, odom {odom}",
-        ),
-        _implication(
-            "odom-n-minus-1-forces-pd",
-            odom == n - 1,
-            pd == n - 1,
-            f"odom {odom}, pd {pd}, n {n}",
-        ),
-        _implication(
-            "odom-q-minus-1-forces-pd",
-            odom == q - 1,
-            pd == q - 1,
-            f"odom {odom}, pd {pd}, q {q}",
-        ),
-        _implication(
-            "scarf-forces-pd-eq-odom",
-            scarf,
-            pd == odom,
-            f"pd {pd}, odom {odom}",
-        ),
-        _both(
-            "taylor-minimal-iff-odom-q",
-            tmin == (odom == q),
-            f"taylor_minimal {tmin}, odom {odom}, q {q}",
-        ),
-        _both(
-            "betti-binomial-odom",
-            all(betti_min.beta(r) >= comb(odom, r) for r in range(pd + 1)),
-            f"betti {total} vs C({odom}, r)",
-        ),
-        _both(
-            "betti-binomial-pd",
-            all(betti_min.beta(r) >= comb(pd, r) for r in range(pd + 1)),
-            f"betti {total} vs C({pd}, r)",
-        ),
-        _implication(
-            "betti-sum-two-pow-odom",
-            odom > cod,
-            bsum >= 2**odom and 2**odom > 2**cod + 2 ** (cod - 1),
-            f"sum {bsum}, odom {odom}, codim {cod}",
-        ),
-        _implication(
-            "betti-sum-non-ci",
-            not ci,
-            bsum >= 2**cod + 2 ** (cod - 1),
-            f"sum {bsum}, codim {cod}",
-        ),
-        _implication(
-            "three-variables",
-            n == 3,
-            pd == odom and cm == same_card,
-            f"pd {pd}, odom {odom}, CM {cm}, net cards {pol_cards}",
-        ),
-        _implication(
-            "scarf-cm-iff-equal-net-cards",
-            scarf,
-            cm == same_card,
-            f"CM {cm}, net cards {pol_cards}",
-        ),
-        _both(
-            "odom-polarization-invariant",
-            odom == odom_pol,
-            f"odom {odom}, odom of polarization {odom_pol}",
-        ),
-        _both(
-            "betti-engine-vs-oracle",
-            betti_min == betti_orc,
-            f"engine {total} vs oracle {betti_orc.total}",
-        ),
-    ]
-
-    return InvariantReport(
-        ideal=ideal,
-        polarized=pol,
-        field_name=field.name,
-        codim=cod,
-        odom_dominance=odom_d,
-        odom_nets=odom_n,
-        pd=pd,
-        betti=betti_min,
-        betti_by_oracle=betti_orc,
-        scarf_ranks=ranks,
-        taylor_minimal=tmin,
-        scarf=scarf,
-        complete_intersection=ci,
-        cohen_macaulay=cm,
-        nets_base=nets_base,
-        nets_polarized=nets_pol,
-        dominance_witness=dom_witness,
-        net_witness=net_witness,
-        checks=checks,
-    )
+    report = Analysis(ideal, field)
+    for stage in _REPORT_STAGES:
+        getattr(report, stage)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +487,7 @@ class LemmaInstance:
     witness_mdeg: Monomial | None
 
 
-def check_lemma_hypotheses(
-    ideal: MonomialIdeal,
-    field=RATIONAL,
-    taylor_max_q: int = TAYLOR_GUARD,
-    dominance_max_q: int = DOMINANCE_GUARD,
-) -> list[LemmaInstance]:
+def check_lemma_hypotheses(ideal: MonomialIdeal, field=RATIONAL) -> list[LemmaInstance]:
     """Scan dominant subsets for the existence hypotheses and their witnesses.
 
     Hypotheses, for members d_1..d_k assigned distinct variables
@@ -456,15 +499,15 @@ def check_lemma_hypotheses(
     m matching a_{i_j} exactly on assigned variables and bounded by a
     elsewhere, is looked up in the oracle's multigraded table.
     """
-    if ideal.q > dominance_max_q:
+    if ideal.q > DOMINANCE_GUARD:
         raise GuardExceeded(
-            f"lemma scan over 2^{ideal.q} subsets exceeds the q <= {dominance_max_q} guard"
+            f"lemma scan over 2^{ideal.q} subsets exceeds the q <= {DOMINANCE_GUARD} guard"
         )
     from itertools import combinations
 
     from . import _kernels
 
-    betti = betti_oracle(ideal, field, taylor_max_q)
+    betti = betti_oracle(ideal, field)
     by_degree: dict[int, list[tuple[int, ...]]] = {}
     for (h, m), _ in betti.multigraded.items():
         by_degree.setdefault(h, []).append(m.exponents)

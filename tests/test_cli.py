@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monodom.cli import main
 
@@ -153,11 +155,37 @@ class TestOtherCommands:
         assert payload["is_scarf"] is True
         assert payload["ranks"] == [1, 3, 2]
 
-    def test_scarf_builds_one_lattice(self, capsys, lattice_builds):
-        code, out, _ = run(capsys, "scarf", "--ideal", "a^2*b, a*b^2, a*c, b*c^2, c^3", "--json")
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze"], ["scarf"], ["betti"], ["betti", "--oracle"], ["resolution"]],
+        ids=["analyze", "scarf", "betti", "betti-oracle", "resolution"],
+    )
+    def test_scarf_builds_one_lattice(self, capsys, lattice_builds, command):
+        code, out, _ = run(
+            capsys, *command, "--ideal", "a^2*b, a*b^2, a*c, b*c^2, c^3", "--json"
+        )
         assert code == 0
-        assert json.loads(out)["is_scarf"] is True
+        assert json.loads(out)["betti"] == [1, 5, 6, 2]
         assert len(lattice_builds) == 1
+
+    def test_odom_both_polarizes_once(self, capsys, monkeypatch):
+        import sys
+
+        from monodom import monomials
+
+        calls = []
+        real = monomials.polarize
+
+        def counted(ideal):
+            calls.append(ideal)
+            return real(ideal)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "monodom" and vars(module).get("polarize") is real:
+                monkeypatch.setattr(module, "polarize", counted)
+        code, _, _ = run(capsys, "odom", "--method", "both", "--ideal", "a^2*b, a*b^2, a*c")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_resolution_matrices(self, capsys):
         code, out, _ = run(
@@ -224,8 +252,10 @@ class TestVerifyCommand:
 
 
 class TestExitCodes:
-    def test_parse_error_is_1(self, capsys):
-        code, _, err = run(capsys, "analyze", "--ideal", "a*^2")
+    # a non-ASCII digit after '^' is not an exponent, even where int() reads it
+    @pytest.mark.parametrize("text", ["a*^2", "a^\u00b2", "a^\u0663, b"])
+    def test_parse_error_is_1(self, capsys, text):
+        code, _, err = run(capsys, "analyze", "--ideal", text)
         assert code == 1 and "error" in err
 
     def test_unknown_variable_is_1(self, capsys):
@@ -384,6 +414,32 @@ class TestHostileInputs:
         # the nets route polarizes, which the variable bound refuses
         code, _, err = run(capsys, "odom", "--ideal", HUGE)
         assert code == 2 and "polarize" in err
+
+
+# short ideal-like text: Unicode letters and digits, and the grammar's symbols
+GRAMMAR_TEXT = st.text(
+    st.characters(categories=("L", "Nd")) | st.sampled_from("^*, "), max_size=30
+)
+
+
+@given(text=GRAMMAR_TEXT, command=st.sampled_from(["polarize", "nets"]))
+@example(text="a^\u00b2", command="polarize")
+@settings(max_examples=100, deadline=None)
+def test_any_text_ends_in_a_clean_exit(text, command):
+    import contextlib
+    import io
+    import warnings
+
+    if text == "-":  # reads stdin
+        return
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a non-minimal generating set
+            code = main([command, f"--ideal={text}"])
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert "error: " in err.getvalue()
 
 
 GOLDEN_TEXT = {
