@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from .errors import (
     GuardExceeded,
@@ -42,7 +43,12 @@ def _load_ideal(args) -> MonomialIdeal:
     var_names = None
     if args.vars:
         var_names = [v.strip() for v in args.vars.split(",") if v.strip()]
-    return parse_ideal(text, var_names)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ideal = parse_ideal(text, var_names)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return ideal
 
 
 def _multigraded_keys(table: BettiTable):

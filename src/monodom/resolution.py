@@ -1,4 +1,4 @@
-"""Minimization of the subset complex by consecutive cancellations.
+"""Minimization of a subset complex by consecutive cancellations.
 
 An entry joining symbols of equal multidegree with a nonzero scalar is
 invertible; cancelling it removes both symbols and applies the Schur
@@ -14,23 +14,27 @@ quotient of the two symbols' multidegrees. Rational scalars are Python
 ints; `RationalField.div` returns a Fraction only when the quotient is
 not integral, which keeps the common ±1 pivots on the int fast path.
 
-`FreeComplex` reads the shared Taylor lattice and builds its own
-matrices from `facets`, with the row index and the pivot queues in the
-same pass; it copies the strata, the only part of the lattice that
-cancelling changes. Cancellation is local. Each
-matrix keeps a row index, the transpose of its columns, so cancelling
-(tau, sigma) touches only the columns in row tau, row sigma of the
-matrix above and column tau of the matrix below. Each degree keeps a
-pivot queue: the columns that held an invertible entry when the complex
-was built, smallest last. `find_invertible` drops stale columns from the
-end and returns the scan-order pivot (lowest degree, then smallest
-column, then smallest row) without rescanning. No column ever has to
-join a queue later: a Schur update creates (tau2, sig2) from the entries
-(tau2, sigma) and (tau, sig2), and mdeg(tau2) | mdeg(sigma) = mdeg(tau)
-| mdeg(sig2), so an equal-multidegree fill-in only lands in a column
-that already held the equal-multidegree entry (tau, sig2) and is
-therefore still queued. `check_index` verifies the row index and the
-queues, and `all_invertible` is the full scan that relies on neither.
+The complex cancelled is the full Taylor complex or, when only the
+Betti table is wanted, its Lyubeznik subcomplex, which resolves S/M
+from far fewer symbols. `FreeComplex` reads the shared Taylor lattice
+and builds its own matrices from `facets` on the given strata, with the
+row index and the pivot queues in the same pass; it copies the strata,
+the only part of the lattice that cancelling changes.
+
+Cancellation is local. Each matrix keeps a row index, the transpose of
+its columns, so cancelling (tau, sigma) touches only the columns in row
+tau, row sigma of the matrix above and column tau of the matrix below.
+Each degree keeps a pivot queue: the columns that held an invertible
+entry when the complex was built, smallest last. `find_invertible`
+drops stale columns from the end and returns the scan-order pivot
+(lowest degree, then smallest column, then smallest row) without
+rescanning. No column ever has to join a queue later: a Schur update
+creates (tau2, sig2) from the entries (tau2, sigma) and (tau, sig2), and
+mdeg(tau2) | mdeg(sigma) = mdeg(tau) | mdeg(sig2), so an
+equal-multidegree fill-in only lands in a column that already held the
+equal-multidegree entry (tau, sig2) and is therefore still queued.
+`check_index` verifies the row index and the queues, and
+`all_invertible` is the full scan that relies on neither.
 
 `validate` checks multihomogeneity and d∘d = 0. Run after every
 cancellation, it re-checks only what changed since the last passing
@@ -46,11 +50,12 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import Sequence
 
 from . import _kernels
 from .errors import InternalInvariantError, InvalidParameterError
 from .monomials import Monomial, MonomialIdeal
-from .taylor import TaylorComplex, TaylorSymbol, build_taylor, facets
+from .taylor import TaylorComplex, TaylorSymbol, build_taylor, facets, lyubeznik_strata
 
 
 class RationalField:
@@ -196,26 +201,38 @@ def _table_from_multigraded(
 
 
 class FreeComplex:
-    """Mutable labeled complex over a field; starts as the full subset complex.
+    """Mutable labeled complex over a field, with the Taylor differential.
 
-    mats[s] maps each stratum-s column to {row: scalar}; rows[s] is its
-    transpose, {row: {column: None}}; queue[s] lists, in descending
-    order, the columns that may hold an equal-multidegree (invertible)
-    entry. The Taylor lattice it starts from is left unchanged.
+    It starts on `strata`, per degree the ascending masks of a subcomplex
+    of the Taylor complex closed under facets (by default all of it, as
+    for the Lyubeznik strata of `taylor.lyubeznik_strata`). mats[s] maps
+    each stratum-s column to {row: scalar}; rows[s] is its transpose,
+    {row: {column: None}}; queue[s] lists, in descending order, the
+    columns that may hold an equal-multidegree (invertible) entry. The
+    Taylor lattice it starts from is left unchanged.
     """
 
-    def __init__(self, ideal: MonomialIdeal, field, taylor: TaylorComplex):
+    def __init__(
+        self,
+        ideal: MonomialIdeal,
+        field,
+        taylor: TaylorComplex,
+        strata: Sequence[Sequence[int]] | None = None,
+    ):
+        if strata is None:
+            strata = taylor.strata
         self.ideal = ideal
         self.field = field
         self.q = ideal.q
         self.mdeg_exps = exps = taylor.mdeg_exps
-        self.strata = [list(stratum) for stratum in taylor.strata]
+        self.strata = [list(stratum) for stratum in strata]
         masks = taylor.masks  # keys share the lattice's int per mask
         one, neg_one = field.one, field.neg(field.one)
         self.mats: list[dict[int, dict[int, object]]] = [dict()]
         self.rows: list[dict[int, dict[int, None]]] = [dict()]
         self.queue: list[list[int]] = [[]]
-        for stratum in taylor.strata[1:]:
+        for s in range(1, self.q + 1):
+            stratum = strata[s]
             mat: dict[int, dict[int, object]] = {}
             rows: dict[int, dict[int, None]] = {}
             queue = []
@@ -236,6 +253,10 @@ class FreeComplex:
                 mat[sigma] = col
                 if hit:
                     queue.append(sigma)
+            if not rows.keys() <= set(strata[s - 1]):
+                raise InternalInvariantError(
+                    f"a facet of a degree-{s} symbol is not in the starting complex"
+                )
             queue.reverse()  # strata are ascending
             self.mats.append(mat)
             self.rows.append(rows)
@@ -520,8 +541,15 @@ def minimize(
     field=RATIONAL,
     pivot_rng: random.Random | None = None,
     validate: bool | None = None,
+    *,
+    start: str = "taylor",
 ) -> tuple[FreeComplex, BettiTable]:
     """Cancel invertible entries to exhaustion; survivors give the Betti table.
+
+    `start` is the complex cancelled: "taylor", the full subset complex,
+    or "lyubeznik", its Lyubeznik subcomplex (`lyubeznik_strata`), which
+    resolves S/M too and so gives the same Betti table from fewer
+    symbols, but a different minimized complex.
 
     The canonical pivot order is the fixed scan order; passing a seeded
     `pivot_rng` picks uniformly among the currently invertible entries
@@ -532,11 +560,16 @@ def minimize(
     and freed on return. The final complex also gets `check_index` and
     the full scan for a leftover invertible entry.
     """
-    cx = complex_from_taylor(ideal, field)
+    if start not in ("taylor", "lyubeznik"):
+        raise InvalidParameterError(f"unknown start {start!r}")
+    taylor = build_taylor(ideal)
+    strata = lyubeznik_strata(ideal) if start == "lyubeznik" else None
+    cx = FreeComplex(ideal, field, taylor, strata)
     if validate is None:
         validate = ideal.q <= 8
     seen = None  # the last passing validation's snapshot
     cursor = 1
+    cancelled = False
     while True:
         if pivot_rng is None:
             hit = cx.find_invertible(cursor)
@@ -547,6 +580,7 @@ def minimize(
             break
         s, tau, sigma = hit
         cx.cancel(s, tau, sigma)
+        cancelled = True
         cursor = s  # degrees below s were already clean and cannot regress
         if validate:
             seen = cx.validate(seen)
@@ -554,6 +588,10 @@ def minimize(
         cx.check_index()
         if cx.all_invertible():
             raise InternalInvariantError("minimization left an invertible entry")
+    if cancelled:
+        # dicts keep their largest hash table after pops; a copy is sized
+        # to what survived, in the same insertion order
+        cx = cx.copy()
     return cx, cx.betti_table()
 
 

@@ -1,4 +1,5 @@
-"""The lcm lattice of generator subsets (the Taylor complex), and its Scarf core.
+"""The lcm lattice of generator subsets (the Taylor complex), its Lyubeznik
+subcomplex and its Scarf core.
 
 Symbols are encoded as q-bit masks over the canonical generator order.
 The differential of a symbol removes one member at a time with sign
@@ -14,7 +15,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import _kernels
 from .errors import TaylorTooLarge
@@ -118,6 +119,79 @@ def build_taylor(ideal: MonomialIdeal, max_q: int = TAYLOR_GUARD) -> TaylorCompl
         cx = TaylorComplex(ideal)
         object.__setattr__(ideal, "_taylor", weakref.ref(cx))  # a frozen dataclass
     return cx
+
+
+def _lyubeznik_order(
+    ideal: MonomialIdeal, exps: tuple[tuple[int, ...], ...]
+) -> tuple[int, ...]:
+    """A generator order that keeps the Lyubeznik complex small.
+
+    Each generator scores the pairs whose lcm it divides; the order is
+    by score, highest first (ties by index), after which a greedy
+    matching, the generators whose support misses that of every
+    generator moved so far, is moved to the front in that same order.
+    """
+    q = ideal.q
+    score = [0] * q
+    for a in range(q):
+        for b in range(a + 1, q):
+            pair = 1 << a | 1 << b
+            lcm = exps[pair]
+            for k in range(q):
+                if exps[pair | 1 << k] is lcm:  # one shared tuple per lcm
+                    score[k] += 1
+    front, rest, used = [], [], 0
+    for k in sorted(range(q), key=lambda k: (-score[k], k)):
+        support = ideal.support_masks[k]
+        if support & used:
+            rest.append(k)
+        else:
+            front.append(k)
+            used |= support
+    return tuple(front + rest)
+
+
+def lyubeznik_strata(
+    ideal: MonomialIdeal, order: Sequence[int] | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """The faces of the Lyubeznik complex, per degree, masks ascending.
+
+    With the generators in `order`, a subset is a face when, for each
+    of its tails in that order, no generator before the tail's first
+    member divides the tail's lcm (Lyubeznik, J. Pure Appl. Algebra 51,
+    1988). The faces are closed under subsets and, with the Taylor
+    differential restricted to them, still resolve S/M. The default
+    order keeps the complex small: the path ideal with q = 14 has 4,352
+    faces, against 16,384 in the natural order.
+
+    The walk adds a new first member i to a face tau: {i} | tau is a
+    face iff no generator k before i divides its lcm, read from the
+    lattice as `mdeg_exps[sigma | bit_k] is mdeg_exps[sigma]`.
+    """
+    cx = build_taylor(ideal)
+    exps, masks, q = cx.mdeg_exps, cx.masks, cx.q
+    if q <= 2:
+        # no generator divides another, and the first member of a pair has
+        # no generator before it: every subset is a face
+        return cx.strata
+    if order is None:
+        order = _lyubeznik_order(ideal, exps)
+    bits = [1 << k for k in order]
+    strata: list[list[int]] = [[] for _ in range(q + 1)]
+    strata[0].append(0)
+    stack = [(0, q)]  # (face, position of its first member in the order)
+    while stack:
+        tau, first = stack.pop()
+        for i in range(first):
+            sigma = tau | bits[i]
+            lcm = exps[sigma]
+            for k in range(i):
+                if exps[sigma | bits[k]] is lcm:
+                    break
+            else:
+                strata[sigma.bit_count()].append(masks[sigma])
+                stack.append((sigma, i))
+    return tuple(tuple(sorted(stratum)) for stratum in strata)
 
 
 @dataclass(frozen=True)

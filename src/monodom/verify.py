@@ -201,10 +201,11 @@ class Analysis:
 
     @cached_property
     def betti(self) -> BettiTable:
-        # only the table is kept: the minimized complex still holds the hash
-        # tables of its full-size matrices, about 5 MB for the q = 14 path
+        # Cancels on the Lyubeznik subcomplex, which gives the same table
+        # from fewer symbols; only the table is kept, since its minimized
+        # complex is not the one `resolution` prints.
         self.taylor
-        return minimize(self.ideal, self.field)[1]
+        return minimize(self.ideal, self.field, start="lyubeznik")[1]
 
     @cached_property
     def betti_by_oracle(self) -> BettiTable:

@@ -20,6 +20,33 @@ def I(text, var_names=None):
     return parse_ideal(text, var_names)
 
 
+def path_ideal(k):
+    """Edge ideal of the path with k edges on x1..x(k+1)."""
+    return I(", ".join(f"x{i}*x{i + 1}" for i in range(1, k + 1)))
+
+
+def cycle_ideal(k):
+    """Edge ideal of the k-cycle on x1..xk."""
+    return I(", ".join([f"x{i}*x{i + 1}" for i in range(1, k)] + [f"x1*x{k}"]))
+
+
+def complete_ideal(k):
+    """Edge ideal of the complete graph on x1..xk."""
+    return I(", ".join(f"x{a}*x{b}" for a, b in combinations(range(1, k + 1), 2)))
+
+
+# A 6-vertex triangulation of the real projective plane; its Stanley-Reisner
+# ideal is generated by the ten triangles that are not faces, and its H_1 is Z/2.
+RP2_FACES = {(1, 2, 4), (1, 2, 6), (1, 3, 5), (1, 3, 6), (1, 4, 5),
+             (2, 3, 4), (2, 3, 5), (2, 5, 6), (3, 4, 6), (4, 5, 6)}
+
+
+def rp2_ideal():
+    gens = ["*".join(f"x{i}" for i in t)
+            for t in combinations(range(1, 7), 3) if t not in RP2_FACES]
+    return I(", ".join(gens), [f"x{i}" for i in range(1, 7)])
+
+
 @pytest.fixture
 def lattice_builds(monkeypatch):
     """A list that gains one entry per `subset_lcms` call, i.e. per lattice built."""

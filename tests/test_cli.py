@@ -328,6 +328,11 @@ class TestExitCodes:
         assert code == 0
         assert out.strip() == "a_1"
 
+    def test_minimalization_warning_is_one_clean_line(self, capsys):
+        code, out, err = run(capsys, "polarize", "--ideal", "a, a*b")
+        assert (code, out) == (0, "a_1\n")
+        assert err == "warning: generating set was not minimal; reduced to a\n"
+
 
 HUGE = "a^3000000000*b, b^2"  # an exponent past every fixed-width kernel
 

@@ -1,7 +1,7 @@
 import random
 from copy import deepcopy
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from monodom import (
     RATIONAL,
+    FreeComplex,
+    FuzzParams,
     InternalInvariantError,
     InvalidParameterError,
     Monomial,
     PrimeField,
     betti_oracle,
+    build_taylor,
     complex_from_taylor,
     find_invertible_entry,
     is_cohen_macaulay,
@@ -25,7 +28,10 @@ from monodom import (
     pure_power_extension,
     table,
 )
-from conftest import I
+from monodom.taylor import lyubeznik_strata
+from monodom.verify import exhaustive_ideals
+
+from conftest import I, cycle_ideal, path_ideal, rp2_ideal
 
 
 def mask_for(ideal, *gen_texts):
@@ -202,13 +208,7 @@ class TestFields:
         ],
     )
     def test_rp2_betti_numbers_depend_on_the_characteristic(self, field, total):
-        # Stanley-Reisner ideal of the 6-vertex triangulation of RP^2: the
-        # ten triangles that are not faces; its H_1 is Z/2
-        faces = {(1, 2, 4), (1, 2, 6), (1, 3, 5), (1, 3, 6), (1, 4, 5),
-                 (2, 3, 4), (2, 3, 5), (2, 5, 6), (3, 4, 6), (4, 5, 6)}
-        gens = ["*".join(f"x{i}" for i in t)
-                for t in combinations(range(1, 7), 3) if t not in faces]
-        M = I(", ".join(gens), [f"x{i}" for i in range(1, 7)])
+        M = rp2_ideal()
         engine = minimize(M, field)[1]
         assert engine == betti_oracle(M, field)
         assert engine.total == total
@@ -336,6 +336,73 @@ class TestIndex:
         assert steps >= 2
         assert (cx.mats, cx.rows, cx.queue, cx.strata) == before
         cx.check_index()
+
+
+FIELDS_QF2F3 = (RATIONAL, PrimeField(2), PrimeField(3))
+# the two exhaustive presets of acceptance criterion 9: 20 + 188 ideals
+EXHAUSTIVE = [
+    *exhaustive_ideals(FuzzParams(n_max=2, q_max=8, exp_max=2, trials=0, exhaustive=True)),
+    *exhaustive_ideals(FuzzParams(n_max=4, q_max=5, exp_max=1, trials=0, exhaustive=True)),
+]
+NAMED = {"P8": path_ideal(8), "P10": path_ideal(10), "C7": cycle_ideal(7), "RP2": rp2_ideal()}
+
+
+def lyubeznik_complex(M, field=RATIONAL, order=None):
+    return FreeComplex(M, field, build_taylor(M), lyubeznik_strata(M, order))
+
+
+def cancel_all(cx):
+    while (hit := cx.find_invertible()) is not None:
+        cx.cancel(*hit)
+    return cx.betti_table()
+
+
+class TestLyubeznikStart:
+    @pytest.mark.parametrize("field", FIELDS_QF2F3, ids=lambda f: f.name)
+    def test_exhaustive_families_match_the_taylor_start(self, field):
+        assert len(EXHAUSTIVE) == 208
+        rng = random.Random(9)
+        for M in EXHAUSTIVE:
+            taylor = minimize(M, field)[1]
+            assert minimize(M, field, start="lyubeznik")[1] == taylor
+            for _ in range(2):
+                order = rng.sample(range(M.q), M.q)
+                assert cancel_all(lyubeznik_complex(M, field, order)) == taylor
+
+    @pytest.mark.parametrize("field", FIELDS_QF2F3, ids=lambda f: f.name)
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named_ideals_match_the_taylor_start(self, name, field):
+        M = NAMED[name]
+        taylor = minimize(M, field)[1]
+        assert minimize(M, field, start="lyubeznik")[1] == taylor
+        order = random.Random(name).sample(range(M.q), M.q)
+        assert cancel_all(lyubeznik_complex(M, field, order)) == taylor
+
+    @pytest.mark.parametrize("name", ["C7", "RP2"])
+    def test_start_passes_validate(self, name):
+        cx = lyubeznik_complex(NAMED[name])
+        cx.validate()
+        cx.check_index()
+        assert sum(map(len, cx.strata)) < 2 ** cx.q
+
+    def test_random_pivots_give_the_same_table(self):
+        for M in (NAMED["C7"], I("a^2*b, a*b^2, a*c, b*c^2, c^3")):
+            reference = minimize(M)[1]
+            for seed in range(4):
+                rng = random.Random(seed)
+                assert minimize(M, pivot_rng=rng, start="lyubeznik")[1] == reference
+
+    def test_start_missing_a_facet_is_rejected(self):
+        M = I("a^2*b, a*b^2, a*c, b*c^2, c^3")
+        taylor = build_taylor(M)
+        strata = [list(stratum) for stratum in taylor.strata]
+        strata[2].pop(0)
+        with pytest.raises(InternalInvariantError, match="facet of a degree-3"):
+            FreeComplex(M, RATIONAL, taylor, strata)
+
+    def test_unknown_start_is_rejected(self):
+        with pytest.raises(InvalidParameterError, match="start"):
+            minimize(I("a, b"), start="scarf")
 
 
 def outcome(check):

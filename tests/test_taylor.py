@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +19,9 @@ from monodom import (
     scarf_basis,
     table,
 )
-from monodom.taylor import facets, members_of
+from monodom.taylor import _lyubeznik_order, facets, lyubeznik_strata, members_of
 
-from conftest import I
+from conftest import I, complete_ideal, cycle_ideal, path_ideal, rp2_ideal
 
 
 def sym_by_members(ideal, *gen_texts):
@@ -96,6 +98,79 @@ class TestBuildTaylor:
                         x <= y
                         for x, y in zip(cx.mdeg_exps[sub], cx.mdeg_exps[mask])
                     )
+
+
+def brute_lyubeznik_faces(ideal, order):
+    """Every subset whose tails (in `order`) have no earlier generator
+    dividing their lcm, by exponent comparison over all 2^q subsets."""
+    rows, n = ideal.exponent_rows, ideal.n
+    faces = set()
+    for mask in range(1 << ideal.q):
+        members = [k for k in order if mask >> k & 1]
+        ok = True
+        for t in range(len(members)):
+            tail = members[t:]
+            lcm = [max(rows[g][v] for g in tail) for v in range(n)]
+            before = order[: order.index(tail[0])]
+            if any(all(rows[k][v] <= lcm[v] for v in range(n)) for k in before):
+                ok = False
+        if ok:
+            faces.add(mask)
+    return faces
+
+
+LYUBEZNIK_FACES = [
+    (lambda: path_ideal(12), 1344),
+    (lambda: cycle_ideal(13), 2176),
+    (lambda: path_ideal(14), 4352),
+    (rp2_ideal, 74),
+    (lambda: complete_ideal(5), 68),
+]
+
+
+class TestLyubeznik:
+    @pytest.mark.parametrize(
+        "make,faces", LYUBEZNIK_FACES, ids=["P12", "C13", "P14", "RP2", "K5"]
+    )
+    def test_heuristic_face_counts(self, make, faces):
+        M = make()
+        strata = lyubeznik_strata(M)
+        assert sum(map(len, strata)) == faces
+        assert all(list(stratum) == sorted(stratum) for stratum in strata)
+        assert all(mask.bit_count() == h for h, st in enumerate(strata) for mask in st)
+
+    def test_natural_order_keeps_every_subset_of_the_path(self):
+        M = path_ideal(14)
+        assert sum(map(len, lyubeznik_strata(M, range(M.q)))) == 2**14
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a^2, a*b, b^2, b*c, c^2",
+            "a^2*b, a*b^2, a*c, b*c^2, c^3",
+            "a*b, c*d, a*c, b*d",
+            "x1*x2, x2*x3, x3*x4, x4*x5, x5*x6, x1*x6",
+            "a^3, a^2*b, a*b^2, b^3, a*c, b*c, c^2",
+        ],
+    )
+    def test_faces_match_the_definition(self, text):
+        M = I(text)
+        rng = random.Random(text)
+        orders = [None, tuple(range(M.q))] + [rng.sample(range(M.q), M.q) for _ in range(4)]
+        for order in orders:
+            strata = lyubeznik_strata(M, order)
+            faces = {mask for stratum in strata for mask in stratum}
+            if order is None:
+                order = _lyubeznik_order(M, build_taylor(M).mdeg_exps)
+            assert faces == brute_lyubeznik_faces(M, list(order))
+
+    @pytest.mark.parametrize("make", [lambda: cycle_ideal(9), rp2_ideal, lambda: complete_ideal(5)])
+    def test_facets_of_faces_are_faces(self, make):
+        strata = lyubeznik_strata(make())
+        for h in range(1, len(strata)):
+            below = set(strata[h - 1])
+            for sigma in strata[h]:
+                assert all(tau in below for tau, _ in facets(sigma))
 
 
 class TestScarf:
