@@ -55,10 +55,6 @@ from .resolution import (
     FreeComplex,
     PrimeField,
     betti_oracle,
-    cancel,
-    complex_from_taylor,
-    find_invertible_entry,
-    is_cohen_macaulay,
     is_complete_intersection,
     minimize,
 )
@@ -67,7 +63,6 @@ from .taylor import (
     TaylorComplex,
     TaylorSymbol,
     build_taylor,
-    is_scarf,
     mdeg_multiplicity_table,
     scarf_basis,
 )
@@ -79,6 +74,8 @@ from .verify import (
     check_lemma_hypotheses,
     check_report,
     fuzz,
+    is_cohen_macaulay,
+    is_scarf,
     pure_power_extension,
     random_ideal,
 )
@@ -120,14 +117,11 @@ __all__ = [
     "betti_oracle",
     "big_height",
     "build_taylor",
-    "cancel",
     "check_lemma_hypotheses",
     "check_report",
     "codim",
-    "complex_from_taylor",
     "dominant_set_from_net",
     "dominant_variables",
-    "find_invertible_entry",
     "fuzz",
     "has_full_dominant_set",
     "is_cohen_macaulay",

@@ -5,13 +5,17 @@ They take and return plain ints, tuples, lists and dicts, so they know
 nothing of the monomial and complex types built on them. Python ints
 never overflow, so every result is exact however large the exponents
 or matrix entries grow.
+
+Callers look each kernel up on this module at call time
+(`_kernels.rank_int(...)`), so patching a name here replaces the kernel
+everywhere.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from monodom.errors import GuardExceeded
+from .errors import GuardExceeded
 
 
 def subset_lcms(exps, n):
@@ -92,7 +96,7 @@ def minimal_transversals(edges, n_vars, cap):
         stack.append((i + 1, chosen | bit, [e for e in uncovered if not e & bit]))
 
     minimal = [cand for cand in found if _is_minimal(cand, edges)]
-    minimal.sort(key=_popcount)
+    minimal.sort(key=int.bit_count)
     return minimal
 
 
@@ -212,7 +216,3 @@ def rank_modp(rows, p):
                 elif c in r:
                     del r[c]
     return len(pivots)
-
-
-def _popcount(x):
-    return bin(x).count("1")

@@ -198,13 +198,13 @@ def _matrix_payload(cx, ideal):
     out = {}
     for s in range(1, cx.q + 1):
         entries = []
-        for sigma in cx.strata[s]:
-            for tau in sorted(cx.mats[s].get(sigma, {})):
+        for sigma, col in cx.mats[s].items():
+            for tau in sorted(col):
                 entries.append(
                     [
                         symbol_label(ideal, tau),
                         symbol_label(ideal, sigma),
-                        str(cx.mats[s][sigma][tau]),
+                        str(col[tau]),
                         str(cx.mdeg(sigma).quotient(cx.mdeg(tau))),
                     ]
                 )

@@ -16,10 +16,10 @@ not integral, which keeps the common ±1 pivots on the int fast path.
 
 The complex cancelled is the full Taylor complex or, when only the
 Betti table is wanted, its Lyubeznik subcomplex, which resolves S/M
-from far fewer symbols. `FreeComplex` reads the shared Taylor lattice
-and builds its own matrices from `facets` on the given strata, with the
-row index and the pivot queues in the same pass; it copies the strata,
-the only part of the lattice that cancelling changes.
+from far fewer symbols. `FreeComplex` reads the ideal's shared Taylor
+lattice and builds its own matrices from `facets` on the given strata,
+with the row index and the pivot queues in the same pass. The matrices
+are its only copy of the symbols: the surviving strata are their keys.
 
 Cancellation is local. Each matrix keeps a row index, the transpose of
 its columns, so cancelling (tau, sigma) touches only the columns in row
@@ -36,18 +36,17 @@ equal-multidegree entry (tau, sig2) and is therefore still queued.
 `check_index` verifies the row index and the queues, and
 `all_invertible` is the full scan that relies on neither.
 
-`validate` checks multihomogeneity and d∘d = 0. Run after every
-cancellation, it re-checks only what changed since the last passing
-check: it compares every column with a copy kept from that check, by
-value, and trusts neither the row index nor `cancel`, so each step gets
-the verdict and the first error message of the full check.
+`validate` checks multihomogeneity and d∘d = 0. `minimize` runs it on
+the start and after every cancellation; each run after the first
+re-checks only what changed since the last passing check: it compares
+every column with a copy kept from that check, by value, and trusts
+neither the row index nor `cancel`, so each step gets the verdict and
+the first error message of the full check.
 """
 
 from __future__ import annotations
 
 import operator
-import random
-from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Sequence
@@ -55,7 +54,7 @@ from typing import Sequence
 from . import _kernels
 from .errors import InternalInvariantError, InvalidParameterError
 from .monomials import Monomial, MonomialIdeal
-from .taylor import TaylorComplex, TaylorSymbol, build_taylor, facets, lyubeznik_strata
+from .taylor import TaylorSymbol, build_taylor, facets, lyubeznik_strata
 
 
 class RationalField:
@@ -204,31 +203,31 @@ class FreeComplex:
     """Mutable labeled complex over a field, with the Taylor differential.
 
     It starts on `strata`, per degree the ascending masks of a subcomplex
-    of the Taylor complex closed under facets (by default all of it, as
-    for the Lyubeznik strata of `taylor.lyubeznik_strata`). mats[s] maps
-    each stratum-s column to {row: scalar}; rows[s] is its transpose,
-    {row: {column: None}}; queue[s] lists, in descending order, the
-    columns that may hold an equal-multidegree (invertible) entry. The
-    Taylor lattice it starts from is left unchanged.
+    of the ideal's Taylor complex closed under facets (by default all of
+    it; `taylor.lyubeznik_strata` gives the Lyubeznik subcomplex).
+    mats[s] maps each surviving degree-s symbol, ascending, to its column
+    {row: scalar}; mats[0] holds the empty symbol. rows[s] is the
+    transpose of mats[s], {row: {column: None}}; queue[s] lists, in
+    descending order, the columns that may hold an equal-multidegree
+    (invertible) entry. The shared Taylor lattice is left unchanged.
     """
 
     def __init__(
         self,
         ideal: MonomialIdeal,
-        field,
-        taylor: TaylorComplex,
+        field=RATIONAL,
         strata: Sequence[Sequence[int]] | None = None,
     ):
+        taylor = build_taylor(ideal)
         if strata is None:
             strata = taylor.strata
         self.ideal = ideal
         self.field = field
         self.q = ideal.q
         self.mdeg_exps = exps = taylor.mdeg_exps
-        self.strata = [list(stratum) for stratum in strata]
         masks = taylor.masks  # keys share the lattice's int per mask
         one, neg_one = field.one, field.neg(field.one)
-        self.mats: list[dict[int, dict[int, object]]] = [dict()]
+        self.mats: list[dict[int, dict[int, object]]] = [{0: {}}]
         self.rows: list[dict[int, dict[int, None]]] = [dict()]
         self.queue: list[list[int]] = [[]]
         for s in range(1, self.q + 1):
@@ -262,13 +261,18 @@ class FreeComplex:
             self.rows.append(rows)
             self.queue.append(queue)
 
+    @property
+    def strata(self) -> list[list[int]]:
+        """The surviving symbols per degree, ascending: the keys of `mats`,
+        which are inserted in ascending order and only ever removed."""
+        return [list(mat) for mat in self.mats]
+
     def copy(self) -> "FreeComplex":
         dup = object.__new__(FreeComplex)
         dup.ideal = self.ideal
         dup.field = self.field
         dup.q = self.q
         dup.mdeg_exps = self.mdeg_exps
-        dup.strata = [list(st) for st in self.strata]
         dup.mats = [
             {sigma: dict(col) for sigma, col in mat.items()} for mat in self.mats
         ]
@@ -281,11 +285,8 @@ class FreeComplex:
     def mdeg(self, mask: int) -> Monomial:
         return Monomial(self.ideal.table, self.mdeg_exps[mask])
 
-    def entry(self, s: int, tau: int, sigma: int):
-        return self.mats[s].get(sigma, {}).get(tau)
-
     def is_invertible(self, s: int, tau: int, sigma: int) -> bool:
-        val = self.entry(s, tau, sigma)
+        val = self.mats[s].get(sigma, {}).get(tau)
         return (
             val is not None
             and not self.field.is_zero(val)
@@ -317,11 +318,7 @@ class FreeComplex:
         exps = self.mdeg_exps
         out = []
         for s in range(1, self.q + 1):
-            mat = self.mats[s]
-            for sigma in self.strata[s]:
-                col = mat.get(sigma)
-                if not col:
-                    continue
+            for sigma, col in self.mats[s].items():
                 up = exps[sigma]
                 hits = [tau for tau in col if exps[tau] == up]
                 if hits:
@@ -332,7 +329,8 @@ class FreeComplex:
         """Cancel the invertible entry (tau, sigma) of matrix s, in place.
 
         Only the columns in row tau change in matrix s; matrix s+1 loses
-        row sigma and matrix s-1 loses column tau, both found by index.
+        row sigma and matrix s-1 loses column tau, both found by index
+        (mats[0] holds the empty symbol, so s = 1 needs no special case).
         """
         if not self.is_invertible(s, tau, sigma):
             raise ValueError(
@@ -361,16 +359,13 @@ class FreeComplex:
                     if cur is None:
                         rows[tau2][sig2] = None
                     col2[tau2] = new
-        _discard(self.strata[s], sigma)
-        _discard(self.strata[s - 1], tau)
         if s < self.q:
             above = self.mats[s + 1]
             for sig2 in self.rows[s + 1].pop(sigma, ()):
                 del above[sig2][sigma]
-        if s > 1:
-            below = self.rows[s - 1]
-            for rho in self.mats[s - 1].pop(tau, ()):
-                del below[rho][tau]
+        below = self.rows[s - 1]
+        for rho in self.mats[s - 1].pop(tau):
+            del below[rho][tau]
         return self
 
     def check_index(self) -> None:
@@ -488,16 +483,16 @@ class FreeComplex:
 
     def betti_table(self) -> BettiTable:
         multigraded: dict[tuple[int, Monomial], int] = {}
-        for h, masks in enumerate(self.strata):
-            for mask in masks:
+        for h, mat in enumerate(self.mats):
+            for mask in mat:
                 key = (h, self.mdeg(mask))
                 multigraded[key] = multigraded.get(key, 0) + 1
         return _table_from_multigraded(multigraded, self.field.name)
 
     def surviving_symbols(self):
         return [
-            [TaylorSymbol(mask, h, self.mdeg(mask)) for mask in masks]
-            for h, masks in enumerate(self.strata)
+            [TaylorSymbol(mask, h, self.mdeg(mask)) for mask in mat]
+            for h, mat in enumerate(self.mats)
         ]
 
 
@@ -515,69 +510,35 @@ class _Snapshot(list):
         self.field = cx.field
 
 
-def _discard(stratum: list[int], mask: int) -> None:
-    """Remove `mask` from an ascending stratum list."""
-    i = bisect_left(stratum, mask)
-    if i == len(stratum) or stratum[i] != mask:
-        raise InternalInvariantError(f"symbol {mask:#x} is not in its stratum")
-    del stratum[i]
-
-
-def complex_from_taylor(ideal: MonomialIdeal, field=RATIONAL) -> FreeComplex:
-    """The subset complex of `ideal`, over `field`, before any cancellation."""
-    return FreeComplex(ideal, field, build_taylor(ideal))
-
-
-def find_invertible_entry(cx: FreeComplex):
-    return cx.find_invertible()
-
-
-def cancel(cx: FreeComplex, s: int, tau: int, sigma: int) -> FreeComplex:
-    return cx.cancel(s, tau, sigma)
+VALIDATE_GUARD = 8  # q up to which minimize validates every step
 
 
 def minimize(
-    ideal: MonomialIdeal,
-    field=RATIONAL,
-    pivot_rng: random.Random | None = None,
-    validate: bool | None = None,
-    *,
-    start: str = "taylor",
+    ideal: MonomialIdeal, field=RATIONAL, *, start: str = "taylor"
 ) -> tuple[FreeComplex, BettiTable]:
     """Cancel invertible entries to exhaustion; survivors give the Betti table.
 
     `start` is the complex cancelled: "taylor", the full subset complex,
     or "lyubeznik", its Lyubeznik subcomplex (`lyubeznik_strata`), which
     resolves S/M too and so gives the same Betti table from fewer
-    symbols, but a different minimized complex.
+    symbols, but a different minimized complex. Pivots are taken in the
+    fixed scan order of `find_invertible`.
 
-    The canonical pivot order is the fixed scan order; passing a seeded
-    `pivot_rng` picks uniformly among the currently invertible entries
-    instead (the resulting table must not change, and tests check that).
-    `validate` (on by default for q <= 8) checks the complex after every
-    cancellation; each check after the first re-checks only the columns
-    that changed since the previous one, against a snapshot held here
-    and freed on return. The final complex also gets `check_index` and
-    the full scan for a leftover invertible entry.
+    For q <= VALIDATE_GUARD the start is validated, and so is the complex
+    after every cancellation; each check after the first re-checks only
+    the columns that changed since the previous one, against a snapshot
+    held here and freed on return. The final complex then also gets
+    `check_index` and the full scan for a leftover invertible entry.
     """
     if start not in ("taylor", "lyubeznik"):
         raise InvalidParameterError(f"unknown start {start!r}")
-    taylor = build_taylor(ideal)
     strata = lyubeznik_strata(ideal) if start == "lyubeznik" else None
-    cx = FreeComplex(ideal, field, taylor, strata)
-    if validate is None:
-        validate = ideal.q <= 8
-    seen = None  # the last passing validation's snapshot
+    cx = FreeComplex(ideal, field, strata)
+    validate = ideal.q <= VALIDATE_GUARD
+    seen = cx.validate() if validate else None  # the last passing snapshot
     cursor = 1
     cancelled = False
-    while True:
-        if pivot_rng is None:
-            hit = cx.find_invertible(cursor)
-        else:
-            pool = cx.all_invertible()
-            hit = pool[pivot_rng.randrange(len(pool))] if pool else None
-        if hit is None:
-            break
+    while (hit := cx.find_invertible(cursor)) is not None:
         s, tau, sigma = hit
         cx.cancel(s, tau, sigma)
         cancelled = True
@@ -638,10 +599,3 @@ def is_complete_intersection(ideal: MonomialIdeal) -> bool:
             if masks[i] & masks[j]:
                 return False
     return True
-
-
-def is_cohen_macaulay(ideal: MonomialIdeal, field=RATIONAL) -> bool:
-    """codim equals projective dimension."""
-    from .verify import Analysis  # local import; verify builds on this module
-
-    return Analysis(ideal, field).cohen_macaulay

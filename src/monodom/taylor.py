@@ -58,9 +58,6 @@ class TaylorSymbol:
     hdeg: int
     mdeg: Monomial
 
-    def members(self) -> tuple[int, ...]:
-        return members_of(self.mask)
-
     def label(self, ideal: MonomialIdeal) -> str:
         return symbol_label(ideal, self.mask)
 
@@ -228,13 +225,3 @@ def mdeg_multiplicity_table(ideal: MonomialIdeal) -> dict[Monomial, dict[int, in
             per_deg[h] = per_deg.get(h, 0) + 1
         out[Monomial(ideal.table, exps)] = per_deg
     return out
-
-
-def is_scarf(ideal: MonomialIdeal) -> bool:
-    """Whether the unique-multidegree symbols already resolve the quotient.
-
-    Compared rank-by-rank against the minimization engine's Betti numbers.
-    """
-    from .verify import Analysis  # local import; verify builds on this module
-
-    return Analysis(ideal).scarf

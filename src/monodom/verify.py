@@ -108,10 +108,25 @@ def _comparable(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b)) or all(x >= y for x, y in zip(a, b))
 
 
+EXHAUSTIVE_GUARD = 100_000  # exponent vectors in one ambient n's pool
+
+
 def exhaustive_ideals(params: FuzzParams) -> Iterator[MonomialIdeal]:
     """Every minimal monomial ideal with n <= n_max, exponents <= exp_max,
     and at most q_max generators, enumerated deterministically per ambient n.
+
+    Each n holds its whole pool of (exp_max + 1)^n - 1 nonzero exponent
+    vectors in memory, so a pool past EXHAUSTIVE_GUARD raises
+    GuardExceeded before the first ideal is built.
     """
+    size = 1
+    for _ in range(params.n_max):  # stops past the guard, however large n_max
+        size *= params.exp_max + 1
+        if size - 1 > EXHAUSTIVE_GUARD:
+            raise GuardExceeded(
+                f"exhaustive pool of {params.exp_max + 1}^{params.n_max} - 1 "
+                f"exponent vectors exceeds the guard of {EXHAUSTIVE_GUARD}"
+            )
     for n in range(1, params.n_max + 1):
         tbl = VariableTable(tuple(f"x{i}" for i in range(1, n + 1)))
         pool = sorted(
@@ -396,6 +411,19 @@ def check_report(ideal: MonomialIdeal, field=RATIONAL) -> Analysis:
     for stage in _REPORT_STAGES:
         getattr(report, stage)
     return report
+
+
+def is_scarf(ideal: MonomialIdeal) -> bool:
+    """Whether the unique-multidegree symbols already resolve the quotient.
+
+    Compared rank-by-rank against the minimization engine's Betti numbers.
+    """
+    return Analysis(ideal).scarf
+
+
+def is_cohen_macaulay(ideal: MonomialIdeal, field=RATIONAL) -> bool:
+    """codim equals projective dimension."""
+    return Analysis(ideal, field).cohen_macaulay
 
 
 # ---------------------------------------------------------------------------

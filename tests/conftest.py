@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import settings
 
-from monodom import parse_ideal
+from monodom import RATIONAL, FreeComplex, parse_ideal
 
 # Every run draws the same examples, so whether a test catches a given
 # fault does not depend on the run (this also turns off the example database).
@@ -45,6 +45,19 @@ def rp2_ideal():
     gens = ["*".join(f"x{i}" for i in t)
             for t in combinations(range(1, 7), 3) if t not in RP2_FACES]
     return I(", ".join(gens), [f"x{i}" for i in range(1, 7)])
+
+
+def minimize_randomly(ideal, rng, field=RATIONAL, strata=None):
+    """The Betti table left by cancelling, to exhaustion, an entry drawn
+    uniformly from all invertible ones; the complex is validated after
+    every cancellation and its index checked at the end."""
+    cx = FreeComplex(ideal, field, strata)
+    seen = cx.validate()
+    while pool := cx.all_invertible():
+        cx.cancel(*pool[rng.randrange(len(pool))])
+        seen = cx.validate(seen)
+    cx.check_index()
+    return cx.betti_table()
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from monodom import (
     random_ideal,
 )
 
-from conftest import brute_minimal_nets, family_as_tuples
+from conftest import brute_minimal_nets, family_as_tuples, minimize_randomly
 
 
 def _report(label, elapsed=None, bound=None):
@@ -192,10 +192,10 @@ def test_criterion_10_pivot_order_independence():
     mismatches = 0
     for t in range(params.trials):
         M = random_ideal(params, t)
-        reference = minimize(M, validate=False)[1]
+        reference = minimize(M)[1]
         for k in range(20):
             rng = random.Random(1_000_003 * t + k)
-            if minimize(M, pivot_rng=rng, validate=False)[1] != reference:
+            if minimize_randomly(M, rng) != reference:
                 mismatches += 1
     elapsed = time.perf_counter() - t0
     assert mismatches == 0

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -292,6 +293,17 @@ class TestExitCodes:
         big = ", ".join(f"x{i}" for i in range(1, 16))
         code, _, err = run(capsys, "analyze", "--ideal", big)
         assert code == 2 and "Taylor" in err or "2^15" in err
+
+    @pytest.mark.parametrize("n_max", ["8", str(10**9)])
+    def test_exhaustive_pool_over_the_guard_is_2(self, capsys, n_max):
+        # 10^8 exponent vectors would exhaust memory; the guard fires first
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", "--exhaustive", "--n-max", n_max, "--exp-max", "9"
+        )
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith("error: exhaustive pool of 10^") and err.count("\n") == 1
 
     def test_internal_failure_is_3(self, capsys, monkeypatch):
         import monodom.cli as cli_mod

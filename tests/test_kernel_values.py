@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monodom import GuardExceeded, _kernels, kernel_backend
-from monodom._kernels import py as pure
 
-# the kernel module under test, named in each test id
-BACKENDS = [pure]
+# the kernel module under test; each test keeps the id it had when the
+# kernels lived in the package module monodom/_kernels/py.py
+BACKENDS = [pytest.param(_kernels, id="monodom._kernels.py")]
 
 
 def sparse(rows):
@@ -52,7 +52,7 @@ def test_huge_exponents(backend):
 def test_every_kernel_is_exported():
     for name in ("subset_lcms", "minimal_transversals", "dominance_masks",
                  "rank_int", "rank_modp"):
-        assert getattr(_kernels, name) is getattr(pure, name)
+        assert callable(getattr(_kernels, name))
     assert kernel_backend == "pure"
 
 

@@ -17,8 +17,6 @@ from monodom import (
     PrimeField,
     betti_oracle,
     build_taylor,
-    complex_from_taylor,
-    find_invertible_entry,
     is_cohen_macaulay,
     is_complete_intersection,
     minimalize,
@@ -31,7 +29,7 @@ from monodom import (
 from monodom.taylor import lyubeznik_strata
 from monodom.verify import exhaustive_ideals
 
-from conftest import I, cycle_ideal, path_ideal, rp2_ideal
+from conftest import I, cycle_ideal, minimize_randomly, path_ideal, rp2_ideal
 
 
 def mask_for(ideal, *gen_texts):
@@ -45,26 +43,26 @@ def mask_for(ideal, *gen_texts):
 class TestFindInvertible:
     def test_minimized_complex_has_none(self):
         cx, _ = minimize(I("a^2, a*b, b^2"))
-        assert find_invertible_entry(cx) is None
+        assert cx.find_invertible() is None
 
     def test_collision_entry_found(self):
         M = I("a^2, a*b, b^2")
-        cx = complex_from_taylor(M)
-        s, tau, sigma = find_invertible_entry(cx)
+        cx = FreeComplex(M)
+        s, tau, sigma = cx.find_invertible()
         assert s == 3
         assert tau == mask_for(M, "a^2", "b^2")
         assert sigma == mask_for(M, "a^2", "a*b", "b^2")
 
     def test_distinct_mdegs_mean_none(self):
-        cx = complex_from_taylor(I("a*d, b*d, c*d"))
-        assert find_invertible_entry(cx) is None
+        cx = FreeComplex(I("a*d, b*d, c*d"))
+        assert cx.find_invertible() is None
 
 
 class TestCancel:
     def test_single_step_trace(self):
         M = I("a^2, a*b, b^2")
-        cx = complex_from_taylor(M)
-        s, tau, sigma = find_invertible_entry(cx)
+        cx = FreeComplex(M)
+        s, tau, sigma = cx.find_invertible()
         cx.cancel(s, tau, sigma)
         assert [len(st_) for st_ in cx.strata] == [1, 3, 2, 0]
         cx.validate()
@@ -73,7 +71,7 @@ class TestCancel:
         # the a^2*b^2 strand of (a^2, ab, b^2) is a two-term complex joined
         # by a unit entry; cancelling it empties the strand entirely
         M = I("a^2, a*b, b^2")
-        cx = complex_from_taylor(M)
+        cx = FreeComplex(M)
         target = (2, 2)
         strand_before = [
             mask
@@ -82,7 +80,7 @@ class TestCancel:
             if cx.mdeg_exps[mask] == target
         ]
         assert len(strand_before) == 2
-        cx.cancel(*find_invertible_entry(cx))
+        cx.cancel(*cx.find_invertible())
         strand_after = [
             mask
             for st_ in cx.strata
@@ -93,12 +91,12 @@ class TestCancel:
 
     def test_single_generator_has_nothing_invertible(self):
         # [0] <- [a] carries monomial part a, never a unit
-        cx = complex_from_taylor(I("a"))
-        assert find_invertible_entry(cx) is None
+        cx = FreeComplex(I("a"))
+        assert cx.find_invertible() is None
 
     def test_non_invertible_pivot_rejected(self):
         M = I("a^2, a*b, b^2")
-        cx = complex_from_taylor(M)
+        cx = FreeComplex(M)
         with pytest.raises(ValueError):
             cx.cancel(1, 0, mask_for(M, "a^2"))
 
@@ -106,8 +104,8 @@ class TestCancel:
         # cancelling the top pair of (a^2, ab, b^2) must leave an exact
         # complex with the textbook two-column first syzygy matrix
         M = I("a^2, a*b, b^2")
-        cx = complex_from_taylor(M)
-        cx.cancel(*find_invertible_entry(cx))
+        cx = FreeComplex(M)
+        cx.cancel(*cx.find_invertible())
         mat2 = cx.mats[2]
         cols = sorted(mat2)
         assert len(cols) == 2
@@ -255,12 +253,12 @@ class TestPivotOrderIndependence:
             M = I(text)
             reference = minimize(M)[1]
             for seed in range(6):
-                assert minimize(M, pivot_rng=random.Random(seed))[1] == reference
+                assert minimize_randomly(M, random.Random(seed)) == reference
 
 
 class TestValidation:
     def test_corrupted_scalar_is_detected(self):
-        cx = complex_from_taylor(I("a^2, a*b, b^2"))
+        cx = FreeComplex(I("a^2, a*b, b^2"))
         sigma = next(iter(cx.mats[2]))
         tau = next(iter(cx.mats[2][sigma]))
         cx.mats[2][sigma][tau] = Fraction(7)
@@ -268,7 +266,7 @@ class TestValidation:
             cx.check_d_squared()
 
     def test_stored_zero_is_detected(self):
-        cx = complex_from_taylor(I("a, b"))
+        cx = FreeComplex(I("a, b"))
         sigma = next(iter(cx.mats[1]))
         cx.mats[1][sigma][0] = Fraction(0)
         with pytest.raises(Exception, match="zero"):
@@ -282,7 +280,7 @@ class TestValidation:
         params = FuzzParams(n_max=4, q_max=6, exp_max=3, trials=60, seed=77)
         for t in range(params.trials):
             M = random_ideal(params, t)
-            naive = complex_from_taylor(M)
+            naive = FreeComplex(M)
             seq_naive = []
             while True:
                 hit = naive.find_invertible(1)
@@ -292,7 +290,7 @@ class TestValidation:
                 seq_naive.append(hit)
                 naive.cancel(*hit)
                 naive.check_index()
-            fast_cx = complex_from_taylor(M)
+            fast_cx = FreeComplex(M)
             seq_fast = []
             cursor = 1
             while True:
@@ -310,7 +308,7 @@ class TestValidation:
 
 class TestIndex:
     def test_missing_row_entry_is_detected(self):
-        cx = complex_from_taylor(I("a^2, a*b, b^2"))
+        cx = FreeComplex(I("a^2, a*b, b^2"))
         cx.check_index()
         row = next(iter(cx.rows[2].values()))
         del row[next(iter(row))]
@@ -318,14 +316,14 @@ class TestIndex:
             cx.check_index()
 
     def test_dropped_queue_entry_is_detected(self):
-        cx = complex_from_taylor(I("a^2, a*b, b^2"))
+        cx = FreeComplex(I("a^2, a*b, b^2"))
         s, _, sigma = cx.all_invertible()[0]
         cx.queue[s].remove(sigma)
         with pytest.raises(InternalInvariantError, match="not queued"):
             cx.check_index()
 
     def test_cancelling_in_a_copy_leaves_the_original(self):
-        cx = complex_from_taylor(I("a^2*b, a*b^2, a*c, b*c^2, c^3"))
+        cx = FreeComplex(I("a^2*b, a*b^2, a*c, b*c^2, c^3"))
         before = deepcopy((cx.mats, cx.rows, cx.queue, cx.strata))
         dup = cx.copy()
         steps = 0
@@ -348,7 +346,7 @@ NAMED = {"P8": path_ideal(8), "P10": path_ideal(10), "C7": cycle_ideal(7), "RP2"
 
 
 def lyubeznik_complex(M, field=RATIONAL, order=None):
-    return FreeComplex(M, field, build_taylor(M), lyubeznik_strata(M, order))
+    return FreeComplex(M, field, lyubeznik_strata(M, order))
 
 
 def cancel_all(cx):
@@ -390,15 +388,14 @@ class TestLyubeznikStart:
             reference = minimize(M)[1]
             for seed in range(4):
                 rng = random.Random(seed)
-                assert minimize(M, pivot_rng=rng, start="lyubeznik")[1] == reference
+                assert minimize_randomly(M, rng, strata=lyubeznik_strata(M)) == reference
 
     def test_start_missing_a_facet_is_rejected(self):
         M = I("a^2*b, a*b^2, a*c, b*c^2, c^3")
-        taylor = build_taylor(M)
-        strata = [list(stratum) for stratum in taylor.strata]
+        strata = [list(stratum) for stratum in build_taylor(M).strata]
         strata[2].pop(0)
         with pytest.raises(InternalInvariantError, match="facet of a degree-3"):
-            FreeComplex(M, RATIONAL, taylor, strata)
+            FreeComplex(M, RATIONAL, strata)
 
     def test_unknown_start_is_rejected(self):
         with pytest.raises(InvalidParameterError, match="start"):
@@ -464,7 +461,7 @@ class TestIncrementalValidation:
                 if sum(e) == d
             ]
             gens = rng.sample(pool, rng.randint(3, min(7, len(pool))))
-            cx = complex_from_taylor(
+            cx = FreeComplex(
                 minimalize([Monomial(tbl, e) for e in gens]), field
             )
             seen = None
@@ -488,7 +485,7 @@ class TestIncrementalValidation:
         assert kinds == {"scalar", "delete", "zero", "extra"}
 
     def test_column_corrupted_after_a_passing_step_is_caught(self):
-        cx = complex_from_taylor(I("x1*x2, x2*x3, x3*x4, x4*x5, x5*x6"))
+        cx = FreeComplex(I("x1*x2, x2*x3, x3*x4, x4*x5, x5*x6"))
         cx.cancel(*cx.find_invertible())
         seen = cx.validate()
         s, tau, sigma = cx.find_invertible()
@@ -500,7 +497,7 @@ class TestIncrementalValidation:
         assert outcome(cx.validate) == "d∘d != 0 between degrees 2 and 0"
 
     def test_deleted_column_rechecks_the_columns_above(self):
-        cx = complex_from_taylor(I("a, b"))
+        cx = FreeComplex(I("a, b"))
         seen = cx.validate()
         del cx.mats[1][1]  # the top column [a, b] is unchanged but now wrong
         with pytest.raises(InternalInvariantError, match="d∘d != 0 between degrees 2"):
@@ -509,7 +506,7 @@ class TestIncrementalValidation:
     def test_snapshot_from_another_field_gets_the_full_check(self):
         # 3 is a scalar over Q but a stored zero over F_3, so a snapshot
         # that passed over Q must not vouch for the same columns over F_3
-        cx = complex_from_taylor(I("a, b"))
+        cx = FreeComplex(I("a, b"))
         cx.mats[1][1][0] = 3
         cx.mats[2][3][2] = 3  # keeps d∘d = 0 over Q
         seen = cx.validate()
@@ -519,7 +516,7 @@ class TestIncrementalValidation:
             cx3.validate(seen)
 
     def test_snapshot_from_another_lcm_table_gets_the_full_check(self):
-        cx = complex_from_taylor(I("a, b"))
+        cx = FreeComplex(I("a, b"))
         seen = cx.validate()
         other = cx.copy()  # the same columns
         exps = list(cx.mdeg_exps)
@@ -544,11 +541,31 @@ class TestIncrementalValidation:
 
         monkeypatch.setattr(FreeComplex, "cancel", counted_cancel)
         monkeypatch.setattr(FreeComplex, "validate", counted_validate)
-        minimize(I("a^2*b, a*b^2, a*c, b*c^2, c^3"), validate=True)
+        minimize(I("a^2*b, a*b^2, a*c, b*c^2, c^3"))
         assert calls["cancel"] >= 2
-        assert len(calls["validate"]) == calls["cancel"]
-        # only the first check has no snapshot to start from
-        assert calls["validate"] == [True] + [False] * (calls["cancel"] - 1)
+        # one full check of the start, then one incremental check per step
+        assert calls["validate"] == [True] + [False] * calls["cancel"]
+
+    @pytest.mark.parametrize("text", ["x1^2*x2^3, x1*x3", "a^2, a*b, b^2"])
+    def test_start_with_nothing_to_cancel_is_validated(self, monkeypatch, text):
+        # an lcm table that drops the last variable of every lcm of two or
+        # more generators; on these Lyubeznik starts the bad column either
+        # survives without a cancellation or is itself cancelled first, so
+        # only the check of the start can see it
+        from monodom import _kernels
+
+        real = _kernels.subset_lcms
+
+        def lossy(exps, n):
+            table = real(exps, n)
+            return [
+                lcm if mask.bit_count() < 2 else lcm[:-1] + (0,)
+                for mask, lcm in enumerate(table)
+            ]
+
+        monkeypatch.setattr(_kernels, "subset_lcms", lossy)
+        with pytest.raises(InternalInvariantError, match="incomparable multidegrees"):
+            minimize(I(text), start="lyubeznik")
 
     @pytest.mark.parametrize("field", FIELDS[::2], ids=lambda f: f.name)
     @pytest.mark.parametrize(
@@ -588,7 +605,7 @@ class TestIncrementalValidation:
             monkeypatch.setattr(FreeComplex, "cancel", cancel)
             monkeypatch.setattr(FreeComplex, "validate", validate)
             with pytest.raises(InternalInvariantError) as exc:
-                minimize(I(text), field, validate=True)
+                minimize(I(text), field)
             return steps["skipped"], steps["n"], str(exc.value)
 
         full, part = run(True), run(False)
@@ -637,8 +654,8 @@ def class_pairs(cx, symbols):
 def replay_matched(base, variables):
     ext, mask_map = pure_power_extension(base, variables)
     powers = {v: base.lcm().exponents[v] for v in variables}
-    cx_a = complex_from_taylor(base)
-    cx_b = complex_from_taylor(ext)
+    cx_a = FreeComplex(base)
+    cx_b = FreeComplex(ext)
     A = {mask for mask in range(1 << base.q) if in_class(cx_a, mask, powers)}
 
     def assert_matched():
@@ -732,4 +749,4 @@ def test_binomial_bound_from_odom(M):
 @given(small_ideals(), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=30, deadline=None)
 def test_random_pivots_are_path_independent(M, seed):
-    assert minimize(M, pivot_rng=random.Random(seed))[1] == minimize(M)[1]
+    assert minimize_randomly(M, random.Random(seed)) == minimize(M)[1]

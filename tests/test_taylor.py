@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monodom import (
-    RATIONAL,
     FreeComplex,
     Monomial,
     TaylorTooLarge,
@@ -87,7 +86,7 @@ class TestBuildTaylor:
     def test_d_squared_zero_and_multihomogeneous(self):
         for text in ("a, b", "a^2, a*b, b^2", "a*d, b*d, c*d, d^2", "a*b, c*d, a*c, b*d"):
             M = I(text)
-            FreeComplex(M, RATIONAL, build_taylor(M)).validate()
+            FreeComplex(M).validate()
 
     def test_mdeg_monotone_under_inclusion(self):
         cx = build_taylor(I("a^2*e, b^3*f, c*e^2"))
