@@ -6,7 +6,14 @@ update a'_{t,s} = a_{t,s} - a_{t,S} * a_{T,s} / a_{T,S} to the remaining
 entries of that matrix, while the neighbouring matrices only lose a row
 resp. a column. Iterating to exhaustion leaves the Betti numbers as the
 surviving ranks. A strand-homology oracle recomputes every multigraded
-Betti number independently of the cancellation path.
+Betti number independently of the cancellation path: each strand, the
+cells of one multidegree, is first cut down by a one-generator acyclic
+matching (discrete Morse theory on the Taylor complex, Batzies–Welker,
+J. reine angew. Math. 543, 2002; Jöllenbeck–Welker, Mem. AMS 923, 2009)
+that pairs sigma with sigma plus a generator k dividing the rest of the
+strand's top face. The unpaired cells all contain k, so the Morse
+differential is the Taylor differential restricted to them, and only
+their ranks are taken.
 
 All arithmetic is exact: rationals by default, or F_p on request.
 Scalars are stored bare; the monomial part of an entry is always the
@@ -532,6 +539,8 @@ def minimize(
     """
     if start not in ("taylor", "lyubeznik"):
         raise InvalidParameterError(f"unknown start {start!r}")
+    # held here so that lyubeznik_strata and FreeComplex share one lattice
+    taylor = build_taylor(ideal)
     strata = lyubeznik_strata(ideal) if start == "lyubeznik" else None
     cx = FreeComplex(ideal, field, strata)
     validate = ideal.q <= VALIDATE_GUARD
@@ -559,16 +568,46 @@ def minimize(
 def betti_oracle(ideal: MonomialIdeal, field=RATIONAL) -> BettiTable:
     """Multigraded Betti numbers from strand homology, no cancellations.
 
-    Reducing the subset complex modulo the variables kills every entry
+    Reducing the Taylor complex modulo the variables kills every entry
     whose endpoints have different multidegrees; what is left splits
-    into one scalar strand per multidegree, whose homology ranks are
-    computed by exact elimination.
+    into one scalar strand per multidegree b, on the group G of subsets
+    whose lcm is b, and β_{h,b} is the strand's homology in degree h.
+
+    Each strand is first shrunk by a one-generator acyclic matching, the
+    discrete Morse theory of the Taylor complex (Batzies–Welker, J. reine
+    angew. Math. 543, 2002; Jöllenbeck–Welker, Mem. AMS 923, 2009). The
+    top face of G, the union of its members, is its largest mask. Take
+    the first generator k of the top face that divides the lcm of the
+    rest of it; then m_k divides b, so sigma and sigma | k share their
+    lcm for every sigma in G without k, and pairing the two matches
+    with a ±1 incidence and no cycles. The critical (unpaired) cells are
+    the members of G that contain k and whose facet without k has a
+    smaller lcm. Every other facet of a critical cell still contains k,
+    so it is critical or paired with a cell below it: no zigzag path
+    leaves a critical cell, and the Morse differential is the Taylor
+    differential restricted to the critical cells. When no such k
+    exists, every member of G contains the whole top face, so G is that
+    one cell and is critical. The ranks of the restricted differential
+    are computed by exact elimination.
     """
     cx = build_taylor(ideal)
+    lcms = cx.mdeg_exps  # one shared tuple per distinct lcm: compared by `is`
     multigraded: dict[tuple[int, Monomial], int] = {}
-    for exps, group in cx.mdeg_groups.items():
+    for b, group in cx.mdeg_groups.items():
+        top = group[-1]  # every member of G is a subset of the top face
+        rest = top
+        while rest:
+            k = rest & -rest
+            if lcms[top ^ k] is b:
+                critical = [
+                    sigma for sigma in group if sigma & k and lcms[sigma ^ k] is not b
+                ]
+                break
+            rest ^= k
+        else:
+            critical = group
         levels: dict[int, list[int]] = {}
-        for mask in group:
+        for mask in critical:
             levels.setdefault(mask.bit_count(), []).append(mask)
         ranks: dict[int, int] = {}
         for h, columns in levels.items():
@@ -583,11 +622,11 @@ def betti_oracle(ideal: MonomialIdeal, field=RATIONAL) -> BettiTable:
                         rows[ri][ci] = sign
             ranks[h] = field.rank(rows)
         for h, masks in levels.items():
-            b = len(masks) - ranks.get(h, 0) - ranks.get(h + 1, 0)
-            if b < 0:
+            beta = len(masks) - ranks.get(h, 0) - ranks.get(h + 1, 0)
+            if beta < 0:
                 raise InternalInvariantError("negative strand homology rank")
-            if b:
-                multigraded[(h, Monomial(ideal.table, exps))] = b
+            if beta:
+                multigraded[(h, Monomial(ideal.table, b))] = beta
     return _table_from_multigraded(multigraded, field.name)
 
 

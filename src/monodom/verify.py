@@ -109,6 +109,7 @@ def _comparable(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 
 EXHAUSTIVE_GUARD = 100_000  # exponent vectors in one ambient n's pool
+EXHAUSTIVE_WALK_GUARD = 1_000_000  # subsets of the pools the walk may reach
 
 
 def exhaustive_ideals(params: FuzzParams) -> Iterator[MonomialIdeal]:
@@ -117,7 +118,10 @@ def exhaustive_ideals(params: FuzzParams) -> Iterator[MonomialIdeal]:
 
     Each n holds its whole pool of (exp_max + 1)^n - 1 nonzero exponent
     vectors in memory, so a pool past EXHAUSTIVE_GUARD raises
-    GuardExceeded before the first ideal is built.
+    GuardExceeded before the first ideal is built. The walk yields at
+    most the sum over n of C(pool_n, j) for 1 <= j <= q_max, and a sum
+    past EXHAUSTIVE_WALK_GUARD raises GuardExceeded before any pool is
+    built; the sum stops as soon as it passes the guard.
     """
     size = 1
     for _ in range(params.n_max):  # stops past the guard, however large n_max
@@ -127,6 +131,19 @@ def exhaustive_ideals(params: FuzzParams) -> Iterator[MonomialIdeal]:
                 f"exhaustive pool of {params.exp_max + 1}^{params.n_max} - 1 "
                 f"exponent vectors exceeds the guard of {EXHAUSTIVE_GUARD}"
             )
+    subsets = 0
+    for n in range(1, params.n_max + 1):
+        pool = (params.exp_max + 1) ** n - 1
+        binom = 1
+        for j in range(1, min(params.q_max, pool) + 1):
+            binom = binom * (pool - j + 1) // j
+            subsets += binom
+            if subsets > EXHAUSTIVE_WALK_GUARD:
+                raise GuardExceeded(
+                    f"exhaustive walk over at least {subsets} subsets of at most "
+                    f"{params.q_max} exponent vectors exceeds the guard of "
+                    f"{EXHAUSTIVE_WALK_GUARD}"
+                )
     for n in range(1, params.n_max + 1):
         tbl = VariableTable(tuple(f"x{i}" for i in range(1, n + 1)))
         pool = sorted(

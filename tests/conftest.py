@@ -1,4 +1,5 @@
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 from hypothesis import settings
@@ -143,3 +144,69 @@ def brute_odom(ideal):
                     best = max(best, size)
                     break
     return best
+
+
+def dense_rank(matrix, p=None):
+    """Rank of an integer list-of-lists matrix by dense Gaussian elimination:
+    over Q when p is None (fraction-free, each reduced row divided by the
+    gcd of its entries), over F_p otherwise."""
+    rows = [list(row) if p is None else [x % p for x in row] for row in matrix]
+    rank, ncols = 0, len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        a = top[col]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            if not f:
+                continue
+            if p is None:
+                row = [a * x - f * y for x, y in zip(rows[r], top)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row
+            else:
+                f = f * pow(a, p - 2, p) % p
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], top)]
+        rank += 1
+    return rank
+
+
+def brute_strand_betti(ideal, field):
+    """{(h, lcm exponents): beta} from the unreduced strands, by definition.
+
+    Every subset of generators gets its lcm, computed here from the
+    exponent rows; the subsets sharing an lcm b form the strand of b,
+    with the Taylor differential (drop the j-th member, 0-based, with
+    sign (-1)^j) restricted to the strand, and beta_{h,b} is the
+    dimension of its homology in degree h. Ranks are taken densely over
+    Q, or over F_p when the field has a modulus p.
+    """
+    rows, n, q = ideal.exponent_rows, ideal.n, ideal.q
+    p = getattr(field, "p", None)
+    strands = {}
+    for mask in range(1 << q):
+        members = [k for k in range(q) if mask >> k & 1]
+        lcm = tuple(max((rows[k][v] for k in members), default=0) for v in range(n))
+        strands.setdefault(lcm, {}).setdefault(len(members), []).append(members)
+    out = {}
+    for lcm, levels in strands.items():
+        ranks = {}
+        for h, cells in levels.items():
+            below = {tuple(c): i for i, c in enumerate(levels.get(h - 1, []))}
+            if not below:
+                continue
+            matrix = [[0] * len(cells) for _ in below]
+            for j, cell in enumerate(cells):
+                for pos in range(h):
+                    face = tuple(cell[:pos] + cell[pos + 1:])
+                    if face in below:
+                        matrix[below[face]][j] = (-1) ** pos
+            ranks[h] = dense_rank(matrix, p)
+        for h, cells in levels.items():
+            beta = len(cells) - ranks.get(h, 0) - ranks.get(h + 1, 0)
+            if beta:
+                out[(h, lcm)] = beta
+    return out

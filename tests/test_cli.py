@@ -305,6 +305,21 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: exhaustive pool of 10^") and err.count("\n") == 1
 
+    def test_exhaustive_walk_over_the_guard_is_2(self, capsys):
+        # 99,999 vectors pass the pool guard, but pairs of them number
+        # billions; the walk guard fires before any pool is built
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", "--exhaustive", "--n-max", "5", "--exp-max", "9",
+            "--q-max", "2", "--trials", "0",
+        )
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 2 and out == ""
+        assert err == (
+            "error: exhaustive walk over at least 50499495 subsets of at most 2 "
+            "exponent vectors exceeds the guard of 1000000\n"
+        )
+
     def test_internal_failure_is_3(self, capsys, monkeypatch):
         import monodom.cli as cli_mod
 

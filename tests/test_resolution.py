@@ -24,12 +24,20 @@ from monodom import (
     odom_by_dominance,
     polarize,
     pure_power_extension,
+    random_ideal,
     table,
 )
 from monodom.taylor import lyubeznik_strata
 from monodom.verify import exhaustive_ideals
 
-from conftest import I, cycle_ideal, minimize_randomly, path_ideal, rp2_ideal
+from conftest import (
+    I,
+    brute_strand_betti,
+    cycle_ideal,
+    minimize_randomly,
+    path_ideal,
+    rp2_ideal,
+)
 
 
 def mask_for(ideal, *gen_texts):
@@ -400,6 +408,75 @@ class TestLyubeznikStart:
     def test_unknown_start_is_rejected(self):
         with pytest.raises(InvalidParameterError, match="start"):
             minimize(I("a, b"), start="scarf")
+
+    def test_lyubeznik_start_builds_one_lattice(self, lattice_builds):
+        minimize(path_ideal(10), start="lyubeznik")
+        assert len(lattice_builds) == 1
+
+
+def oracle_matches_brute_force(M, field):
+    """betti_oracle against the unreduced strands of `brute_strand_betti`:
+    the multigraded table, and the totals summed from it."""
+    bt = betti_oracle(M, field)
+    expected = brute_strand_betti(M, field)
+    assert {(h, m.exponents): c for (h, m), c in bt.multigraded.items()} == expected
+    total = [0] * (bt.pd + 1)
+    for (h, _), c in expected.items():
+        total[h] += c
+    assert bt.total == tuple(total)
+    return bt
+
+
+# 400 draws of each of four presets with up to 12 generators, with
+# (variables, exponent bound) = (8, 2), (6, 3), (8, 1) and the README's (4, 3)
+RANDOM_DRAWS = [
+    random_ideal(params, t)
+    for params in (
+        FuzzParams(n_max=8, q_max=12, exp_max=2, trials=0, seed=11),
+        FuzzParams(n_max=6, q_max=12, exp_max=3, trials=0, seed=12),
+        FuzzParams(n_max=8, q_max=12, exp_max=1, trials=0, seed=13),
+        FuzzParams(n_max=4, q_max=5, exp_max=3, trials=0, seed=42),
+    )
+    for t in range(400)
+]
+
+
+class TestOracleAgainstBruteForce:
+    """The Morse-reduced strands give the Betti numbers of the full ones."""
+
+    @pytest.mark.parametrize("field", FIELDS_QF2F3, ids=lambda f: f.name)
+    def test_exhaustive_families(self, field):
+        for M in EXHAUSTIVE:
+            oracle_matches_brute_force(M, field)
+
+    @pytest.mark.parametrize("field", FIELDS_QF2F3, ids=lambda f: f.name)
+    def test_random_draws(self, field):
+        assert max(M.q for M in RANDOM_DRAWS) >= 11
+        for M in RANDOM_DRAWS:
+            oracle_matches_brute_force(M, field)
+
+    def test_rp2_torsion_survives_the_reduction(self):
+        bt = oracle_matches_brute_force(rp2_ideal(), PrimeField(2))
+        assert bt.total == (1, 10, 15, 7, 1)
+        assert oracle_matches_brute_force(rp2_ideal(), RATIONAL).total == (1, 10, 15, 6)
+
+    def test_strand_with_no_redundant_generator(self):
+        # abcd is reached only by all three generators, and dropping any
+        # one loses a variable: nothing can be paired, the cell is critical
+        M = I("a*d, b*d, c*d", ["a", "b", "c", "d"])
+        bt = oracle_matches_brute_force(M, RATIONAL)
+        assert bt.multigraded[(3, Monomial(M.table, (1, 1, 1, 1)))] == 1
+
+    @pytest.mark.parametrize("field", FIELDS_QF2F3, ids=lambda f: f.name)
+    def test_strand_cleared_by_the_matching(self, field):
+        # a^2*b^2 is the lcm of {a^2, b^2} and of all three generators;
+        # a*b divides it, so the matching pairs those two cells and
+        # leaves no critical cell
+        M = I("a^2, a*b, b^2")
+        bt = oracle_matches_brute_force(M, field)
+        a2b2 = Monomial(M.table, (2, 2))
+        assert all(m != a2b2 for _, m in bt.multigraded)
+        assert bt.total == (1, 3, 2)
 
 
 def outcome(check):

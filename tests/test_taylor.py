@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from monodom import (
     FreeComplex,
+    FuzzParams,
     Monomial,
     TaylorTooLarge,
     betti_oracle,
@@ -15,6 +16,7 @@ from monodom import (
     mdeg_multiplicity_table,
     minimalize,
     minimize,
+    random_ideal,
     scarf_basis,
     table,
 )
@@ -82,6 +84,14 @@ class TestBuildTaylor:
         assert betti_oracle(M) == engine
         assert scarf_basis(M) == scarf
         assert not hasattr(cx, "diff")
+
+    def test_one_tuple_object_per_distinct_lcm(self):
+        # lyubeznik_strata, _lyubeznik_order and betti_oracle compare lcms
+        # with `is`; a copy of a tuple would read as a different lcm
+        params = FuzzParams(n_max=6, q_max=10, exp_max=3, trials=0, seed=7)
+        for M in (path_ideal(10), *(random_ideal(params, t) for t in range(100))):
+            shared = {}
+            assert all(shared.setdefault(e, e) is e for e in build_taylor(M).mdeg_exps)
 
     def test_d_squared_zero_and_multihomogeneous(self):
         for text in ("a, b", "a^2, a*b, b^2", "a*d, b*d, c*d, d^2", "a*b, c*d, a*c, b*d"):
