@@ -1,16 +1,17 @@
 """Minimal free resolutions and dominance invariants of monomial ideals.
 
-The toolkit minimizes the full subset (Taylor) complex by consecutive
-cancellations, recomputes every Betti number independently via strand
-homology, computes the order of dominance by two routes (dominant
-subsets, and minimal nets of the polarization), and ships an executable
-suite of the structural theorems tying these together.
+The toolkit minimizes a free resolution by consecutive cancellations,
+starting from the Lyubeznik subcomplex of the subset (Taylor) complex
+for every invariant report and from the full Taylor complex when the
+minimized complex itself is printed. It recomputes every Betti number
+independently via strand homology, computes the order of dominance by
+two routes (dominant subsets, and minimal nets of the polarization), and
+ships an executable suite of the structural theorems tying these together.
 """
 
 from .dominance import (
     DominanceWitness,
     dominant_variables,
-    has_full_dominant_set,
     is_dominant_set,
     is_taylor_minimal,
     odom_by_dominance,
@@ -33,7 +34,6 @@ from .monomials import (
     VariableTable,
     lcm_of,
     minimalize,
-    monomial,
     parse_ideal,
     polarize,
     table,
@@ -41,10 +41,6 @@ from .monomials import (
 from .nets import (
     MinimalNetFamily,
     Net,
-    associated_prime_view,
-    big_height,
-    codim,
-    dominant_set_from_net,
     is_net,
     minimal_nets,
     odom_by_nets,
@@ -63,7 +59,6 @@ from .taylor import (
     TaylorComplex,
     TaylorSymbol,
     build_taylor,
-    mdeg_multiplicity_table,
     scarf_basis,
 )
 from .verify import (
@@ -74,9 +69,6 @@ from .verify import (
     check_lemma_hypotheses,
     check_report,
     fuzz,
-    is_cohen_macaulay,
-    is_scarf,
-    pure_power_extension,
     random_ideal,
 )
 
@@ -113,35 +105,25 @@ __all__ = [
     "TaylorTooLarge",
     "UnknownVariableError",
     "VariableTable",
-    "associated_prime_view",
     "betti_oracle",
-    "big_height",
     "build_taylor",
     "check_lemma_hypotheses",
     "check_report",
-    "codim",
-    "dominant_set_from_net",
     "dominant_variables",
     "fuzz",
-    "has_full_dominant_set",
-    "is_cohen_macaulay",
     "is_complete_intersection",
     "is_dominant_set",
     "is_net",
-    "is_scarf",
     "is_taylor_minimal",
     "kernel_backend",
     "lcm_of",
-    "mdeg_multiplicity_table",
     "minimal_nets",
     "minimalize",
     "minimize",
-    "monomial",
     "odom_by_dominance",
     "odom_by_nets",
     "parse_ideal",
     "polarize",
-    "pure_power_extension",
     "random_ideal",
     "scarf_basis",
     "table",

@@ -64,6 +64,15 @@ def _masks_for(ideal: MonomialIdeal, members: Sequence[int]):
     return _kernels.dominance_masks(ideal.exponent_rows, tuple(members))
 
 
+def _witness(
+    ideal: MonomialIdeal, members: tuple[int, ...], variables: tuple[int, ...]
+) -> DominanceWitness:
+    rows = ideal.exponent_rows
+    exponents = tuple(rows[g][v] for g, v in zip(members, variables))
+    lcm = lcm_of(ideal.generators[i] for i in members)
+    return DominanceWitness(members, variables, exponents, lcm)
+
+
 def is_dominant_set(
     ideal: MonomialIdeal, subset: Iterable[int]
 ) -> tuple[bool, DominanceWitness | None]:
@@ -78,10 +87,7 @@ def is_dominant_set(
     if masks is None:
         return False, None
     variables = tuple((m & -m).bit_length() - 1 for m in masks)
-    rows = ideal.exponent_rows
-    exponents = tuple(rows[g][v] for g, v in zip(members, variables))
-    lcm = lcm_of(ideal.generators[i] for i in members)
-    return True, DominanceWitness(members, variables, exponents, lcm)
+    return True, _witness(ideal, members, variables)
 
 
 def _covering_assignment(
@@ -154,18 +160,7 @@ def _covering_assignment(
     return None
 
 
-def _witness(
-    ideal: MonomialIdeal, members: tuple[int, ...], variables: tuple[int, ...]
-) -> DominanceWitness:
-    rows = ideal.exponent_rows
-    exponents = tuple(rows[g][v] for g, v in zip(members, variables))
-    lcm = lcm_of(ideal.generators[i] for i in members)
-    return DominanceWitness(members, variables, exponents, lcm)
-
-
-def odom_by_dominance(
-    ideal: MonomialIdeal, max_q: int = DOMINANCE_GUARD
-) -> tuple[int, DominanceWitness]:
+def odom_by_dominance(ideal: MonomialIdeal) -> tuple[int, DominanceWitness]:
     """Order of dominance via direct subset enumeration.
 
     Scans candidate subsets by descending cardinality; a subset counts
@@ -173,9 +168,10 @@ def odom_by_dominance(
     powers cover every generator dividing the subset's lcm. Ties are
     broken toward the lexicographically least generator-index subset.
     """
-    if ideal.q > max_q:
+    if ideal.q > DOMINANCE_GUARD:
         raise GuardExceeded(
-            f"odom enumeration over 2^{ideal.q} subsets exceeds the q <= {max_q} guard"
+            f"odom enumeration over 2^{ideal.q} subsets exceeds the "
+            f"q <= {DOMINANCE_GUARD} guard"
         )
     cap = min(ideal.q, len(ideal.appearing_variables()))
     for size in range(cap, 0, -1):
@@ -192,28 +188,3 @@ def odom_by_dominance(
 def is_taylor_minimal(ideal: MonomialIdeal) -> bool:
     """Whether the full generator set is dominant (no cancellation possible)."""
     return is_dominant_set(ideal, range(ideal.q))[0]
-
-
-def has_full_dominant_set(ideal: MonomialIdeal) -> tuple[bool, DominanceWitness | None]:
-    """Search for a dominant subset of size n whose lcm no generator strongly divides."""
-    if ideal.q > DOMINANCE_GUARD:
-        raise GuardExceeded(
-            f"dominant-set search over 2^{ideal.q} subsets exceeds the "
-            f"q <= {DOMINANCE_GUARD} guard"
-        )
-    n = ideal.n
-    if ideal.q < n or len(ideal.appearing_variables()) < n:
-        return False, None
-    for members in combinations(range(ideal.q), n):
-        masks = _masks_for(ideal, members)
-        if masks is None:
-            continue
-        # n members with disjoint nonempty masks over n variables: all singletons
-        variables = tuple((m & -m).bit_length() - 1 for m in masks)
-        lcm = lcm_of(ideal.generators[i] for i in members)
-        if any(g.strongly_divides(lcm) for g in ideal.generators):
-            continue
-        rows = ideal.exponent_rows
-        exponents = tuple(rows[g][v] for g, v in zip(members, variables))
-        return True, DominanceWitness(members, variables, exponents, lcm)
-    return False, None

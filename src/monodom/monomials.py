@@ -122,14 +122,6 @@ class Monomial:
         self._check_table(other)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
-    def strongly_divides(self, other: "Monomial") -> bool:
-        """True when every variable present here has strictly larger exponent there.
-
-        Vacuously true for the unit monomial.
-        """
-        self._check_table(other)
-        return all(a == 0 or a < b for a, b in zip(self.exponents, other.exponents))
-
     def quotient(self, other: "Monomial") -> "Monomial":
         """self / other, requiring exact divisibility."""
         self._check_table(other)
@@ -147,10 +139,6 @@ class Monomial:
             elif e > 1:
                 parts.append(f"{name}^{e}")
         return "*".join(parts) if parts else "1"
-
-
-def monomial(tbl: VariableTable, exponents: Sequence[int]) -> Monomial:
-    return Monomial(tbl, tuple(exponents))
 
 
 def lcm_of(monomials: Iterable[Monomial]) -> Monomial:

@@ -100,7 +100,7 @@ class TaylorComplex:
         return {exps: tuple(group) for exps, group in groups.items()}
 
 
-def build_taylor(ideal: MonomialIdeal, max_q: int = TAYLOR_GUARD) -> TaylorComplex:
+def build_taylor(ideal: MonomialIdeal) -> TaylorComplex:
     """The subset lattice of `ideal`, shared by every caller while one holds it.
 
     The ideal keeps a weak reference to its lattice, so whoever holds the
@@ -108,8 +108,8 @@ def build_taylor(ideal: MonomialIdeal, max_q: int = TAYLOR_GUARD) -> TaylorCompl
     call return the same object, which no caller may change; a lattice
     nobody holds is freed instead of living as long as its ideal.
     """
-    if ideal.q > max_q:
-        raise TaylorTooLarge(ideal.q, max_q)
+    if ideal.q > TAYLOR_GUARD:
+        raise TaylorTooLarge(ideal.q, TAYLOR_GUARD)
     ref = vars(ideal).get("_taylor")
     cx = ref() if ref is not None else None
     if cx is None:
@@ -212,16 +212,3 @@ def scarf_basis(ideal: MonomialIdeal) -> ScarfBasis:
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
     return ScarfBasis(tuple(symbols), tuple(counts))
-
-
-def mdeg_multiplicity_table(ideal: MonomialIdeal) -> dict[Monomial, dict[int, int]]:
-    """How many symbols attain each multidegree, split by homological degree."""
-    cx = build_taylor(ideal)
-    out: dict[Monomial, dict[int, int]] = {}
-    for exps, group in cx.mdeg_groups.items():
-        per_deg: dict[int, int] = {}
-        for mask in group:
-            h = mask.bit_count()
-            per_deg[h] = per_deg.get(h, 0) + 1
-        out[Monomial(ideal.table, exps)] = per_deg
-    return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .dominance import DOMINANCE_GUARD, DominanceWitness, odom_by_dominance
 from .errors import FuzzFailure, GuardExceeded, InvalidParameterError
@@ -73,6 +73,9 @@ class FuzzParams:
             raise InvalidParameterError("trials must be >= 0")
 
 
+DRAW_GUARD = 10_000  # exponent entries, n_max * q_max, one random draw may build
+
+
 def random_ideal(params: FuzzParams, trial_index: int) -> MonomialIdeal:
     """Deterministic ideal for (seed, trial_index).
 
@@ -81,8 +84,16 @@ def random_ideal(params: FuzzParams, trial_index: int) -> MonomialIdeal:
     Draws: n in [1, n_max], q' in [1, q_max], then q' exponent vectors
     uniform in [0, exp_max]^n; all-zero draws are retried a bounded
     number of times before one coordinate is forced positive. The result
-    is the minimalization of those monomials.
+    is the minimalization of those monomials. Parameters that let one
+    draw build more than DRAW_GUARD exponent entries raise GuardExceeded
+    before anything is drawn.
     """
+    entries = params.n_max * params.q_max
+    if entries > DRAW_GUARD:
+        raise GuardExceeded(
+            f"random draw of up to {params.n_max} x {params.q_max} = {entries} "
+            f"exponent entries exceeds the guard of {DRAW_GUARD}"
+        )
     rng = SplitMix64((params.seed + trial_index * _GAMMA) & _M64)
     n = 1 + rng.below(params.n_max)
     qq = 1 + rng.below(params.q_max)
@@ -430,19 +441,6 @@ def check_report(ideal: MonomialIdeal, field=RATIONAL) -> Analysis:
     return report
 
 
-def is_scarf(ideal: MonomialIdeal) -> bool:
-    """Whether the unique-multidegree symbols already resolve the quotient.
-
-    Compared rank-by-rank against the minimization engine's Betti numbers.
-    """
-    return Analysis(ideal).scarf
-
-
-def is_cohen_macaulay(ideal: MonomialIdeal, field=RATIONAL) -> bool:
-    """codim equals projective dimension."""
-    return Analysis(ideal, field).cohen_macaulay
-
-
 # ---------------------------------------------------------------------------
 # fuzz driver
 
@@ -600,43 +598,3 @@ def check_lemma_hypotheses(ideal: MonomialIdeal, field=RATIONAL) -> list[LemmaIn
                     LemmaInstance(members, tuple(assignment), satisfied, witness)
                 )
     return out
-
-
-def pure_power_extension(
-    ideal: MonomialIdeal, variables: Sequence[int]
-) -> tuple[MonomialIdeal, dict[int, int]]:
-    """Extend the generators by x_j^(a_j + 1) for every unassigned variable.
-
-    `a` is the exponent vector of lcm(G). Returns the extended ideal (in
-    the same ring) and the symbol map: old subset masks map to new ones
-    by reindexing old members and appending every new pure power. The
-    extension realizes a full-size dominant set whenever the input
-    carried a lemma-satisfying dominant set on `variables`.
-    """
-    chosen = set(variables)
-    global_lcm = ideal.lcm().exponents
-    tbl = ideal.table
-    extra = []
-    for v in range(ideal.n):
-        if v not in chosen:
-            exps = [0] * ideal.n
-            exps[v] = global_lcm[v] + 1
-            extra.append(Monomial(tbl, tuple(exps)))
-    extended = MonomialIdeal(tbl, ideal.generators + tuple(extra))
-    old_to_new = {
-        i: extended.generators.index(g) for i, g in enumerate(ideal.generators)
-    }
-    extra_mask = 0
-    for m in extra:
-        extra_mask |= 1 << extended.generators.index(m)
-
-    mask_map: dict[int, int] = {}
-    for mask in range(1 << ideal.q):
-        new_mask = extra_mask
-        rest = mask
-        while rest:
-            low = rest & -rest
-            new_mask |= 1 << old_to_new[low.bit_length() - 1]
-            rest ^= low
-        mask_map[mask] = new_mask
-    return extended, mask_map

@@ -4,7 +4,19 @@ from math import gcd
 import pytest
 from hypothesis import settings
 
-from monodom import RATIONAL, FreeComplex, parse_ideal
+from monodom import (
+    RATIONAL,
+    DominanceWitness,
+    FreeComplex,
+    InternalInvariantError,
+    Monomial,
+    MonomialIdeal,
+    Net,
+    is_dominant_set,
+    is_net,
+    lcm_of,
+    parse_ideal,
+)
 
 # Every run draws the same examples, so whether a test catches a given
 # fault does not depend on the run (this also turns off the example database).
@@ -210,3 +222,136 @@ def brute_strand_betti(ideal, field):
             if beta:
                 out[(h, lcm)] = beta
     return out
+
+
+# ---------------------------------------------------------------------------
+# constructions from the paper's proofs, kept to check the library's
+# answers against them
+
+
+def pure_power_extension(ideal, variables):
+    """Extend the generators by x_j^(a_j + 1) for every unassigned variable.
+
+    `a` is the exponent vector of lcm(G). Returns the extended ideal (in
+    the same ring) and the symbol map: old subset masks map to new ones
+    by reindexing old members and appending every new pure power. The
+    extension realizes a full-size dominant set whenever the input
+    carried a lemma-satisfying dominant set on `variables`.
+    """
+    chosen = set(variables)
+    global_lcm = ideal.lcm().exponents
+    tbl = ideal.table
+    extra = []
+    for v in range(ideal.n):
+        if v not in chosen:
+            exps = [0] * ideal.n
+            exps[v] = global_lcm[v] + 1
+            extra.append(Monomial(tbl, tuple(exps)))
+    extended = MonomialIdeal(tbl, ideal.generators + tuple(extra))
+    old_to_new = {
+        i: extended.generators.index(g) for i, g in enumerate(ideal.generators)
+    }
+    extra_mask = 0
+    for m in extra:
+        extra_mask |= 1 << extended.generators.index(m)
+
+    mask_map = {}
+    for mask in range(1 << ideal.q):
+        new_mask = extra_mask
+        rest = mask
+        while rest:
+            low = rest & -rest
+            new_mask |= 1 << old_to_new[low.bit_length() - 1]
+            rest ^= low
+        mask_map[mask] = new_mask
+    return extended, mask_map
+
+
+def dominant_set_from_net(ideal, X):
+    """Extract a dominant subset realizing a minimal net's cardinality.
+
+    X is a Net or a list of variable names. For X = {x_{i_1} < ... <
+    x_{i_q}} a minimal net, pass k = 1..q:
+
+      G_k = generators divisible by x_{i_k} but by none of the earlier
+            thresholds x_{i_1}^{e_1}, ..., x_{i_{k-1}}^{e_{k-1}} nor any
+            later plain variable x_{i_{k+1}}, ..., x_{i_q};
+      e_k = least exponent of x_{i_k} over G_k, realized by d_k
+            (least canonical index on ties).
+
+    The result is dominant with d_k dominant in x_{i_k}, and its lcm's
+    top powers cover every generator dividing that lcm.
+    """
+    if isinstance(X, Net):
+        variables = X.variables
+    else:
+        variables = tuple(sorted({ideal.table.index(v) for v in X}))
+    if not _is_minimal_net(ideal, variables):
+        raise ValueError(
+            f"{tuple(ideal.table.names[v] for v in variables)} is not a minimal net"
+        )
+    rows = ideal.exponent_rows
+    qx = len(variables)
+    thresholds = []
+    members = []
+    for k in range(qx):
+        vk = variables[k]
+        group = []
+        for g in range(ideal.q):
+            row = rows[g]
+            if row[vk] == 0:
+                continue
+            if any(row[variables[j]] >= thresholds[j] for j in range(k)):
+                continue
+            if any(row[variables[j]] > 0 for j in range(k + 1, qx)):
+                continue
+            group.append(g)
+        if not group:
+            raise InternalInvariantError(
+                "net recurrence produced an empty stage; the net was not minimal"
+            )
+        e_k = min(rows[g][vk] for g in group)
+        d_k = min(g for g in group if rows[g][vk] == e_k)
+        thresholds.append(e_k)
+        members.append(d_k)
+
+    order = sorted(range(qx), key=lambda k: members[k])
+    witness = DominanceWitness(
+        members=tuple(members[k] for k in order),
+        variables=tuple(variables[k] for k in order),
+        exponents=tuple(thresholds[k] for k in order),
+        lcm=lcm_of(ideal.generators[g] for g in members),
+    )
+    _recheck_witness(ideal, witness)
+    return witness
+
+
+def _is_minimal_net(ideal, variables):
+    if not is_net(ideal, variables):
+        return False
+    return all(
+        not is_net(ideal, tuple(v for v in variables if v != drop))
+        for drop in variables
+    )
+
+
+def _recheck_witness(ideal, witness):
+    """Direct definition checks on a constructed witness."""
+    ok, _ = is_dominant_set(ideal, witness.members)
+    if not ok:
+        raise InternalInvariantError("constructed set is not dominant")
+    rows = ideal.exponent_rows
+    lcm_exps = witness.lcm.exponents
+    for g, v, e in zip(witness.members, witness.variables, witness.exponents):
+        if rows[g][v] != e or lcm_exps[v] != e:
+            raise InternalInvariantError("witness exponent does not match its lcm")
+    member_set = set(witness.members)
+    for g in range(ideal.q):
+        if g in member_set:
+            continue
+        if not ideal.generators[g].divides(witness.lcm):
+            continue
+        if not any(rows[g][v] >= lcm_exps[v] for v in witness.variables):
+            raise InternalInvariantError(
+                "a generator dividing the witness lcm escapes every top power"
+            )

@@ -320,6 +320,27 @@ class TestExitCodes:
             "exponent vectors exceeds the guard of 1000000\n"
         )
 
+    @pytest.mark.parametrize(
+        "limits,entries",
+        [
+            (["--n-max", str(10**12), "--q-max", "1"], f"{10**12} x 1 = {10**12}"),
+            (["--n-max", "4", "--q-max", str(10**11)], f"4 x {10**11} = {4 * 10**11}"),
+        ],
+    )
+    def test_random_draw_over_the_guard_is_2(self, capsys, limits, entries):
+        # one draw would hold up to n_max * q_max exponents; the guard
+        # fires before the first one is drawn
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", "--trials", "1", "--seed", "3", *limits, "--exp-max", "1"
+        )
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: random draw of up to {entries} exponent entries exceeds "
+            "the guard of 10000\n"
+        )
+
     def test_internal_failure_is_3(self, capsys, monkeypatch):
         import monodom.cli as cli_mod
 

@@ -43,13 +43,6 @@ class TestLcmDivides:
         assert not m(tbl, 1, 2, 0).divides(m(tbl, 1, 1, 0))
         assert m(tbl, 0, 0, 0).divides(m(tbl, 5, 0, 1))
 
-    def test_strongly_divides(self):
-        tbl = ABC
-        assert m(tbl, 1, 1, 0).strongly_divides(m(tbl, 2, 2, 1))
-        assert not m(tbl, 1, 2, 0).strongly_divides(m(tbl, 2, 2, 0))
-        for target in (m(tbl, 0, 0, 0), m(tbl, 3, 1, 0)):
-            assert m(tbl, 0, 0, 0).strongly_divides(target)
-
     def test_table_mismatch(self):
         other = table("x", "y", "z")
         with pytest.raises(TableMismatchError):
@@ -231,14 +224,6 @@ def test_lcm_associative_commutative_idempotent(triple):
     assert a.lcm(b) == b.lcm(a)
     assert a.lcm(b).lcm(c) == a.lcm(b.lcm(c))
     assert a.lcm(a) == a
-
-
-@given(monomial_triples())
-@settings(max_examples=100)
-def test_strong_divisibility_implies_divisibility(triple):
-    a, b, _ = triple
-    if not a.is_unit and a.strongly_divides(b):
-        assert a.divides(b)
 
 
 @given(st.data())

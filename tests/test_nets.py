@@ -8,10 +8,6 @@ from monodom import (
     GuardExceeded,
     Monomial,
     UnknownVariableError,
-    associated_prime_view,
-    big_height,
-    codim,
-    dominant_set_from_net,
     is_dominant_set,
     is_net,
     minimal_nets,
@@ -23,7 +19,7 @@ from monodom import (
 )
 from monodom import _kernels
 
-from conftest import I, brute_minimal_nets, family_as_tuples
+from conftest import I, brute_minimal_nets, dominant_set_from_net, family_as_tuples
 
 
 class TestIsNet:
@@ -87,10 +83,11 @@ class TestMinimalNets:
         for net in minimal_nets(M):
             assert M.table.index("z") not in net.variables
 
-    def test_family_guard(self):
+    def test_family_guard(self, monkeypatch):
+        monkeypatch.setattr("monodom.nets.NET_FAMILY_GUARD", 1)
         M = I("a*b, c*d")
         with pytest.raises(GuardExceeded):
-            minimal_nets(M, cap=1)
+            minimal_nets(M)
 
     def test_nets_equal_the_all_bits_construction(self):
         # reading each net's variables off the set bits of its mask must
@@ -124,7 +121,7 @@ class TestCodim:
         ],
     )
     def test_values(self, text, vars, expected):
-        assert codim(I(text, vars)) == expected
+        assert minimal_nets(I(text, vars)).min_card == expected
 
 
 class TestOdomByNets:
@@ -148,19 +145,16 @@ class TestOdomByNets:
         widest = [n.variables for n in family if n.cardinality == family.max_card]
         assert net.variables == min(widest)
 
-    def test_big_height(self):
-        assert big_height(I("a*d, b*d, c*d, d^2", ["a", "b", "c", "d"])) == 4
-
 
 class TestAssociatedPrimes:
+    # minimal nets read as generating sets of the minimal monomial primes
     def test_four_cycle(self):
-        assert set(associated_prime_view(I("a*b, c*d, a*c, b*d"))) == {
-            ("a", "d"),
-            ("b", "c"),
-        }
+        M = I("a*b, c*d, a*c, b*d")
+        assert {net.names(M) for net in minimal_nets(M)} == {("a", "d"), ("b", "c")}
 
     def test_maximal_prime(self):
-        assert associated_prime_view(I("a, b, c")) == (("a", "b", "c"),)
+        M = I("a, b, c")
+        assert [net.names(M) for net in minimal_nets(M)] == [("a", "b", "c")]
 
 
 class TestDominantSetFromNet:
@@ -229,7 +223,7 @@ def test_enumeration_complete_against_brute_force(M):
 @given(small_ideals())
 @settings(max_examples=80, deadline=None)
 def test_codim_le_odom(M):
-    assert codim(M) <= odom_by_nets(M)[0]
+    assert minimal_nets(M).min_card <= odom_by_nets(M)[0]
 
 
 @given(small_ideals())

@@ -1,0 +1,51 @@
+"""The package's shape: what it exports, and which modules import which."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import monodom
+
+PACKAGE = Path(monodom.__file__).parent
+
+
+def imported_modules(name):
+    """Every module that monodom/<name>.py imports, as a dotted name.
+
+    `from .x import y` counts as importing both monodom.x and monodom.x.y,
+    since y may itself be a module.
+    """
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "monodom" + (f".{base}" if base else "")
+            out.add(base)
+            out.update(f"{base}.{alias.name}" for alias in node.names)
+    return out
+
+
+def test_import_scan_sees_both_relative_forms():
+    found = imported_modules("nets")
+    assert {"monodom._kernels", "monodom.taylor"} <= found
+
+
+@pytest.mark.parametrize("module,other", [("nets", "dominance"), ("dominance", "nets")])
+def test_odom_routes_share_no_module(module, other):
+    # odom-routes-agree compares two routes only while neither reads the other
+    assert f"monodom.{other}" not in imported_modules(module)
+
+
+def test_exports_resolve():
+    names = monodom.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(monodom, name)]
+    assert missing == []
+    namespace = {}
+    exec("from monodom import *", namespace)
+    assert set(names) <= namespace.keys()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from monodom import (
     RATIONAL,
+    Analysis,
     FreeComplex,
     FuzzParams,
     InternalInvariantError,
@@ -17,13 +18,11 @@ from monodom import (
     PrimeField,
     betti_oracle,
     build_taylor,
-    is_cohen_macaulay,
     is_complete_intersection,
     minimalize,
     minimize,
     odom_by_dominance,
     polarize,
-    pure_power_extension,
     random_ideal,
     table,
 )
@@ -36,6 +35,7 @@ from conftest import (
     cycle_ideal,
     minimize_randomly,
     path_ideal,
+    pure_power_extension,
     rp2_ideal,
 )
 
@@ -697,9 +697,9 @@ class TestPredicates:
         assert not is_complete_intersection(I("a^2, a*b"))
 
     def test_cohen_macaulay(self):
-        assert is_cohen_macaulay(I("a^2, a*b, b^2"))
-        assert is_cohen_macaulay(I("a, b, c"))
-        assert not is_cohen_macaulay(I("a*b, c*d, a*c, b*d"))
+        assert Analysis(I("a^2, a*b, b^2")).cohen_macaulay
+        assert Analysis(I("a, b, c")).cohen_macaulay
+        assert not Analysis(I("a*b, c*d, a*c, b*d")).cohen_macaulay
 
 
 # ---------------------------------------------------------------------------

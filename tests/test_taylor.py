@@ -5,15 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monodom import (
+    Analysis,
     FreeComplex,
     FuzzParams,
     Monomial,
     TaylorTooLarge,
     betti_oracle,
     build_taylor,
-    is_scarf,
     is_taylor_minimal,
-    mdeg_multiplicity_table,
     minimalize,
     minimize,
     random_ideal,
@@ -69,7 +68,6 @@ class TestBuildTaylor:
         M = I(", ".join(f"x{i}" for i in range(1, 16)))
         with pytest.raises(TaylorTooLarge):
             build_taylor(M)
-        build_taylor(M, max_q=15)
 
     def test_lattice_is_shared_and_read_only(self):
         M = I("a^2*b, a*b^2, a*c, b*c^2, c^3")
@@ -218,10 +216,10 @@ class TestScarf:
         ],
     )
     def test_is_scarf(self, text, expected):
-        assert is_scarf(I(text)) is expected
+        assert Analysis(I(text)).scarf is expected
 
     def test_is_scarf_builds_one_lattice(self, lattice_builds):
-        assert is_scarf(I("a^2*b, a*b^2, a*c, b*c^2, c^3")) is True
+        assert Analysis(I("a^2*b, a*b^2, a*c, b*c^2, c^3")).scarf is True
         assert len(lattice_builds) == 1
 
     def test_scarf_ranks_bounded_by_betti(self):
@@ -241,27 +239,24 @@ class TestScarf:
 
 class TestMdegMultiplicity:
     def test_collision_counts(self):
-        M = I("a^2, a*b, b^2")
-        tbl = mdeg_multiplicity_table(M)
-        key = Monomial(M.table, (2, 2))
-        assert tbl[key] == {2: 1, 3: 1}
+        groups = build_taylor(I("a^2, a*b, b^2")).mdeg_groups
+        # one symbol in each of degrees 2 and 3 attains a^2*b^2
+        assert [mask.bit_count() for mask in groups[(2, 2)]] == [2, 3]
 
     def test_unique_everywhere_for_two_gens(self):
-        M = I("a, b")
-        assert all(
-            sum(per.values()) == 1 for per in mdeg_multiplicity_table(M).values()
-        )
+        groups = build_taylor(I("a, b")).mdeg_groups
+        assert all(len(group) == 1 for group in groups.values())
 
     def test_m3_all_multidegrees_distinct(self):
         # a dominant generating set owns one strict top exponent per member,
         # so all 2^q subset lcms differ; that is why its resolution needs no
         # cancellation at all
         M = I("a*d, b*d, c*d, d^2", ["a", "b", "c", "d"])
-        tbl = mdeg_multiplicity_table(M)
-        assert len(tbl) == 2**M.q
-        assert all(per == {h: 1} for per in tbl.values() for h in per)
-        assert tbl[Monomial(M.table, (1, 1, 1, 1))] == {3: 1}
-        assert tbl[Monomial(M.table, (1, 1, 1, 2))] == {4: 1}
+        groups = build_taylor(M).mdeg_groups
+        assert len(groups) == 2**M.q
+        assert all(len(group) == 1 for group in groups.values())
+        assert [mask.bit_count() for mask in groups[(1, 1, 1, 1)]] == [3]
+        assert [mask.bit_count() for mask in groups[(1, 1, 1, 2)]] == [4]
 
 
 @given(st.data())

@@ -3,16 +3,16 @@ import pytest
 from monodom import (
     FuzzFailure,
     FuzzParams,
+    GuardExceeded,
     TaylorTooLarge,
     check_lemma_hypotheses,
     check_report,
     fuzz,
-    pure_power_extension,
     random_ideal,
 )
 from monodom.verify import SplitMix64, exhaustive_ideals
 
-from conftest import I
+from conftest import I, pure_power_extension
 
 
 class TestSplitMix64:
@@ -63,6 +63,11 @@ class TestRandomIdeal:
         a = [random_ideal(FuzzParams(4, 5, 3, 0, seed=1), t) for t in range(10)]
         b = [random_ideal(FuzzParams(4, 5, 3, 0, seed=2), t) for t in range(10)]
         assert a != b
+
+    def test_draw_guard_bounds_n_max_times_q_max(self):
+        assert random_ideal(FuzzParams(100, 100, 1, 1), 0).n <= 100
+        with pytest.raises(GuardExceeded, match="100 x 101 = 10100"):
+            random_ideal(FuzzParams(100, 101, 1, 1), 0)
 
 
 class TestExhaustive:
