@@ -78,7 +78,7 @@ def minimal_transversals(edges, n_vars, cap):
             found.append(chosen)
             if len(found) > cap:
                 raise GuardExceeded(
-                    f"more than {cap} candidate minimal nets; raise the cap to proceed"
+                    f"{len(found)} candidate minimal nets exceed the guard of {cap}"
                 )
             continue
         hit = 0
@@ -119,25 +119,79 @@ def dominance_masks(exps, members):
 
     exps: all generator exponent tuples; members: ascending generator
     indices. A variable is dominant for a member when its exponent there
-    is positive and strictly exceeds its exponent in every other member.
-    Returns one mask per member, or None as soon as some member has no
-    dominant variable (the subset is then not dominant).
+    is positive and strictly exceeds its exponent in every other member,
+    i.e. when the member alone holds the variable's top exponent. Returns
+    one mask per member, or None when some member has no dominant
+    variable (the subset is then not dominant).
     """
     n = len(exps[0]) if exps else 0
     rows = [exps[i] for i in members]
-    masks = []
-    for a, row in enumerate(rows):
-        mask = 0
-        for v in range(n):
+    masks = [0] * len(rows)
+    for v in range(n):
+        top, holder = 0, -1  # holder: the one member above all others, if any
+        for a, row in enumerate(rows):
             e = row[v]
-            if e == 0:
+            if e > top:
+                top, holder = e, a
+            elif e == top:
+                holder = -1
+        if holder >= 0:
+            masks[holder] |= 1 << v
+    return masks if all(masks) else None
+
+
+def dominant_subsets(exps, sizes):
+    """Every dominant generator subset of the given sizes, with its masks.
+
+    exps: all generator exponent tuples. For each size in `sizes`, in the
+    order given, yields (members, masks) for the dominant subsets of that
+    size, members ascending and the subsets in lexicographic order; masks
+    are what `dominance_masks(exps, members)` returns for them.
+
+    Depth-first over ascending prefixes, extending a prefix only while it
+    stays dominant: a subset of a dominant set is dominant, so no superset
+    of a non-dominant prefix is. Adding generator j keeps, of each
+    member's mask, the variables where it beats j, and gives j the
+    variables where it beats every member. Which variables of a beat b is
+    a's mask in the pair {a, b}: `dominance_masks` computes it once per
+    pair, on first use, and a pair that is not dominant beats nothing.
+    """
+    q = len(exps)
+    beats = [None] * (q * q)  # beats[a * q + b]: variables where a beats b
+    for size in sizes:
+        # one (prefix, its masks, generators left to try) entry per depth. A
+        # lone member's mask is left at -1, every variable, until a second
+        # member cuts it to their pair mask; a size-1 set takes its own.
+        path = [((), [], iter(range(q - size + 1)))]
+        while path:
+            members, masks, rest = path[-1]
+            for j in rest:
+                own = -1
+                grown = []
+                for a, mask in zip(members, masks):
+                    ab, ja = a * q + j, j * q + a
+                    if beats[ab] is None:
+                        pair = dominance_masks(exps, (a, j))
+                        beats[ab], beats[ja] = pair if pair else (0, 0)
+                    mask &= beats[ab]
+                    own &= beats[ja]
+                    if not (mask and own):
+                        break  # members + (j,) is not dominant: try the next j
+                    grown.append(mask)
+                else:
+                    grown.append(own)
+                    break  # members + (j,) is dominant: go down into it
+            else:
+                path.pop()
                 continue
-            if all(other[v] < e for b, other in enumerate(rows) if b != a):
-                mask |= 1 << v
-        if mask == 0:
-            return None
-        masks.append(mask)
-    return masks
+            members += (j,)
+            k = len(members)
+            if k < size:
+                path.append((members, grown, iter(range(j + 1, q - size + k + 1))))
+            elif k > 1:
+                yield members, grown
+            elif single := dominance_masks(exps, members):
+                yield members, single
 
 
 def rank_int(rows):

@@ -6,13 +6,20 @@ when all of its members are. The order of dominance (odom) is the
 largest size of a dominant subset of the generators that additionally
 covers, via the top powers of its dominant variables, every generator
 dividing its lcm.
+
+The scan for odom visits dominant subsets only. A member's dominant
+variable strictly beats every other member, so it still does once some
+of them are removed: every subset of a dominant set is dominant, and no
+superset of a non-dominant set is. So a branch of the scan stops at its
+first non-dominant prefix. The prune uses dominance alone; the covering
+condition, which need not pass to subsets, is tested on each complete
+candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import _kernels
 from .errors import GuardExceeded
@@ -60,10 +67,6 @@ def dominant_variables(
     return tuple(out)
 
 
-def _masks_for(ideal: MonomialIdeal, members: Sequence[int]):
-    return _kernels.dominance_masks(ideal.exponent_rows, tuple(members))
-
-
 def _witness(
     ideal: MonomialIdeal, members: tuple[int, ...], variables: tuple[int, ...]
 ) -> DominanceWitness:
@@ -83,7 +86,7 @@ def is_dominant_set(
     members = tuple(sorted(set(subset)))
     if not members:
         raise ValueError("a dominant set must be nonempty")
-    masks = _masks_for(ideal, members)
+    masks = _kernels.dominance_masks(ideal.exponent_rows, members)
     if masks is None:
         return False, None
     variables = tuple((m & -m).bit_length() - 1 for m in masks)
@@ -163,10 +166,10 @@ def _covering_assignment(
 def odom_by_dominance(ideal: MonomialIdeal) -> tuple[int, DominanceWitness]:
     """Order of dominance via direct subset enumeration.
 
-    Scans candidate subsets by descending cardinality; a subset counts
-    when it is dominant and admits a variable assignment whose top
-    powers cover every generator dividing the subset's lcm. Ties are
-    broken toward the lexicographically least generator-index subset.
+    Scans the dominant subsets by descending cardinality; a subset counts
+    when it admits a variable assignment whose top powers cover every
+    generator dividing the subset's lcm. Ties are broken toward the
+    lexicographically least generator-index subset.
     """
     if ideal.q > DOMINANCE_GUARD:
         raise GuardExceeded(
@@ -174,14 +177,11 @@ def odom_by_dominance(ideal: MonomialIdeal) -> tuple[int, DominanceWitness]:
             f"q <= {DOMINANCE_GUARD} guard"
         )
     cap = min(ideal.q, len(ideal.appearing_variables()))
-    for size in range(cap, 0, -1):
-        for members in combinations(range(ideal.q), size):
-            masks = _masks_for(ideal, members)
-            if masks is None:
-                continue
-            assignment = _covering_assignment(ideal, members, masks)
-            if assignment is not None:
-                return size, _witness(ideal, members, assignment)
+    sizes = range(cap, 0, -1)
+    for members, masks in _kernels.dominant_subsets(ideal.exponent_rows, sizes):
+        assignment = _covering_assignment(ideal, members, masks)
+        if assignment is not None:
+            return len(members), _witness(ideal, members, assignment)
     raise AssertionError("unreachable: every singleton generator qualifies")
 
 

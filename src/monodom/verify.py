@@ -16,6 +16,7 @@ from itertools import product as iter_product
 from math import comb
 from typing import Iterator
 
+from . import _kernels
 from .dominance import DOMINANCE_GUARD, DominanceWitness, odom_by_dominance
 from .errors import FuzzFailure, GuardExceeded, InvalidParameterError
 from .monomials import Monomial, MonomialIdeal, VariableTable, minimalize, polarize
@@ -547,10 +548,6 @@ def check_lemma_hypotheses(ideal: MonomialIdeal, field=RATIONAL) -> list[LemmaIn
         raise GuardExceeded(
             f"lemma scan over 2^{ideal.q} subsets exceeds the q <= {DOMINANCE_GUARD} guard"
         )
-    from itertools import combinations
-
-    from . import _kernels
-
     betti = betti_oracle(ideal, field)
     by_degree: dict[int, list[tuple[int, ...]]] = {}
     for (h, m), _ in betti.multigraded.items():
@@ -559,42 +556,37 @@ def check_lemma_hypotheses(ideal: MonomialIdeal, field=RATIONAL) -> list[LemmaIn
     rows = ideal.exponent_rows
     global_lcm = ideal.lcm().exponents
     out: list[LemmaInstance] = []
-    for size in range(1, min(ideal.q, ideal.n) + 1):
-        for members in combinations(range(ideal.q), size):
-            masks = _kernels.dominance_masks(rows, members)
-            if masks is None:
-                continue
-            # keep only dominant variables carrying the global lcm exponent
-            choices = []
-            for g, mask in zip(members, masks):
-                opts = []
-                m = mask
-                while m:
-                    low = m & -m
-                    v = low.bit_length() - 1
-                    if rows[g][v] == global_lcm[v]:
-                        opts.append(v)
-                    m ^= low
-                choices.append(opts)
-            if any(not opts for opts in choices):
-                continue
-            for assignment in iter_product(*choices):
-                powers = {v: global_lcm[v] for v in assignment}
-                satisfied = all(
-                    any(rows[g][v] >= e for v, e in powers.items())
-                    for g in range(ideal.q)
-                )
-                witness = None
-                if satisfied:
-                    for exps in by_degree.get(size, []):
-                        if all(exps[v] == e for v, e in powers.items()) and all(
-                            exps[v] <= global_lcm[v]
-                            for v in range(ideal.n)
-                            if v not in powers
-                        ):
-                            witness = Monomial(ideal.table, exps)
-                            break
-                out.append(
-                    LemmaInstance(members, tuple(assignment), satisfied, witness)
-                )
+    sizes = range(1, min(ideal.q, ideal.n) + 1)
+    for members, masks in _kernels.dominant_subsets(rows, sizes):
+        # keep only dominant variables carrying the global lcm exponent
+        choices = []
+        for g, mask in zip(members, masks):
+            opts = []
+            m = mask
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                if rows[g][v] == global_lcm[v]:
+                    opts.append(v)
+                m ^= low
+            choices.append(opts)
+        if any(not opts for opts in choices):
+            continue
+        for assignment in iter_product(*choices):
+            powers = {v: global_lcm[v] for v in assignment}
+            satisfied = all(
+                any(rows[g][v] >= e for v, e in powers.items())
+                for g in range(ideal.q)
+            )
+            witness = None
+            if satisfied:
+                for exps in by_degree.get(len(members), []):
+                    if all(exps[v] == e for v, e in powers.items()) and all(
+                        exps[v] <= global_lcm[v]
+                        for v in range(ideal.n)
+                        if v not in powers
+                    ):
+                        witness = Monomial(ideal.table, exps)
+                        break
+            out.append(LemmaInstance(members, tuple(assignment), satisfied, witness))
     return out

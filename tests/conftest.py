@@ -8,6 +8,7 @@ from monodom import (
     RATIONAL,
     DominanceWitness,
     FreeComplex,
+    FuzzParams,
     InternalInvariantError,
     Monomial,
     MonomialIdeal,
@@ -17,6 +18,9 @@ from monodom import (
     lcm_of,
     parse_ideal,
 )
+from monodom import _kernels
+from monodom.dominance import _covering_assignment, _witness
+from monodom.verify import exhaustive_ideals
 
 # Every run draws the same examples, so whether a test catches a given
 # fault does not depend on the run (this also turns off the example database).
@@ -58,6 +62,13 @@ def rp2_ideal():
     gens = ["*".join(f"x{i}" for i in t)
             for t in combinations(range(1, 7), 3) if t not in RP2_FACES]
     return I(", ".join(gens), [f"x{i}" for i in range(1, 7)])
+
+
+# the two exhaustive presets of acceptance criterion 9: 20 + 188 ideals
+EXHAUSTIVE = [
+    *exhaustive_ideals(FuzzParams(n_max=2, q_max=8, exp_max=2, trials=0, exhaustive=True)),
+    *exhaustive_ideals(FuzzParams(n_max=4, q_max=5, exp_max=1, trials=0, exhaustive=True)),
+]
 
 
 def minimize_randomly(ideal, rng, field=RATIONAL, strata=None):
@@ -222,6 +233,31 @@ def brute_strand_betti(ideal, field):
             if beta:
                 out[(h, lcm)] = beta
     return out
+
+
+# ---------------------------------------------------------------------------
+# the plain dominance scan: every subset of each size in lexicographic order,
+# each tested on its own, against which the pruned walk is checked
+
+
+def reference_dominant_subsets(exps, sizes):
+    """(members, masks) for each dominant subset, as `dominant_subsets` yields them."""
+    for size in sizes:
+        for members in combinations(range(len(exps)), size):
+            masks = _kernels.dominance_masks(exps, members)
+            if masks is not None:
+                yield members, masks
+
+
+def reference_odom_by_dominance(ideal):
+    """(odom, witness) from the plain scan, by descending size."""
+    cap = min(ideal.q, len(ideal.appearing_variables()))
+    sizes = range(cap, 0, -1)
+    for members, masks in reference_dominant_subsets(ideal.exponent_rows, sizes):
+        assignment = _covering_assignment(ideal, members, masks)
+        if assignment is not None:
+            return len(members), _witness(ideal, members, assignment)
+    raise AssertionError("unreachable: every singleton generator qualifies")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
+import random
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monodom import (
+    FuzzParams,
     GuardExceeded,
+    _kernels,
     dominant_variables,
     is_dominant_set,
     is_taylor_minimal,
@@ -11,10 +16,18 @@ from monodom import (
     Monomial,
     odom_by_dominance,
     polarize,
+    random_ideal,
     table,
 )
 
-from conftest import I, brute_is_dominant, brute_odom
+from conftest import (
+    EXHAUSTIVE,
+    I,
+    brute_is_dominant,
+    brute_odom,
+    reference_dominant_subsets,
+    reference_odom_by_dominance,
+)
 
 
 def names_of(ideal, vars):
@@ -122,6 +135,66 @@ class TestOdom:
         M = I(", ".join(names))
         with pytest.raises(GuardExceeded):
             odom_by_dominance(M)
+
+
+def seeded_ideals(trials, **limits):
+    params = FuzzParams(trials=trials, seed=13, **limits)
+    return [random_ideal(params, t) for t in range(trials)]
+
+
+def degree_four_ideal():
+    """20 distinct degree-4 monomials in 6 variables, drawn by random.Random(5)."""
+    tbl = table(*(f"x{i}" for i in range(1, 7)))
+    vectors = sorted(
+        tuple(c.count(v) for v in range(6))
+        for c in combinations_with_replacement(range(6), 4)
+    )
+    chosen = random.Random(5).sample(vectors, 20)
+    return minimalize([Monomial(tbl, e) for e in chosen])
+
+
+class TestWalkMatchesPlainScan:
+    """The pruned walk against testing every subset on its own."""
+
+    def test_subsets_and_masks_on_the_exhaustive_families(self):
+        assert len(EXHAUSTIVE) == 208
+        for M in EXHAUSTIVE:
+            rows, sizes = M.exponent_rows, range(1, M.q + 1)
+            assert list(_kernels.dominant_subsets(rows, sizes)) == list(
+                reference_dominant_subsets(rows, sizes)
+            ), M.render()
+
+    def test_subsets_and_masks_on_seeded_draws(self):
+        for M in seeded_ideals(200, n_max=8, q_max=10, exp_max=3):
+            rows, sizes = M.exponent_rows, range(M.q, 0, -1)
+            assert list(_kernels.dominant_subsets(rows, sizes)) == list(
+                reference_dominant_subsets(rows, sizes)
+            ), M.render()
+
+    def test_odom_on_the_exhaustive_families(self):
+        for M in EXHAUSTIVE:
+            for X in (M, polarize(M)):
+                assert odom_by_dominance(X) == reference_odom_by_dominance(X), X.render()
+
+    def test_odom_on_seeded_draws(self):
+        ideals = seeded_ideals(1000, n_max=8, q_max=12, exp_max=3)
+        assert max(M.q for M in ideals) == 12
+        for M in ideals:
+            for X in (M, polarize(M)):
+                assert odom_by_dominance(X) == reference_odom_by_dominance(X), X.render()
+
+    def test_odom_with_a_huge_exponent(self):
+        M = I("a^3000000000*b, b^2")
+        assert odom_by_dominance(M) == reference_odom_by_dominance(M)
+        assert odom_by_dominance(M)[0] == 2
+
+    def test_q20_polarization(self):
+        # the plain scan takes seconds on this polarization: sizes 20 down to 7 fail
+        M = degree_four_ideal()
+        assert M.q == 20
+        assert odom_by_dominance(M) == reference_odom_by_dominance(M)
+        assert odom_by_dominance(M)[0] == 6
+        assert odom_by_dominance(polarize(M))[0] == 6
 
 
 class TestTaylorMinimal:

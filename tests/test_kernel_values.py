@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from monodom import GuardExceeded, _kernels, kernel_backend
 
+from conftest import reference_dominant_subsets
+
 # the kernel module under test; each test keeps the id it had when the
 # kernels lived in the package module monodom/_kernels/py.py
 BACKENDS = [pytest.param(_kernels, id="monodom._kernels.py")]
@@ -47,11 +49,14 @@ def test_huge_exponents(backend):
     rows = ((3 * 10**9, 1), (0, 2))
     assert backend.subset_lcms(rows, 2) == [(0, 0), (3 * 10**9, 1), (0, 2), (3 * 10**9, 2)]
     assert backend.dominance_masks(rows, (0, 1)) == [0b01, 0b10]
+    assert list(backend.dominant_subsets(rows, [2, 1])) == [
+        ((0, 1), [0b01, 0b10]), ((0,), [0b11]), ((1,), [0b10])
+    ]
 
 
 def test_every_kernel_is_exported():
     for name in ("subset_lcms", "minimal_transversals", "dominance_masks",
-                 "rank_int", "rank_modp"):
+                 "dominant_subsets", "rank_int", "rank_modp"):
         assert callable(getattr(_kernels, name))
     assert kernel_backend == "pure"
 
@@ -158,3 +163,41 @@ def test_transversals_of_two_wide_generators(backend):
     found = backend.minimal_transversals([xs, ys], 2 * k, 10**5)
     assert len(found) == 3600
     assert set(found) == {1 << i | 1 << j for i in range(k) for j in range(k, 2 * k)}
+
+
+def brute_dominance_masks(exps, members):
+    masks = [
+        sum(
+            1 << v
+            for v, e in enumerate(exps[a])
+            if e > 0 and all(exps[b][v] < e for b in members if b != a)
+        )
+        for a in members
+    ]
+    return masks if all(masks) else None
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_dominance_masks_match_the_definition(backend, data):
+    # exponents from a small range, so that ties for the top exponent are common
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    q = data.draw(st.integers(min_value=1, max_value=6))
+    exps = [tuple(data.draw(st.integers(0, 3)) for _ in range(n)) for _ in range(q)]
+    members = tuple(sorted(data.draw(st.sets(st.integers(0, q - 1), min_size=1))))
+    assert backend.dominance_masks(exps, members) == brute_dominance_masks(exps, members)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_dominant_subsets_match_the_plain_scan(backend, data):
+    # any rows, not only minimal generators: repeats, divisors and zero rows too
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    q = data.draw(st.integers(min_value=1, max_value=7))
+    exps = [tuple(data.draw(st.integers(0, 2)) for _ in range(n)) for _ in range(q)]
+    for sizes in (range(q, 0, -1), range(1, q + 1)):
+        assert list(backend.dominant_subsets(exps, sizes)) == list(
+            reference_dominant_subsets(exps, sizes)
+        )

@@ -86,8 +86,9 @@ class TestMinimalNets:
     def test_family_guard(self, monkeypatch):
         monkeypatch.setattr("monodom.nets.NET_FAMILY_GUARD", 1)
         M = I("a*b, c*d")
-        with pytest.raises(GuardExceeded):
+        with pytest.raises(GuardExceeded) as exc:
             minimal_nets(M)
+        assert str(exc.value) == "2 candidate minimal nets exceed the guard of 1"
 
     def test_nets_equal_the_all_bits_construction(self):
         # reading each net's variables off the set bits of its mask must

@@ -27,9 +27,9 @@ from monodom import (
     table,
 )
 from monodom.taylor import lyubeznik_strata
-from monodom.verify import exhaustive_ideals
 
 from conftest import (
+    EXHAUSTIVE,
     I,
     brute_strand_betti,
     cycle_ideal,
@@ -345,11 +345,6 @@ class TestIndex:
 
 
 FIELDS_QF2F3 = (RATIONAL, PrimeField(2), PrimeField(3))
-# the two exhaustive presets of acceptance criterion 9: 20 + 188 ideals
-EXHAUSTIVE = [
-    *exhaustive_ideals(FuzzParams(n_max=2, q_max=8, exp_max=2, trials=0, exhaustive=True)),
-    *exhaustive_ideals(FuzzParams(n_max=4, q_max=5, exp_max=1, trials=0, exhaustive=True)),
-]
 NAMED = {"P8": path_ideal(8), "P10": path_ideal(10), "C7": cycle_ideal(7), "RP2": rp2_ideal()}
 
 

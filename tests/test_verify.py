@@ -12,7 +12,7 @@ from monodom import (
 )
 from monodom.verify import SplitMix64, exhaustive_ideals
 
-from conftest import I, pure_power_extension
+from conftest import I, pure_power_extension, reference_dominant_subsets
 
 
 class TestSplitMix64:
@@ -153,6 +153,8 @@ class TestCheckReport:
                 masks.append(mask)
             return masks
 
+        # odom's walk reads its pair masks from this kernel, so the lax
+        # comparison reaches every mask the walk builds
         monkeypatch.setattr(_kernels, "dominance_masks", lax_dominance_masks)
         # betti (1, 3, 2): the Taylor resolution is not minimal, but the lax odom is q = 3
         r = check_report(I("a*b^3, a*c, b*c"))
@@ -235,6 +237,25 @@ class TestLemma:
             and {str(M.generators[g]) for g in i.members} == {"a^2", "b^2"}
         ]
         assert pairs and all(not i.satisfied for i in pairs)
+
+    def test_walk_lists_the_instances_of_the_plain_scan(self, monkeypatch):
+        from monodom import _kernels
+
+        acceptance_examples = [
+            I("a, b, c"),
+            I("a*d, b*d, c*d", ["a", "b", "c", "d"]),
+            I("a*d, b*d, c*d, d^2", ["a", "b", "c", "d"]),
+            I("a^2*b, a*b^3*c, b*c^2, a^2*c^2"),
+            I("a^2*e, b^3*f, c*e^2, d^2*f^3"),
+            I("a*e, b*e, c*e, d*e, a*b, c*d"),
+            I("a*b, c*d, a*c, b*d"),
+        ]
+        params = FuzzParams(n_max=4, q_max=5, exp_max=3, trials=200, seed=42)
+        ideals = acceptance_examples + [random_ideal(params, t) for t in range(200)]
+        walked = [check_lemma_hypotheses(M) for M in ideals]
+        monkeypatch.setattr(_kernels, "dominant_subsets", reference_dominant_subsets)
+        assert [check_lemma_hypotheses(M) for M in ideals] == walked
+        assert sum(map(len, walked)) == 960
 
     def test_satisfied_instances_always_witnessed_on_seeded_ideals(self):
         p = FuzzParams(n_max=4, q_max=5, exp_max=3, trials=60, seed=11)
