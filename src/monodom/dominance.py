@@ -23,7 +23,7 @@ from typing import Iterable
 
 from . import _kernels
 from .errors import GuardExceeded
-from .monomials import Monomial, MonomialIdeal, lcm_of
+from .monomials import Monomial, MonomialIdeal
 
 DOMINANCE_GUARD = 20  # 2^q subset enumeration; fail loudly past this
 
@@ -32,16 +32,14 @@ DOMINANCE_GUARD = 20  # 2^q subset enumeration; fail loudly past this
 class DominanceWitness:
     """A dominant subset together with its variable assignment.
 
-    members[k] is dominant in variables[k]; exponents[k] is the exponent
-    of that variable in the member, which equals its exponent in the lcm
-    of the subset. The assignment is automatically injective: a variable
-    can be dominant for at most one member.
+    members[k] is dominant in variables[k], so its exponent there is the
+    exponent of that variable in the lcm of the subset. The assignment is
+    automatically injective: a variable can be dominant for at most one
+    member.
     """
 
     members: tuple[int, ...]
     variables: tuple[int, ...]
-    exponents: tuple[int, ...]
-    lcm: Monomial
 
     def member_monomials(self, ideal: MonomialIdeal) -> tuple[Monomial, ...]:
         return tuple(ideal.generators[i] for i in self.members)
@@ -67,15 +65,6 @@ def dominant_variables(
     return tuple(out)
 
 
-def _witness(
-    ideal: MonomialIdeal, members: tuple[int, ...], variables: tuple[int, ...]
-) -> DominanceWitness:
-    rows = ideal.exponent_rows
-    exponents = tuple(rows[g][v] for g, v in zip(members, variables))
-    lcm = lcm_of(ideal.generators[i] for i in members)
-    return DominanceWitness(members, variables, exponents, lcm)
-
-
 def is_dominant_set(
     ideal: MonomialIdeal, subset: Iterable[int]
 ) -> tuple[bool, DominanceWitness | None]:
@@ -90,7 +79,7 @@ def is_dominant_set(
     if masks is None:
         return False, None
     variables = tuple((m & -m).bit_length() - 1 for m in masks)
-    return True, _witness(ideal, members, variables)
+    return True, DominanceWitness(members, variables)
 
 
 def _covering_assignment(
@@ -181,7 +170,7 @@ def odom_by_dominance(ideal: MonomialIdeal) -> tuple[int, DominanceWitness]:
     for members, masks in _kernels.dominant_subsets(ideal.exponent_rows, sizes):
         assignment = _covering_assignment(ideal, members, masks)
         if assignment is not None:
-            return len(members), _witness(ideal, members, assignment)
+            return len(members), DominanceWitness(members, assignment)
     raise AssertionError("unreachable: every singleton generator qualifies")
 
 

@@ -43,12 +43,9 @@ equal-multidegree entry (tau, sig2) and is therefore still queued.
 `check_index` verifies the row index and the queues, and
 `all_invertible` is the full scan that relies on neither.
 
-`validate` checks multihomogeneity and d∘d = 0. `minimize` runs it on
-the start and after every cancellation; each run after the first
-re-checks only what changed since the last passing check: it compares
-every column with a copy kept from that check, by value, and trusts
-neither the row index nor `cancel`, so each step gets the verdict and
-the first error message of the full check.
+`validate` checks multihomogeneity and d∘d = 0 on every column, trusting
+neither the row index nor `cancel`. `minimize` runs it on the start and
+after every cancellation.
 """
 
 from __future__ import annotations
@@ -401,21 +398,10 @@ class FreeComplex:
                     f"row index of matrix {s} is not the transpose of its columns"
                 )
 
-    def _columns(self, s: int, only: list[set[int]] | None):
-        """(sigma, column) pairs of matrix s in `mats` order, limited to
-        `only[s]` when a per-degree column filter is given."""
-        mat = self.mats[s]
-        if only is None:
-            return mat.items()
-        keep = only[s]
-        if not keep:
-            return ()
-        return [(sigma, col) for sigma, col in mat.items() if sigma in keep]
-
-    def check_multihomogeneous(self, only: list[set[int]] | None = None) -> None:
+    def check_multihomogeneous(self) -> None:
         is_zero, exps, le = self.field.is_zero, self.mdeg_exps, operator.le
-        for s in range(1, self.q + 1):
-            for sigma, col in self._columns(s, only):
+        for mat in self.mats[1:]:
+            for sigma, col in mat.items():
                 up = exps[sigma]
                 for tau, val in col.items():
                     if is_zero(val):
@@ -425,12 +411,12 @@ class FreeComplex:
                             "entry between incomparable multidegrees"
                         )
 
-    def check_d_squared(self, only: list[set[int]] | None = None) -> None:
+    def check_d_squared(self) -> None:
         F = self.field
         mul, add, is_zero = F.mul, F.add, F.is_zero
         for s in range(2, self.q + 1):
             lower = self.mats[s - 1]
-            for sigma, col in self._columns(s, only):
+            for sigma, col in self.mats[s].items():
                 acc: dict[int, object] = {}
                 for tau, val in col.items():
                     for rho, val2 in lower.get(tau, {}).items():
@@ -443,50 +429,10 @@ class FreeComplex:
                             f"d∘d != 0 between degrees {s} and {s - 2}"
                         )
 
-    def validate(self, seen: _Snapshot | None = None) -> _Snapshot:
-        """Check multihomogeneity and d∘d = 0; return a snapshot of the columns.
-
-        With no argument every column is checked. Given the snapshot an
-        earlier passing call returned, every column is compared with its
-        copy by value, and only what that comparison cannot vouch for is
-        re-checked: multihomogeneity on the changed columns, d∘d on each
-        column that changed or has an entry in a changed or deleted column
-        one degree down. A column's verdict depends only on itself, the
-        columns below it, `mdeg_exps` and the field, so the verdict, and
-        the first error message, are those of the full check. A snapshot
-        taken against another lcm table or field gets the full check. The
-        snapshot is brought up to date in place only when the check passes.
-        """
-        mats = self.mats
-        if (
-            seen is None
-            or seen.mdeg_exps is not self.mdeg_exps
-            or seen.field is not self.field
-        ):
-            self.check_multihomogeneous()
-            self.check_d_squared()
-            return _Snapshot(self)
-        changed: list[set[int]] = []
-        affected: list[set[int]] = []
-        dirty: set[int] = set()  # changed or deleted columns one degree down
-        for mat, old in zip(mats, seen):
-            new = {sigma for sigma, col in mat.items() if old.get(sigma) != col}
-            stale = new
-            if dirty:
-                stale = new.union(
-                    sigma for sigma, col in mat.items() if not dirty.isdisjoint(col)
-                )
-            changed.append(new)
-            affected.append(stale)
-            dirty = new | (old.keys() - mat.keys())
-        self.check_multihomogeneous(changed)
-        self.check_d_squared(affected)
-        for mat, old, new in zip(mats, seen, changed):
-            for sigma in old.keys() - mat.keys():
-                del old[sigma]
-            for sigma in new:
-                old[sigma] = dict(mat[sigma])
-        return seen
+    def validate(self) -> None:
+        """Check multihomogeneity, then d∘d = 0, on every column."""
+        self.check_multihomogeneous()
+        self.check_d_squared()
 
     def betti_table(self) -> BettiTable:
         multigraded: dict[tuple[int, Monomial], int] = {}
@@ -501,20 +447,6 @@ class FreeComplex:
             [TaylorSymbol(mask, h, self.mdeg(mask)) for mask in mat]
             for h, mat in enumerate(self.mats)
         ]
-
-
-class _Snapshot(list):
-    """Per degree, {column: copy of the column} as of the last passing
-    `validate`, with the lcm table and field it was checked against."""
-
-    __slots__ = ("mdeg_exps", "field")
-
-    def __init__(self, cx: FreeComplex):
-        super().__init__(
-            {sigma: dict(col) for sigma, col in mat.items()} for mat in cx.mats
-        )
-        self.mdeg_exps = cx.mdeg_exps
-        self.field = cx.field
 
 
 VALIDATE_GUARD = 8  # q up to which minimize validates every step
@@ -532,9 +464,7 @@ def minimize(
     fixed scan order of `find_invertible`.
 
     For q <= VALIDATE_GUARD the start is validated, and so is the complex
-    after every cancellation; each check after the first re-checks only
-    the columns that changed since the previous one, against a snapshot
-    held here and freed on return. The final complex then also gets
+    after every cancellation. The final complex then also gets
     `check_index` and the full scan for a leftover invertible entry.
     """
     if start not in ("taylor", "lyubeznik"):
@@ -544,7 +474,8 @@ def minimize(
     strata = lyubeznik_strata(ideal) if start == "lyubeznik" else None
     cx = FreeComplex(ideal, field, strata)
     validate = ideal.q <= VALIDATE_GUARD
-    seen = cx.validate() if validate else None  # the last passing snapshot
+    if validate:
+        cx.validate()
     cursor = 1
     cancelled = False
     while (hit := cx.find_invertible(cursor)) is not None:
@@ -553,7 +484,7 @@ def minimize(
         cancelled = True
         cursor = s  # degrees below s were already clean and cannot regress
         if validate:
-            seen = cx.validate(seen)
+            cx.validate()
     if validate:
         cx.check_index()
         if cx.all_invertible():

@@ -15,11 +15,10 @@ from monodom import (
     Net,
     is_dominant_set,
     is_net,
-    lcm_of,
     parse_ideal,
 )
 from monodom import _kernels
-from monodom.dominance import _covering_assignment, _witness
+from monodom.dominance import _covering_assignment
 from monodom.verify import exhaustive_ideals
 
 # Every run draws the same examples, so whether a test catches a given
@@ -76,10 +75,10 @@ def minimize_randomly(ideal, rng, field=RATIONAL, strata=None):
     uniformly from all invertible ones; the complex is validated after
     every cancellation and its index checked at the end."""
     cx = FreeComplex(ideal, field, strata)
-    seen = cx.validate()
+    cx.validate()
     while pool := cx.all_invertible():
         cx.cancel(*pool[rng.randrange(len(pool))])
-        seen = cx.validate(seen)
+        cx.validate()
     cx.check_index()
     return cx.betti_table()
 
@@ -256,7 +255,7 @@ def reference_odom_by_dominance(ideal):
     for members, masks in reference_dominant_subsets(ideal.exponent_rows, sizes):
         assignment = _covering_assignment(ideal, members, masks)
         if assignment is not None:
-            return len(members), _witness(ideal, members, assignment)
+            return len(members), DominanceWitness(members, assignment)
     raise AssertionError("unreachable: every singleton generator qualifies")
 
 
@@ -355,8 +354,6 @@ def dominant_set_from_net(ideal, X):
     witness = DominanceWitness(
         members=tuple(members[k] for k in order),
         variables=tuple(variables[k] for k in order),
-        exponents=tuple(thresholds[k] for k in order),
-        lcm=lcm_of(ideal.generators[g] for g in members),
     )
     _recheck_witness(ideal, witness)
     return witness
@@ -377,15 +374,15 @@ def _recheck_witness(ideal, witness):
     if not ok:
         raise InternalInvariantError("constructed set is not dominant")
     rows = ideal.exponent_rows
-    lcm_exps = witness.lcm.exponents
-    for g, v, e in zip(witness.members, witness.variables, witness.exponents):
-        if rows[g][v] != e or lcm_exps[v] != e:
+    lcm_exps = tuple(map(max, zip(*(rows[g] for g in witness.members))))
+    for g, v in zip(witness.members, witness.variables):
+        if rows[g][v] != lcm_exps[v]:
             raise InternalInvariantError("witness exponent does not match its lcm")
     member_set = set(witness.members)
     for g in range(ideal.q):
         if g in member_set:
             continue
-        if not ideal.generators[g].divides(witness.lcm):
+        if not all(a <= b for a, b in zip(rows[g], lcm_exps)):
             continue
         if not any(rows[g][v] >= lcm_exps[v] for v in witness.variables):
             raise InternalInvariantError(

@@ -320,6 +320,23 @@ class TestExitCodes:
             "exponent vectors exceeds the guard of 1000000\n"
         )
 
+    def test_pairwise_check_over_the_guard_is_2(self, capsys, monkeypatch):
+        # comparing these 1000 generators pairwise, over 2000 variables,
+        # used to run for minutes; the guard fires before the first pair
+        import io
+
+        text = ", ".join(f"x{i}*y{i}" for i in range(1000))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "polarize", "--ideal", "-")
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 2 and out == ""
+        assert err == (
+            "error: pairwise divisibility check of 1000 generators in 2000 "
+            "variables, 1000^2 x (2000 + 32) = 2032000000, exceeds the guard "
+            "of 15000000\n"
+        )
+
     @pytest.mark.parametrize(
         "limits,entries",
         [

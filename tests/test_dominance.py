@@ -93,8 +93,10 @@ class TestIsDominantSet:
     def test_witness_exponents_match_lcm(self):
         G = I("a^2*b, a*b^3*c, b*c^2")
         _, w = is_dominant_set(G, range(G.q))
-        for v, e in zip(w.variables, w.exponents):
-            assert w.lcm.exponents[v] == e
+        rows = G.exponent_rows
+        lcm = [max(rows[g][v] for g in w.members) for v in range(G.n)]
+        for g, v in zip(w.members, w.variables):
+            assert rows[g][v] == lcm[v]
 
 
 class TestOdom:

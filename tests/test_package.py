@@ -1,6 +1,8 @@
-"""The package's shape: what it exports, and which modules import which."""
+"""The package's shape: what it exports, which modules import which, and
+that the names the benchmark traces exist."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -49,3 +51,25 @@ def test_exports_resolve():
     namespace = {}
     exec("from monodom import *", namespace)
     assert set(names) <= namespace.keys()
+
+
+def test_benchmark_targets_resolve():
+    # the benchmark's tracer wraps these names; read them without importing it
+    tracer = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text())
+    (targets,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) == "TARGETS"
+    ]
+    triples = ast.literal_eval(targets)
+    assert len(triples) >= 20
+    missing = []
+    for _, module, path in triples:
+        obj = importlib.import_module(module)
+        for attr in path.split("."):
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(f"{module}.{path}")
+    assert missing == []

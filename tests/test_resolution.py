@@ -483,12 +483,6 @@ def outcome(check):
     return None
 
 
-def clone_snapshot(cx, seen):
-    """A copy of a validation snapshot that a later call may update freely;
-    it keeps the lcm table and the field it was taken with."""
-    return deepcopy(seen, {id(cx.mdeg_exps): cx.mdeg_exps, id(cx.field): cx.field})
-
-
 def corrupt(cx, rng):
     """Apply one random corruption to a matrix column; name its kind."""
     s = rng.randrange(1, cx.q + 1)
@@ -516,15 +510,18 @@ def corrupt(cx, rng):
 
 
 class TestIncrementalValidation:
+    """`minimize` runs the full `validate` on its start and after each
+    cancellation step; each fault below must fail the step that made it."""
+
     FIELDS = (RATIONAL, PrimeField(2), PrimeField(3))
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
-    def test_same_outcome_as_the_full_check(self, field):
+    def test_random_corruptions_are_caught(self, field):
         # equigenerated ideals in few variables collide often, so they
         # take many cancellation steps
         rng = random.Random(field.name)
         tbl = table("a", "b", "c", "d")
-        steps, kinds, caught = 0, set(), 0
+        steps, caught, kinds = 0, 0, set()
         for t in range(25):
             d, n = rng.choice((2, 3)), rng.choice((3, 4))
             pool = [
@@ -536,87 +533,78 @@ class TestIncrementalValidation:
             cx = FreeComplex(
                 minimalize([Monomial(tbl, e) for e in gens]), field
             )
-            seen = None
+            cx.validate()
             while (hit := cx.find_invertible()) is not None:
                 cx.cancel(*hit)
                 steps += 1
-                if seen is not None:
-                    bad = cx.copy()
-                    kind = corrupt(bad, rng)
-                    if kind is not None:
-                        kinds.add(kind)
-                        full = outcome(bad.validate)
-                        part = outcome(
-                            lambda: bad.validate(clone_snapshot(cx, seen))
-                        )
-                        assert part == full, (t, kind)
-                        caught += full is not None
-                seen = cx.validate(seen)
-                assert seen == cx.validate()  # the snapshot is up to date
+                cx.validate()
+                bad = cx.copy()
+                kind = corrupt(bad, rng)
+                if kind is not None and outcome(bad.validate) is not None:
+                    caught += 1
+                    kinds.add(kind)
         assert steps >= 200 and caught >= 50
         assert kinds == {"scalar", "delete", "zero", "extra"}
 
     def test_column_corrupted_after_a_passing_step_is_caught(self):
         cx = FreeComplex(I("x1*x2, x2*x3, x3*x4, x4*x5, x5*x6"))
         cx.cancel(*cx.find_invertible())
-        seen = cx.validate()
+        cx.validate()
         s, tau, sigma = cx.find_invertible()
         victim = next(iter(cx.mats[1]))  # degree 1: far below the pivot
         assert s >= 3
         cx.cancel(s, tau, sigma)
         cx.mats[1][victim][0] = 7
-        assert outcome(lambda: cx.validate(seen)) == "d∘d != 0 between degrees 2 and 0"
         assert outcome(cx.validate) == "d∘d != 0 between degrees 2 and 0"
 
     def test_deleted_column_rechecks_the_columns_above(self):
         cx = FreeComplex(I("a, b"))
-        seen = cx.validate()
+        cx.validate()
         del cx.mats[1][1]  # the top column [a, b] is unchanged but now wrong
         with pytest.raises(InternalInvariantError, match="d∘d != 0 between degrees 2"):
-            cx.validate(seen)
+            cx.validate()
 
-    def test_snapshot_from_another_field_gets_the_full_check(self):
-        # 3 is a scalar over Q but a stored zero over F_3, so a snapshot
-        # that passed over Q must not vouch for the same columns over F_3
+    def test_three_over_f3_is_a_stored_zero(self):
+        # 3 is a scalar over Q but a stored zero over F_3
         cx = FreeComplex(I("a, b"))
         cx.mats[1][1][0] = 3
         cx.mats[2][3][2] = 3  # keeps d∘d = 0 over Q
-        seen = cx.validate()
+        cx.validate()
         cx3 = cx.copy()  # the same lcm table and columns
         cx3.field = PrimeField(3)
         with pytest.raises(InternalInvariantError, match="stored zero"):
-            cx3.validate(seen)
+            cx3.validate()
 
-    def test_snapshot_from_another_lcm_table_gets_the_full_check(self):
+    def test_wrong_lcm_table_is_caught(self):
         cx = FreeComplex(I("a, b"))
-        seen = cx.validate()
+        cx.validate()
         other = cx.copy()  # the same columns
         exps = list(cx.mdeg_exps)
         exps[1] = (2, 0)  # [a] now sits above [a, b] = (1, 1)
         other.mdeg_exps = tuple(exps)
         with pytest.raises(InternalInvariantError, match="incomparable"):
-            other.validate(seen)
+            other.validate()
 
     def test_minimize_validates_once_per_cancellation(self, monkeypatch):
         from monodom.resolution import FreeComplex
 
-        calls = {"cancel": 0, "validate": []}
+        calls = {"cancel": 0, "validate": 0}
         real_cancel, real_validate = FreeComplex.cancel, FreeComplex.validate
 
         def counted_cancel(self, *hit):
             calls["cancel"] += 1
             return real_cancel(self, *hit)
 
-        def counted_validate(self, seen=None):
-            calls["validate"].append(seen is None)
-            return real_validate(self, seen)
+        def counted_validate(self):
+            calls["validate"] += 1
+            return real_validate(self)
 
         monkeypatch.setattr(FreeComplex, "cancel", counted_cancel)
         monkeypatch.setattr(FreeComplex, "validate", counted_validate)
         minimize(I("a^2*b, a*b^2, a*c, b*c^2, c^3"))
         assert calls["cancel"] >= 2
-        # one full check of the start, then one incremental check per step
-        assert calls["validate"] == [True] + [False] * calls["cancel"]
+        # one check of the start, then one per step
+        assert calls["validate"] == 1 + calls["cancel"]
 
     @pytest.mark.parametrize("text", ["x1^2*x2^3, x1*x3", "a^2, a*b, b^2"])
     def test_start_with_nothing_to_cancel_is_validated(self, monkeypatch, text):
@@ -651,38 +639,28 @@ class TestIncrementalValidation:
     def test_skipped_schur_update_fails_at_the_same_step(self, monkeypatch, text, field):
         from monodom.resolution import FreeComplex
 
-        real_cancel, real_validate = FreeComplex.cancel, FreeComplex.validate
+        real_cancel = FreeComplex.cancel
+        steps = {"n": 0, "skipped": None}
 
-        def run(full):
-            steps = {"n": 0, "skipped": None}
+        def cancel(self, s, tau, sigma):
+            steps["n"] += 1
+            victim = None
+            if steps["skipped"] is None and len(self.mats[s][sigma]) > 1:
+                others = [c for c in self.rows[s][tau] if c != sigma]
+                if others:
+                    victim = others[0]
+                    kept = dict(self.mats[s][victim])
+                    del kept[tau]
+            real_cancel(self, s, tau, sigma)
+            if victim is not None:
+                steps["skipped"] = steps["n"]
+                self.mats[s][victim] = kept  # as if its update were skipped
+            return self
 
-            def cancel(self, s, tau, sigma):
-                steps["n"] += 1
-                victim = None
-                if steps["skipped"] is None and len(self.mats[s][sigma]) > 1:
-                    others = [c for c in self.rows[s][tau] if c != sigma]
-                    if others:
-                        victim = others[0]
-                        kept = dict(self.mats[s][victim])
-                        del kept[tau]
-                real_cancel(self, s, tau, sigma)
-                if victim is not None:
-                    steps["skipped"] = steps["n"]
-                    self.mats[s][victim] = kept  # as if its update were skipped
-                return self
-
-            def validate(self, seen=None):
-                return real_validate(self, None if full else seen)
-
-            monkeypatch.setattr(FreeComplex, "cancel", cancel)
-            monkeypatch.setattr(FreeComplex, "validate", validate)
-            with pytest.raises(InternalInvariantError) as exc:
-                minimize(I(text), field)
-            return steps["skipped"], steps["n"], str(exc.value)
-
-        full, part = run(True), run(False)
-        assert full == part
-        assert full[0] == full[1] and "d∘d" in full[2]
+        monkeypatch.setattr(FreeComplex, "cancel", cancel)
+        with pytest.raises(InternalInvariantError, match="d∘d") as exc:
+            minimize(I(text), field)
+        assert steps["skipped"] == steps["n"], str(exc.value)
 
 
 class TestPredicates:
