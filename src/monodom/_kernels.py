@@ -18,25 +18,17 @@ from math import gcd
 from .errors import GuardExceeded
 
 
-def subset_lcms(exps, n):
-    """lcm exponent tuple for every subset of the generators.
+def subset_lcms(codes):
+    """lcm code for every subset of the generators.
 
-    exps: sequence of q exponent tuples of length n.
-    Returns a list of 2^q tuples indexed by subset bitmask; entry 0 is
-    the all-zero tuple (the unit monomial).
+    codes: the q generator codes, on which lcm is bitwise OR.
+    Returns a list of 2^q ints indexed by subset bitmask; entry 0 is
+    0 (the unit monomial). Each generator doubles the table: the subsets
+    containing it are the ones before it, ORed with its code.
     """
-    q = len(exps)
-    zero = (0,) * n
-    table = [zero] * (1 << q)
-    for mask in range(1, 1 << q):
-        low = mask & -mask
-        rest = mask ^ low
-        gen = exps[low.bit_length() - 1]
-        if rest == 0:
-            table[mask] = tuple(gen)
-        else:
-            prev = table[rest]
-            table[mask] = tuple(a if a >= b else b for a, b in zip(prev, gen))
+    table = [0]
+    for code in codes:
+        table += [lcm | code for lcm in table]
     return table
 
 

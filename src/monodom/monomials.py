@@ -332,27 +332,22 @@ def parse_ideal(text: str, var_names: Sequence[str] | None = None) -> MonomialId
         raise IdealSyntaxError("empty ideal text", 0)
     gens_raw = _parse_exponents(toks)
 
-    if var_names is not None:
-        tbl = VariableTable(tuple(var_names))
-        for gen in gens_raw:
-            for name, _, pos in gen:
-                if name not in tbl.names:
-                    raise UnknownVariableError(
-                        f"unknown variable {name!r} at position {pos}"
-                    )
-    else:
-        order: list[str] = []
-        for gen in gens_raw:
-            for name, _, _ in gen:
-                if name not in order:
-                    order.append(name)
-        tbl = VariableTable(tuple(order))
+    if var_names is None:
+        # dict keys keep the order of first appearance
+        var_names = tuple(dict.fromkeys(name for gen in gens_raw for name, _, _ in gen))
+    tbl = VariableTable(tuple(var_names))
+    index = {name: i for i, name in enumerate(tbl.names)}
 
     monomials = []
     for gen in gens_raw:
         exps = [0] * tbl.n
-        for name, k, _ in gen:
-            exps[tbl.index(name)] += k
+        for name, k, pos in gen:
+            i = index.get(name)
+            if i is None:
+                raise UnknownVariableError(
+                    f"unknown variable {name!r} at position {pos}"
+                )
+            exps[i] += k
         monomials.append(Monomial(tbl, tuple(exps)))
 
     ideal = minimalize(monomials)

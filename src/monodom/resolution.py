@@ -27,6 +27,11 @@ from far fewer symbols. `FreeComplex` reads the ideal's shared Taylor
 lattice and builds its own matrices from `facets` on the given strata,
 with the row index and the pivot queues in the same pass. The matrices
 are its only copy of the symbols: the surviving strata are their keys.
+Multidegrees are the lattice's integer codes, so every comparison is an
+int operation: equal multidegrees have equal codes, and mdeg(tau)
+divides mdeg(sigma) iff `codes[tau] | codes[sigma] == codes[sigma]`. A
+code is decoded to a `Monomial` only for the Betti table and the
+printed symbols.
 
 Cancellation is local. Each matrix keeps a row index, the transpose of
 its columns, so cancelling (tau, sigma) touches only the columns in row
@@ -50,7 +55,6 @@ after every cancellation.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Sequence
@@ -228,7 +232,8 @@ class FreeComplex:
         self.ideal = ideal
         self.field = field
         self.q = ideal.q
-        self.mdeg_exps = exps = taylor.mdeg_exps
+        self.taylor = taylor
+        self.mdeg_codes = codes = taylor.mdeg_codes
         masks = taylor.masks  # keys share the lattice's int per mask
         one, neg_one = field.one, field.neg(field.one)
         self.mats: list[dict[int, dict[int, object]]] = [{0: {}}]
@@ -240,7 +245,7 @@ class FreeComplex:
             rows: dict[int, dict[int, None]] = {}
             queue = []
             for sigma in stratum:
-                up = exps[sigma]
+                up = codes[sigma]
                 col: dict[int, object] = {}
                 hit = False
                 for tau, sign in facets(sigma):
@@ -251,7 +256,7 @@ class FreeComplex:
                         rows[tau] = {sigma: None}
                     else:
                         row[sigma] = None
-                    if not hit and exps[tau] == up:
+                    if not hit and codes[tau] == up:
                         hit = True
                 mat[sigma] = col
                 if hit:
@@ -276,7 +281,8 @@ class FreeComplex:
         dup.ideal = self.ideal
         dup.field = self.field
         dup.q = self.q
-        dup.mdeg_exps = self.mdeg_exps
+        dup.taylor = self.taylor
+        dup.mdeg_codes = self.mdeg_codes
         dup.mats = [
             {sigma: dict(col) for sigma, col in mat.items()} for mat in self.mats
         ]
@@ -287,14 +293,14 @@ class FreeComplex:
         return dup
 
     def mdeg(self, mask: int) -> Monomial:
-        return Monomial(self.ideal.table, self.mdeg_exps[mask])
+        return self.taylor.monomial(self.mdeg_codes[mask])
 
     def is_invertible(self, s: int, tau: int, sigma: int) -> bool:
         val = self.mats[s].get(sigma, {}).get(tau)
         return (
             val is not None
             and not self.field.is_zero(val)
-            and self.mdeg_exps[tau] == self.mdeg_exps[sigma]
+            and self.mdeg_codes[tau] == self.mdeg_codes[sigma]
         )
 
     def find_invertible(self, start: int = 1):
@@ -303,15 +309,15 @@ class FreeComplex:
         Reads the pivot queues, dropping columns that no longer hold an
         invertible entry; `all_invertible` is the independent full scan.
         """
-        exps = self.mdeg_exps
+        codes = self.mdeg_codes
         for s in range(max(start, 1), self.q + 1):
             mat, queue = self.mats[s], self.queue[s]
             while queue:
                 sigma = queue[-1]
                 col = mat.get(sigma)
                 if col:
-                    up = exps[sigma]
-                    hits = [tau for tau in col if exps[tau] == up]
+                    up = codes[sigma]
+                    hits = [tau for tau in col if codes[tau] == up]
                     if hits:
                         return s, min(hits), sigma
                 queue.pop()
@@ -319,12 +325,12 @@ class FreeComplex:
 
     def all_invertible(self):
         """Every invertible entry in scan order, by a full scan of the matrices."""
-        exps = self.mdeg_exps
+        codes = self.mdeg_codes
         out = []
         for s in range(1, self.q + 1):
             for sigma, col in self.mats[s].items():
-                up = exps[sigma]
-                hits = [tau for tau in col if exps[tau] == up]
+                up = codes[sigma]
+                hits = [tau for tau in col if codes[tau] == up]
                 if hits:
                     out.extend((s, tau, sigma) for tau in sorted(hits))
         return out
@@ -375,20 +381,20 @@ class FreeComplex:
     def check_index(self) -> None:
         """rows must be the transpose of mats, and every column holding an
         equal-multidegree entry must sit in its degree's pivot queue."""
-        exps = self.mdeg_exps
+        codes = self.mdeg_codes
         for s in range(1, self.q + 1):
             mat, rows = self.mats[s], self.rows[s]
             queued = set(self.queue[s])
             entries = 0
             for sigma, col in mat.items():
                 entries += len(col)
-                up = exps[sigma]
+                up = codes[sigma]
                 for tau in col:
                     if sigma not in rows.get(tau, ()):
                         raise InternalInvariantError(
                             f"row index of matrix {s} is not the transpose of its columns"
                         )
-                    if exps[tau] == up and sigma not in queued:
+                    if codes[tau] == up and sigma not in queued:
                         raise InternalInvariantError(
                             f"column {sigma:#x} of matrix {s} holds an invertible "
                             "entry but is not queued"
@@ -399,14 +405,14 @@ class FreeComplex:
                 )
 
     def check_multihomogeneous(self) -> None:
-        is_zero, exps, le = self.field.is_zero, self.mdeg_exps, operator.le
+        is_zero, codes = self.field.is_zero, self.mdeg_codes
         for mat in self.mats[1:]:
             for sigma, col in mat.items():
-                up = exps[sigma]
+                up = codes[sigma]
                 for tau, val in col.items():
                     if is_zero(val):
                         raise InternalInvariantError("stored zero entry")
-                    if not all(map(le, exps[tau], up)):
+                    if codes[tau] | up != up:
                         raise InternalInvariantError(
                             "entry between incomparable multidegrees"
                         )
@@ -435,11 +441,14 @@ class FreeComplex:
         self.check_d_squared()
 
     def betti_table(self) -> BettiTable:
-        multigraded: dict[tuple[int, Monomial], int] = {}
+        counts: dict[tuple[int, int], int] = {}
+        codes = self.mdeg_codes
         for h, mat in enumerate(self.mats):
             for mask in mat:
-                key = (h, self.mdeg(mask))
-                multigraded[key] = multigraded.get(key, 0) + 1
+                key = (h, codes[mask])
+                counts[key] = counts.get(key, 0) + 1
+        monomial = self.taylor.monomial
+        multigraded = {(h, monomial(code)): c for (h, code), c in counts.items()}
         return _table_from_multigraded(multigraded, self.field.name)
 
     def surviving_symbols(self):
@@ -522,16 +531,16 @@ def betti_oracle(ideal: MonomialIdeal, field=RATIONAL) -> BettiTable:
     are computed by exact elimination.
     """
     cx = build_taylor(ideal)
-    lcms = cx.mdeg_exps  # one shared tuple per distinct lcm: compared by `is`
+    lcms = cx.mdeg_codes
     multigraded: dict[tuple[int, Monomial], int] = {}
     for b, group in cx.mdeg_groups.items():
         top = group[-1]  # every member of G is a subset of the top face
         rest = top
         while rest:
             k = rest & -rest
-            if lcms[top ^ k] is b:
+            if lcms[top ^ k] == b:
                 critical = [
-                    sigma for sigma in group if sigma & k and lcms[sigma ^ k] is not b
+                    sigma for sigma in group if sigma & k and lcms[sigma ^ k] != b
                 ]
                 break
             rest ^= k
@@ -557,7 +566,7 @@ def betti_oracle(ideal: MonomialIdeal, field=RATIONAL) -> BettiTable:
             if beta < 0:
                 raise InternalInvariantError("negative strand homology rank")
             if beta:
-                multigraded[(h, Monomial(ideal.table, b))] = beta
+                multigraded[(h, cx.monomial(b))] = beta
     return _table_from_multigraded(multigraded, field.name)
 
 

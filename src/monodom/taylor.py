@@ -8,6 +8,17 @@ list; `facets` yields those pairs. The monomial part of every entry is
 the quotient of the two symbols' multidegrees, so nothing but the lcm
 table is stored, and `build_taylor` shares one lattice per ideal,
 read-only, between the engine, the oracle and the Scarf basis.
+
+Multidegrees are held as integer codes. The lcm lattice depends only on
+the order of each variable's exponents (Gasharov–Peeva–Welker, Math.
+Res. Lett. 6, 1999), so exponent e of variable v is coded by its rank r
+among v's distinct nonzero exponents, as r consecutive one-bits in a
+field of its own: the support of a rank-compressed polarization
+(Miller–Sturmfels, Combinatorial Commutative Algebra, 2005). On codes,
+lcm is `a | b`, divisibility is `a | b == b` and equality is `==`; the
+width is the number of distinct nonzero (variable, exponent) pairs,
+never an exponent itself. A code becomes a `Monomial` only for output,
+once per distinct code.
 """
 
 from __future__ import annotations
@@ -65,39 +76,70 @@ class TaylorSymbol:
 class TaylorComplex:
     """The lcm lattice of generator subsets, read-only once built.
 
-    mdeg_exps[mask] is the lcm exponent tuple of the subset `mask`;
-    strata[h] holds the masks with h members in ascending order; masks[m]
-    is m itself, one int object per mask for callers that key tables by
-    mask. The differential is never stored: `facets` gives each column.
+    codes[k] is the code of generator k and mdeg_codes[mask] the code of
+    the lcm of the subset `mask`; `monomial` decodes a code, and returns
+    one shared `Monomial` per distinct code. strata[h] holds the masks
+    with h members in ascending order; masks[m] is m itself, one int
+    object per mask for callers that key tables by mask. The
+    differential is never stored: `facets` gives each column.
     """
 
     def __init__(self, ideal: MonomialIdeal):
         self.table = ideal.table
         self.q = ideal.q
-        # Symbols with equal lcms share one tuple: the path ideal with
-        # q = 14 has 16,384 masks and 3,329 distinct lcms.
-        lcms = _kernels.subset_lcms(ideal.exponent_rows, ideal.n)
-        distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.mdeg_exps = tuple(map(distinct.setdefault, lcms, lcms))
+        # Variable v owns the bits [offset, offset + width) for its width
+        # distinct nonzero exponents; levels[r] is the exponent of rank r,
+        # coded as the r low bits of the field.
+        codes = [0] * self.q
+        fields = []
+        offset = 0
+        for column in zip(*ideal.exponent_rows):
+            levels = sorted(set(column))
+            if levels[0]:
+                levels.insert(0, 0)
+            width = len(levels) - 1
+            if width:
+                thermometer = {}
+                for r, e in enumerate(levels):
+                    thermometer[e] = ((1 << r) - 1) << offset
+                for k, e in enumerate(column):
+                    if e:
+                        codes[k] |= thermometer[e]
+            fields.append((offset, (1 << width) - 1, levels))
+            offset += width
+        self.codes = tuple(codes)
+        self._fields = fields
+        self._monomials: dict[int, Monomial] = {}
+        self.mdeg_codes = tuple(_kernels.subset_lcms(self.codes))
         self.masks = tuple(range(1 << self.q))
         strata: list[list[int]] = [[] for _ in range(self.q + 1)]
         for mask in self.masks:
             strata[mask.bit_count()].append(mask)
         self.strata = tuple(map(tuple, strata))
 
+    def monomial(self, code: int) -> Monomial:
+        """The monomial of a code, one shared object per distinct code."""
+        mono = self._monomials.get(code)
+        if mono is None:
+            exps = []
+            for offset, bits, levels in self._fields:
+                exps.append(levels[(code >> offset & bits).bit_count()])
+            mono = self._monomials[code] = Monomial(self.table, tuple(exps))
+        return mono
+
     def mdeg(self, mask: int) -> Monomial:
-        return Monomial(self.table, self.mdeg_exps[mask])
+        return self.monomial(self.mdeg_codes[mask])
 
     def symbol(self, mask: int) -> TaylorSymbol:
         return TaylorSymbol(mask, mask.bit_count(), self.mdeg(mask))
 
     @cached_property
-    def mdeg_groups(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """Symbols sharing one multidegree, keyed by exponent tuple, masks ascending."""
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for mask, exps in enumerate(self.mdeg_exps):
-            groups.setdefault(exps, []).append(mask)
-        return {exps: tuple(group) for exps, group in groups.items()}
+    def mdeg_groups(self) -> dict[int, tuple[int, ...]]:
+        """Symbols sharing one multidegree, keyed by its code, masks ascending."""
+        groups: dict[int, list[int]] = {}
+        for mask, code in enumerate(self.mdeg_codes):
+            groups.setdefault(code, []).append(mask)
+        return {code: tuple(group) for code, group in groups.items()}
 
 
 def build_taylor(ideal: MonomialIdeal) -> TaylorComplex:
@@ -118,24 +160,22 @@ def build_taylor(ideal: MonomialIdeal) -> TaylorComplex:
     return cx
 
 
-def _lyubeznik_order(
-    ideal: MonomialIdeal, exps: tuple[tuple[int, ...], ...]
-) -> tuple[int, ...]:
+def _lyubeznik_order(ideal: MonomialIdeal, codes: Sequence[int]) -> tuple[int, ...]:
     """A generator order that keeps the Lyubeznik complex small.
 
     Each generator scores the pairs whose lcm it divides; the order is
     by score, highest first (ties by index), after which a greedy
     matching, the generators whose support misses that of every
     generator moved so far, is moved to the front in that same order.
+    `codes` are the generators' lattice codes.
     """
     q = ideal.q
     score = [0] * q
     for a in range(q):
         for b in range(a + 1, q):
-            pair = 1 << a | 1 << b
-            lcm = exps[pair]
+            lcm = codes[a] | codes[b]
             for k in range(q):
-                if exps[pair | 1 << k] is lcm:  # one shared tuple per lcm
+                if codes[k] | lcm == lcm:
                     score[k] += 1
     front, rest, used = [], [], 0
     for k in sorted(range(q), key=lambda k: (-score[k], k)):
@@ -161,33 +201,36 @@ def lyubeznik_strata(
     order keeps the complex small: the path ideal with q = 14 has 4,352
     faces, against 16,384 in the natural order.
 
-    The walk adds a new first member i to a face tau: {i} | tau is a
-    face iff no generator k before i divides its lcm, read from the
-    lattice as `mdeg_exps[sigma | bit_k] is mdeg_exps[sigma]`.
+    The walk adds a new first member i to a face tau and carries the
+    lcm code of each face, the OR of its parent's and the new member's:
+    {i} | tau is a face iff no generator k before i divides that lcm,
+    `codes[k] | lcm == lcm`.
     """
     cx = build_taylor(ideal)
-    exps, masks, q = cx.mdeg_exps, cx.masks, cx.q
+    masks, q = cx.masks, cx.q
     if q <= 2:
         # no generator divides another, and the first member of a pair has
         # no generator before it: every subset is a face
         return cx.strata
     if order is None:
-        order = _lyubeznik_order(ideal, exps)
+        order = _lyubeznik_order(ideal, cx.codes)
     bits = [1 << k for k in order]
+    codes = [cx.codes[k] for k in order]
+    earlier = [codes[:i] for i in range(q)]  # the generators before position i
     strata: list[list[int]] = [[] for _ in range(q + 1)]
     strata[0].append(0)
-    stack = [(0, q)]  # (face, position of its first member in the order)
+    stack = [(0, q, 0)]  # (face, position of its first member in the order, lcm code)
     while stack:
-        tau, first = stack.pop()
+        tau, first, below = stack.pop()
         for i in range(first):
-            sigma = tau | bits[i]
-            lcm = exps[sigma]
-            for k in range(i):
-                if exps[sigma | bits[k]] is lcm:
+            lcm = below | codes[i]
+            for code in earlier[i]:
+                if code | lcm == lcm:
                     break
             else:
+                sigma = tau | bits[i]
                 strata[sigma.bit_count()].append(masks[sigma])
-                stack.append((sigma, i))
+                stack.append((sigma, i, lcm))
     return tuple(tuple(sorted(stratum)) for stratum in strata)
 
 

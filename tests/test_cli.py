@@ -13,6 +13,8 @@ GOLDEN_IDEALS = {
     "P6": "x1*x2, x2*x3, x3*x4, x4*x5, x5*x6, x6*x7",
     "C4": "a*b, b*c, c*d, a*d",
     "nonscarf": "a^2*b, a*b^2, a*c, b*c^2, c^3",
+    # exponent levels with gaps: a in {1, 2, 5}, b in {1, 2, 3}, c in {2, 4, 7}
+    "gapped": "a^5*b, a^2*c^7, b^3*c^2, a*b^2*c^4",
 }
 GOLDEN_FIELDS = {"Q": (), "F3": ("--field", "fp", "--prime", "3")}
 
@@ -903,6 +905,90 @@ matrix f_3:
   [a*c, c^3] <- [a*c, b*c^2, c^3]: 2 * b
   [b*c^2, c^3] <- [a*c, b*c^2, c^3]: 1 * a
 """,
+    ("gapped", "Q"): """\
+minimal free resolution of the quotient; betti [1, 4, 5, 2]
+degree 0:
+  [0]   mdeg 1
+degree 1:
+  [a^5*b]   mdeg a^5*b
+  [a^2*c^7]   mdeg a^2*c^7
+  [a*b^2*c^4]   mdeg a*b^2*c^4
+  [b^3*c^2]   mdeg b^3*c^2
+degree 2:
+  [a^5*b, a^2*c^7]   mdeg a^5*b*c^7
+  [a^5*b, a*b^2*c^4]   mdeg a^5*b^2*c^4
+  [a^2*c^7, a*b^2*c^4]   mdeg a^2*b^2*c^7
+  [a^5*b, b^3*c^2]   mdeg a^5*b^3*c^2
+  [a*b^2*c^4, b^3*c^2]   mdeg a*b^3*c^4
+degree 3:
+  [a^5*b, a^2*c^7, a*b^2*c^4]   mdeg a^5*b^2*c^7
+  [a^5*b, a*b^2*c^4, b^3*c^2]   mdeg a^5*b^3*c^4
+matrix f_1:
+  [0] <- [a^5*b]: 1 * a^5*b
+  [0] <- [a^2*c^7]: 1 * a^2*c^7
+  [0] <- [a*b^2*c^4]: 1 * a*b^2*c^4
+  [0] <- [b^3*c^2]: 1 * b^3*c^2
+matrix f_2:
+  [a^5*b] <- [a^5*b, a^2*c^7]: -1 * c^7
+  [a^2*c^7] <- [a^5*b, a^2*c^7]: 1 * a^3*b
+  [a^5*b] <- [a^5*b, a*b^2*c^4]: -1 * b*c^4
+  [a*b^2*c^4] <- [a^5*b, a*b^2*c^4]: 1 * a^4
+  [a^2*c^7] <- [a^2*c^7, a*b^2*c^4]: -1 * b^2
+  [a*b^2*c^4] <- [a^2*c^7, a*b^2*c^4]: 1 * a*c^3
+  [a^5*b] <- [a^5*b, b^3*c^2]: -1 * b^2*c^2
+  [b^3*c^2] <- [a^5*b, b^3*c^2]: 1 * a^5
+  [a*b^2*c^4] <- [a*b^2*c^4, b^3*c^2]: -1 * b
+  [b^3*c^2] <- [a*b^2*c^4, b^3*c^2]: 1 * a*c^2
+matrix f_3:
+  [a^5*b, a^2*c^7] <- [a^5*b, a^2*c^7, a*b^2*c^4]: 1 * b
+  [a^5*b, a*b^2*c^4] <- [a^5*b, a^2*c^7, a*b^2*c^4]: -1 * c^3
+  [a^2*c^7, a*b^2*c^4] <- [a^5*b, a^2*c^7, a*b^2*c^4]: 1 * a^3
+  [a^5*b, a*b^2*c^4] <- [a^5*b, a*b^2*c^4, b^3*c^2]: 1 * b
+  [a^5*b, b^3*c^2] <- [a^5*b, a*b^2*c^4, b^3*c^2]: -1 * c^2
+  [a*b^2*c^4, b^3*c^2] <- [a^5*b, a*b^2*c^4, b^3*c^2]: 1 * a^4
+""",
+    ("gapped", "F3"): """\
+minimal free resolution of the quotient; betti [1, 4, 5, 2]
+degree 0:
+  [0]   mdeg 1
+degree 1:
+  [a^5*b]   mdeg a^5*b
+  [a^2*c^7]   mdeg a^2*c^7
+  [a*b^2*c^4]   mdeg a*b^2*c^4
+  [b^3*c^2]   mdeg b^3*c^2
+degree 2:
+  [a^5*b, a^2*c^7]   mdeg a^5*b*c^7
+  [a^5*b, a*b^2*c^4]   mdeg a^5*b^2*c^4
+  [a^2*c^7, a*b^2*c^4]   mdeg a^2*b^2*c^7
+  [a^5*b, b^3*c^2]   mdeg a^5*b^3*c^2
+  [a*b^2*c^4, b^3*c^2]   mdeg a*b^3*c^4
+degree 3:
+  [a^5*b, a^2*c^7, a*b^2*c^4]   mdeg a^5*b^2*c^7
+  [a^5*b, a*b^2*c^4, b^3*c^2]   mdeg a^5*b^3*c^4
+matrix f_1:
+  [0] <- [a^5*b]: 1 * a^5*b
+  [0] <- [a^2*c^7]: 1 * a^2*c^7
+  [0] <- [a*b^2*c^4]: 1 * a*b^2*c^4
+  [0] <- [b^3*c^2]: 1 * b^3*c^2
+matrix f_2:
+  [a^5*b] <- [a^5*b, a^2*c^7]: 2 * c^7
+  [a^2*c^7] <- [a^5*b, a^2*c^7]: 1 * a^3*b
+  [a^5*b] <- [a^5*b, a*b^2*c^4]: 2 * b*c^4
+  [a*b^2*c^4] <- [a^5*b, a*b^2*c^4]: 1 * a^4
+  [a^2*c^7] <- [a^2*c^7, a*b^2*c^4]: 2 * b^2
+  [a*b^2*c^4] <- [a^2*c^7, a*b^2*c^4]: 1 * a*c^3
+  [a^5*b] <- [a^5*b, b^3*c^2]: 2 * b^2*c^2
+  [b^3*c^2] <- [a^5*b, b^3*c^2]: 1 * a^5
+  [a*b^2*c^4] <- [a*b^2*c^4, b^3*c^2]: 2 * b
+  [b^3*c^2] <- [a*b^2*c^4, b^3*c^2]: 1 * a*c^2
+matrix f_3:
+  [a^5*b, a^2*c^7] <- [a^5*b, a^2*c^7, a*b^2*c^4]: 1 * b
+  [a^5*b, a*b^2*c^4] <- [a^5*b, a^2*c^7, a*b^2*c^4]: 2 * c^3
+  [a^2*c^7, a*b^2*c^4] <- [a^5*b, a^2*c^7, a*b^2*c^4]: 1 * a^3
+  [a^5*b, a*b^2*c^4] <- [a^5*b, a*b^2*c^4, b^3*c^2]: 1 * b
+  [a^5*b, b^3*c^2] <- [a^5*b, a*b^2*c^4, b^3*c^2]: 2 * c^2
+  [a*b^2*c^4, b^3*c^2] <- [a^5*b, a*b^2*c^4, b^3*c^2]: 1 * a^4
+""",
 }
 
 # compact JSON; the CLI prints the same payload with sort_keys=True, indent=2
@@ -1068,5 +1154,41 @@ GOLDEN_JSON = {
         ']]},"strata":[["[0]"],["[a^2*b]","[a*b^2]","[a*c]","[b*c^2]","[c^3]"],["[a^2*b, '
         'a*b^2]","[a^2*b, a*c]","[a*b^2, a*c]","[a*c, b*c^2]","[a*c, c^3]","[b*c^2, c^3]"'
         '],["[a^2*b, a*b^2, a*c]","[a*c, b*c^2, c^3]"]]}'
+    ),
+    ("gapped", "Q"): (
+        '{"betti":[1,4,5,2],"matrices":{"1":[["[0]","[a^5*b]","1","a^5*b"],["[0]","[a^2*c'
+        '^7]","1","a^2*c^7"],["[0]","[a*b^2*c^4]","1","a*b^2*c^4"],["[0]","[b^3*c^2]","1"'
+        ',"b^3*c^2"]],"2":[["[a^5*b]","[a^5*b, a^2*c^7]","-1","c^7"],["[a^2*c^7]","[a^5*b'
+        ', a^2*c^7]","1","a^3*b"],["[a^5*b]","[a^5*b, a*b^2*c^4]","-1","b*c^4"],["[a*b^2*'
+        'c^4]","[a^5*b, a*b^2*c^4]","1","a^4"],["[a^2*c^7]","[a^2*c^7, a*b^2*c^4]","-1","'
+        'b^2"],["[a*b^2*c^4]","[a^2*c^7, a*b^2*c^4]","1","a*c^3"],["[a^5*b]","[a^5*b, b^3'
+        '*c^2]","-1","b^2*c^2"],["[b^3*c^2]","[a^5*b, b^3*c^2]","1","a^5"],["[a*b^2*c^4]"'
+        ',"[a*b^2*c^4, b^3*c^2]","-1","b"],["[b^3*c^2]","[a*b^2*c^4, b^3*c^2]","1","a*c^2'
+        '"]],"3":[["[a^5*b, a^2*c^7]","[a^5*b, a^2*c^7, a*b^2*c^4]","1","b"],["[a^5*b, a*'
+        'b^2*c^4]","[a^5*b, a^2*c^7, a*b^2*c^4]","-1","c^3"],["[a^2*c^7, a*b^2*c^4]","[a^'
+        '5*b, a^2*c^7, a*b^2*c^4]","1","a^3"],["[a^5*b, a*b^2*c^4]","[a^5*b, a*b^2*c^4, b'
+        '^3*c^2]","1","b"],["[a^5*b, b^3*c^2]","[a^5*b, a*b^2*c^4, b^3*c^2]","-1","c^2"],'
+        '["[a*b^2*c^4, b^3*c^2]","[a^5*b, a*b^2*c^4, b^3*c^2]","1","a^4"]]},"strata":[["['
+        '0]"],["[a^5*b]","[a^2*c^7]","[a*b^2*c^4]","[b^3*c^2]"],["[a^5*b, a^2*c^7]","[a^5'
+        '*b, a*b^2*c^4]","[a^2*c^7, a*b^2*c^4]","[a^5*b, b^3*c^2]","[a*b^2*c^4, b^3*c^2]"'
+        '],["[a^5*b, a^2*c^7, a*b^2*c^4]","[a^5*b, a*b^2*c^4, b^3*c^2]"]]}'
+    ),
+    ("gapped", "F3"): (
+        '{"betti":[1,4,5,2],"matrices":{"1":[["[0]","[a^5*b]","1","a^5*b"],["[0]","[a^2*c'
+        '^7]","1","a^2*c^7"],["[0]","[a*b^2*c^4]","1","a*b^2*c^4"],["[0]","[b^3*c^2]","1"'
+        ',"b^3*c^2"]],"2":[["[a^5*b]","[a^5*b, a^2*c^7]","2","c^7"],["[a^2*c^7]","[a^5*b,'
+        ' a^2*c^7]","1","a^3*b"],["[a^5*b]","[a^5*b, a*b^2*c^4]","2","b*c^4"],["[a*b^2*c^'
+        '4]","[a^5*b, a*b^2*c^4]","1","a^4"],["[a^2*c^7]","[a^2*c^7, a*b^2*c^4]","2","b^2'
+        '"],["[a*b^2*c^4]","[a^2*c^7, a*b^2*c^4]","1","a*c^3"],["[a^5*b]","[a^5*b, b^3*c^'
+        '2]","2","b^2*c^2"],["[b^3*c^2]","[a^5*b, b^3*c^2]","1","a^5"],["[a*b^2*c^4]","[a'
+        '*b^2*c^4, b^3*c^2]","2","b"],["[b^3*c^2]","[a*b^2*c^4, b^3*c^2]","1","a*c^2"]],"'
+        '3":[["[a^5*b, a^2*c^7]","[a^5*b, a^2*c^7, a*b^2*c^4]","1","b"],["[a^5*b, a*b^2*c'
+        '^4]","[a^5*b, a^2*c^7, a*b^2*c^4]","2","c^3"],["[a^2*c^7, a*b^2*c^4]","[a^5*b, a'
+        '^2*c^7, a*b^2*c^4]","1","a^3"],["[a^5*b, a*b^2*c^4]","[a^5*b, a*b^2*c^4, b^3*c^2'
+        ']","1","b"],["[a^5*b, b^3*c^2]","[a^5*b, a*b^2*c^4, b^3*c^2]","2","c^2"],["[a*b^'
+        '2*c^4, b^3*c^2]","[a^5*b, a*b^2*c^4, b^3*c^2]","1","a^4"]]},"strata":[["[0]"],["'
+        '[a^5*b]","[a^2*c^7]","[a*b^2*c^4]","[b^3*c^2]"],["[a^5*b, a^2*c^7]","[a^5*b, a*b'
+        '^2*c^4]","[a^2*c^7, a*b^2*c^4]","[a^5*b, b^3*c^2]","[a*b^2*c^4, b^3*c^2]"],["[a^'
+        '5*b, a^2*c^7, a*b^2*c^4]","[a^5*b, a*b^2*c^4, b^3*c^2]"]]}'
     ),
 }

@@ -47,7 +47,10 @@ def test_wide_tables(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_huge_exponents(backend):
     rows = ((3 * 10**9, 1), (0, 2))
-    assert backend.subset_lcms(rows, 2) == [(0, 0), (3 * 10**9, 1), (0, 2), (3 * 10**9, 2)]
+    # codes of the two rows: a^(3*10^9) is a's one level (bit 0); b and
+    # b^2 are b's two levels (bits 1 and 1-2), so the width is 3 bits
+    codes = (0b011, 0b110)
+    assert backend.subset_lcms(codes) == [0, 0b011, 0b110, 0b111]
     assert backend.dominance_masks(rows, (0, 1)) == [0b01, 0b10]
     assert list(backend.dominant_subsets(rows, [2, 1])) == [
         ((0, 1), [0b01, 0b10]), ((0,), [0b11]), ((1,), [0b10])

@@ -167,6 +167,18 @@ class TestParse:
         with pytest.raises(UnknownVariableError):
             I("a*z", ["a", "b"])
 
+    def test_unknown_variable_message(self):
+        with pytest.raises(UnknownVariableError, match=r"^unknown variable 'z' at position 5$"):
+            I("b, a*z", ["a", "b"])
+
+    def test_many_shared_variables_end_in_the_pairwise_guard(self):
+        # about 120,000 factors naming 1,118 variables: each name is found
+        # in a dict, so parsing reaches the pairwise guard in linear time
+        shared = "*".join(f"x{i}" for i in range(1, 999))
+        text = ", ".join(f"{shared}*y{k}" for k in range(1, 121))
+        with pytest.raises(GuardExceeded, match="of 120 generators in 1118 variables"):
+            I(text)
+
     def test_syntax_error_position(self):
         with pytest.raises(IdealSyntaxError) as exc:
             I("a*^2")

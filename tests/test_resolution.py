@@ -85,7 +85,7 @@ class TestCancel:
             mask
             for st_ in cx.strata
             for mask in st_
-            if cx.mdeg_exps[mask] == target
+            if cx.mdeg(mask).exponents == target
         ]
         assert len(strand_before) == 2
         cx.cancel(*cx.find_invertible())
@@ -93,7 +93,7 @@ class TestCancel:
             mask
             for st_ in cx.strata
             for mask in st_
-            if cx.mdeg_exps[mask] == target
+            if cx.mdeg(mask).exponents == target
         ]
         assert strand_after == []
 
@@ -579,9 +579,10 @@ class TestIncrementalValidation:
         cx = FreeComplex(I("a, b"))
         cx.validate()
         other = cx.copy()  # the same columns
-        exps = list(cx.mdeg_exps)
-        exps[1] = (2, 0)  # [a] now sits above [a, b] = (1, 1)
-        other.mdeg_exps = tuple(exps)
+        codes = list(cx.mdeg_codes)
+        assert codes[3] == 0b11  # lcm([a, b]) = a*b
+        codes[1] = 0b100  # [a] now holds a bit that [a, b] lacks
+        other.mdeg_codes = tuple(codes)
         with pytest.raises(InternalInvariantError, match="incomparable"):
             other.validate()
 
@@ -606,20 +607,27 @@ class TestIncrementalValidation:
         # one check of the start, then one per step
         assert calls["validate"] == 1 + calls["cancel"]
 
-    @pytest.mark.parametrize("text", ["x1^2*x2^3, x1*x3", "a^2, a*b, b^2"])
+    @pytest.mark.parametrize("text", ["x1^2*x2^3, x1*x3", "a^2, a*b, b^2*c"])
     def test_start_with_nothing_to_cancel_is_validated(self, monkeypatch, text):
         # an lcm table that drops the last variable of every lcm of two or
         # more generators; on these Lyubeznik starts the bad column either
         # survives without a cancellation or is itself cancelled first, so
-        # only the check of the start can see it
+        # only the check of the start can see it (the walk reads generator
+        # codes, not this table, so its faces are the true ones)
         from monodom import _kernels
 
         real = _kernels.subset_lcms
+        # the last variable's field is the top one: one bit per distinct
+        # nonzero exponent of each variable, laid out in variable order
+        rows = I(text).exponent_rows
+        widths = [len(set(column) - {0}) for column in zip(*rows)]
+        total = sum(widths)
+        keep = (1 << total - widths[-1]) - 1
 
-        def lossy(exps, n):
-            table = real(exps, n)
+        def lossy(codes):
+            table = real(codes)
             return [
-                lcm if mask.bit_count() < 2 else lcm[:-1] + (0,)
+                lcm if mask.bit_count() < 2 else lcm & keep
                 for mask, lcm in enumerate(table)
             ]
 
@@ -686,7 +694,7 @@ class TestPredicates:
 
 
 def in_class(cx, mask, powers):
-    exps = cx.mdeg_exps[mask]
+    exps = cx.mdeg(mask).exponents
     return all(exps[v] >= e for v, e in powers.items())
 
 

@@ -21,7 +21,7 @@ from monodom import (
 )
 from monodom.taylor import _lyubeznik_order, facets, lyubeznik_strata, members_of
 
-from conftest import I, complete_ideal, cycle_ideal, path_ideal, rp2_ideal
+from conftest import EXHAUSTIVE, I, complete_ideal, cycle_ideal, path_ideal, rp2_ideal
 
 
 def sym_by_members(ideal, *gen_texts):
@@ -49,7 +49,7 @@ class TestBuildTaylor:
 
     def test_all_mdegs_distinct_for_dominant_ideal(self):
         cx = build_taylor(I("a*d, b*d, c*d"))
-        mdegs = {cx.mdeg_exps[mask] for mask in range(8)}
+        mdegs = {cx.mdeg_codes[mask] for mask in range(8)}
         assert len(mdegs) == 8
 
     def test_collision_example(self):
@@ -57,7 +57,7 @@ class TestBuildTaylor:
         cx = build_taylor(M)
         pair = sym_by_members(M, "a^2", "b^2")
         triple = sym_by_members(M, "a^2", "a*b", "b^2")
-        assert cx.mdeg_exps[pair] == cx.mdeg_exps[triple]
+        assert cx.mdeg_codes[pair] == cx.mdeg_codes[triple]
         assert str(cx.mdeg(pair)) == "a^2*b^2"
 
     def test_strata_sizes(self):
@@ -73,23 +73,29 @@ class TestBuildTaylor:
         M = I("a^2*b, a*b^2, a*c, b*c^2, c^3")
         cx = build_taylor(M)
         strata = [list(st) for st in cx.strata]
-        exps = list(cx.mdeg_exps)
+        codes = list(cx.mdeg_codes)
         scarf = scarf_basis(M)
         engine = minimize(M)[1]
         assert build_taylor(M) is cx
         assert [list(st) for st in cx.strata] == strata
-        assert list(cx.mdeg_exps) == exps
+        assert list(cx.mdeg_codes) == codes
         assert betti_oracle(M) == engine
         assert scarf_basis(M) == scarf
         assert not hasattr(cx, "diff")
 
     def test_one_tuple_object_per_distinct_lcm(self):
-        # lyubeznik_strata, _lyubeznik_order and betti_oracle compare lcms
-        # with `is`; a copy of a tuple would read as a different lcm
+        # the engine's table, the oracle and the Scarf symbols all decode
+        # through the lattice, which builds one Monomial per distinct code
         params = FuzzParams(n_max=6, q_max=10, exp_max=3, trials=0, seed=7)
         for M in (path_ideal(10), *(random_ideal(params, t) for t in range(100))):
-            shared = {}
-            assert all(shared.setdefault(e, e) is e for e in build_taylor(M).mdeg_exps)
+            cx = build_taylor(M)
+            mdegs = [cx.mdeg(mask) for mask in cx.masks]
+            assert len({id(m) for m in mdegs}) == len(set(cx.mdeg_codes))
+            assert all(m is cx.monomial(code) for m, code in zip(mdegs, cx.mdeg_codes))
+            shared = {m.exponents: m for m in mdegs}
+            for table_ in (minimize(M)[1], betti_oracle(M)):
+                assert all(shared[m.exponents] is m for _, m in table_.multigraded)
+            assert all(sym.mdeg is cx.mdeg(sym.mask) for sym in scarf_basis(M).symbols)
 
     def test_d_squared_zero_and_multihomogeneous(self):
         for text in ("a, b", "a^2, a*b, b^2", "a*d, b*d, c*d, d^2", "a*b, c*d, a*c, b*d"):
@@ -98,13 +104,76 @@ class TestBuildTaylor:
 
     def test_mdeg_monotone_under_inclusion(self):
         cx = build_taylor(I("a^2*e, b^3*f, c*e^2"))
+        codes = cx.mdeg_codes
         for mask in range(1, 8):
             for sub in range(mask):
                 if sub & mask == sub:
+                    assert codes[sub] | codes[mask] == codes[mask]
                     assert all(
                         x <= y
-                        for x, y in zip(cx.mdeg_exps[sub], cx.mdeg_exps[mask])
+                        for x, y in zip(cx.mdeg(sub).exponents, cx.mdeg(mask).exponents)
                     )
+
+
+def check_codes_against_exponents(M):
+    """The lattice's codes against componentwise maxima of exponent rows.
+
+    Every subset's code decodes to the lcm of its members, codes are
+    equal exactly when the lcms are, a generator divides a subset's lcm
+    exactly when its code is inside that subset's code, and the width is
+    the number of distinct nonzero exponents summed over the variables.
+    """
+    rows, q = M.exponent_rows, M.q
+    cx = build_taylor(M)
+    lcms = [
+        tuple(max((row[v] for k, row in enumerate(rows) if mask >> k & 1), default=0)
+              for v in range(M.n))
+        for mask in range(1 << q)
+    ]
+    codes = cx.mdeg_codes
+    assert [cx.mdeg(mask).exponents for mask in range(1 << q)] == lcms
+    assert len(set(codes)) == len(set(lcms))
+    for mask in range(1 << q):
+        for k, row in enumerate(rows):
+            divides = all(e <= f for e, f in zip(row, lcms[mask]))
+            assert (cx.codes[k] | codes[mask] == codes[mask]) == divides
+    width = sum(len(set(column) - {0}) for column in zip(*rows))
+    assert codes[-1] == (1 << width) - 1
+    assert max(codes).bit_length() == width
+
+
+EXPONENTS = st.integers(0, 3) | st.sampled_from([7, 10**9, 3 * 10**9 - 1, 3 * 10**9])
+
+
+class TestCodes:
+    def test_exhaustive_families(self):
+        for M in EXHAUSTIVE:
+            check_codes_against_exponents(M)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_ideals(self, data):
+        n = data.draw(st.integers(1, 4))
+        tbl = table(*(f"x{i}" for i in range(1, n + 1)))
+        rows = data.draw(st.lists(st.tuples(*[EXPONENTS] * n), min_size=1, max_size=6))
+        mons = [Monomial(tbl, row) for row in rows if any(row)]
+        if mons:
+            check_codes_against_exponents(minimalize(mons))
+
+    @pytest.mark.parametrize("text", [
+        "a^3000000000*b, b^2",
+        "a^3000000000*b, a^2999999999*b^2, a*b^3000000000",
+        "a^5*b, a^2*c^7, b^3*c^2, a*b^2*c^4",
+    ])
+    def test_huge_and_gapped_exponents(self, text):
+        M = I(text)
+        check_codes_against_exponents(M)
+        assert build_taylor(M).mdeg_codes[-1].bit_length() <= M.q * M.n
+
+    def test_unused_variables_take_no_bits(self):
+        M = I("a^2*c, c^3", ["a", "b", "c", "d"])
+        check_codes_against_exponents(M)
+        assert build_taylor(M).codes == (0b011, 0b110)
 
 
 def brute_lyubeznik_faces(ideal, order):
@@ -168,7 +237,7 @@ class TestLyubeznik:
             strata = lyubeznik_strata(M, order)
             faces = {mask for stratum in strata for mask in stratum}
             if order is None:
-                order = _lyubeznik_order(M, build_taylor(M).mdeg_exps)
+                order = _lyubeznik_order(M, build_taylor(M).codes)
             assert faces == brute_lyubeznik_faces(M, list(order))
 
     @pytest.mark.parametrize("make", [lambda: cycle_ideal(9), rp2_ideal, lambda: complete_ideal(5)])
@@ -237,9 +306,14 @@ class TestScarf:
         assert len(scarf_basis(M).symbols) == 2**M.q
 
 
+def groups_by_monomial(cx):
+    """`mdeg_groups` keyed by the decoded multidegree's exponent tuple."""
+    return {cx.monomial(code).exponents: group for code, group in cx.mdeg_groups.items()}
+
+
 class TestMdegMultiplicity:
     def test_collision_counts(self):
-        groups = build_taylor(I("a^2, a*b, b^2")).mdeg_groups
+        groups = groups_by_monomial(build_taylor(I("a^2, a*b, b^2")))
         # one symbol in each of degrees 2 and 3 attains a^2*b^2
         assert [mask.bit_count() for mask in groups[(2, 2)]] == [2, 3]
 
@@ -252,7 +326,7 @@ class TestMdegMultiplicity:
         # so all 2^q subset lcms differ; that is why its resolution needs no
         # cancellation at all
         M = I("a*d, b*d, c*d, d^2", ["a", "b", "c", "d"])
-        groups = build_taylor(M).mdeg_groups
+        groups = groups_by_monomial(build_taylor(M))
         assert len(groups) == 2**M.q
         assert all(len(group) == 1 for group in groups.values())
         assert [mask.bit_count() for mask in groups[(1, 1, 1, 1)]] == [3]
