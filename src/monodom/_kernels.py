@@ -1,5 +1,5 @@
-"""The hot kernels: the subset-lcm lattice, minimal transversals,
-dominance scans and exact rank.
+"""The hot kernels: minimal generating sets, the subset-lcm lattice,
+minimal transversals, dominance scans and exact rank.
 
 They take and return plain ints, tuples, lists and dicts, so they know
 nothing of the monomial and complex types built on them. Python ints
@@ -14,8 +14,30 @@ everywhere.
 from __future__ import annotations
 
 from math import gcd
+from operator import le
 
 from .errors import GuardExceeded
+
+
+def first_divisors(rows):
+    """Index of the first other row that divides each row, or -1.
+
+    rows: distinct exponent tuples of one length. Row a divides row b
+    when a <= b in every coordinate. Two distinct rows can divide only
+    one way, the one of smaller total degree dividing the other, so the
+    exponents are compared only for pairs that pass that int test.
+    O(len(rows)^2) degree tests.
+    """
+    degrees = list(map(sum, rows))
+    out = []
+    for b, db in zip(rows, degrees):
+        for j, da in enumerate(degrees):
+            if da < db and all(map(le, rows[j], b)):
+                out.append(j)
+                break
+        else:
+            out.append(-1)
+    return out
 
 
 def subset_lcms(codes):

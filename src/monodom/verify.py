@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
 from math import comb
+from operator import le
 from typing import Iterator
 
 from . import _kernels
@@ -38,12 +39,6 @@ _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def _mix(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
-
-
 class SplitMix64:
     """The splitmix64 stream: state += gamma, output = mix(state)."""
 
@@ -51,8 +46,10 @@ class SplitMix64:
         self.state = state & _M64
 
     def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _M64
-        return _mix(self.state)
+        z = self.state = (self.state + _GAMMA) & _M64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
         return self.next_u64() % bound
@@ -95,21 +92,22 @@ def random_ideal(params: FuzzParams, trial_index: int) -> MonomialIdeal:
             f"random draw of up to {params.n_max} x {params.q_max} = {entries} "
             f"exponent entries exceeds the guard of {DRAW_GUARD}"
         )
-    rng = SplitMix64((params.seed + trial_index * _GAMMA) & _M64)
-    n = 1 + rng.below(params.n_max)
-    qq = 1 + rng.below(params.q_max)
+    below = SplitMix64((params.seed + trial_index * _GAMMA) & _M64).below
+    n = 1 + below(params.n_max)
+    qq = 1 + below(params.q_max)
     tbl = VariableTable(tuple(f"x{i}" for i in range(1, n + 1)))
     monomials = []
+    bound = params.exp_max + 1
     for _ in range(qq):
         exps = None
         for _ in range(16):
-            cand = tuple(rng.below(params.exp_max + 1) for _ in range(n))
+            cand = tuple([below(bound) for _ in range(n)])
             if any(cand):
                 exps = cand
                 break
         if exps is None:
             forced = [0] * n
-            forced[rng.below(n)] = 1 + rng.below(params.exp_max)
+            forced[below(n)] = 1 + below(params.exp_max)
             exps = tuple(forced)
         monomials.append(Monomial(tbl, exps))
     return minimalize(monomials)
@@ -117,7 +115,7 @@ def random_ideal(params: FuzzParams, trial_index: int) -> MonomialIdeal:
 
 def _comparable(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """Whether one exponent vector divides the other."""
-    return all(x <= y for x, y in zip(a, b)) or all(x >= y for x, y in zip(a, b))
+    return all(map(le, a, b)) or all(map(le, b, a))
 
 
 EXHAUSTIVE_GUARD = 100_000  # exponent vectors in one ambient n's pool

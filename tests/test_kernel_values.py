@@ -1,14 +1,25 @@
 """Known kernel values, and ranks against dense reference elimination."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monodom import GuardExceeded, _kernels, kernel_backend
+from monodom import (
+    FuzzParams,
+    GuardExceeded,
+    Monomial,
+    _kernels,
+    kernel_backend,
+    minimalize,
+    random_ideal,
+    table,
+    verify,
+)
 
-from conftest import reference_dominant_subsets
+from conftest import EXHAUSTIVE, reference_dominant_subsets
 
 # the kernel module under test; each test keeps the id it had when the
 # kernels lived in the package module monodom/_kernels/py.py
@@ -58,8 +69,8 @@ def test_huge_exponents(backend):
 
 
 def test_every_kernel_is_exported():
-    for name in ("subset_lcms", "minimal_transversals", "dominance_masks",
-                 "dominant_subsets", "rank_int", "rank_modp"):
+    for name in ("first_divisors", "subset_lcms", "minimal_transversals",
+                 "dominance_masks", "dominant_subsets", "rank_int", "rank_modp"):
         assert callable(getattr(_kernels, name))
     assert kernel_backend == "pure"
 
@@ -204,3 +215,59 @@ def test_dominant_subsets_match_the_plain_scan(backend, data):
         assert list(backend.dominant_subsets(exps, sizes)) == list(
             reference_dominant_subsets(exps, sizes)
         )
+
+
+def reference_first_divisors(rows):
+    """For each row, the first other row whose Monomial divides its own, or -1."""
+    if not rows:
+        return []
+    tbl = table(*(f"x{i}" for i in range(len(rows[0]))))
+    mons = [Monomial(tbl, row) for row in rows]
+    return [
+        next((j for j, g in enumerate(mons) if g is not h and g.divides(h)), -1)
+        for h in mons
+    ]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_first_divisors_on_the_exhaustive_families(backend):
+    # each antichain, plus the lcm of every pair of its members, which the
+    # members divide; before and after the generators
+    for M in EXHAUSTIVE:
+        gens = M.exponent_rows
+        lcms = tuple(tuple(map(max, a, b)) for a, b in combinations(gens, 2))
+        for rows in (gens, gens + lcms, lcms + gens):
+            rows = list(dict.fromkeys(rows))
+            assert backend.first_divisors(rows) == reference_first_divisors(rows)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_first_divisors_on_raw_fuzz_draws(backend, monkeypatch):
+    # the monomials random_ideal draws, before minimalize drops any
+    draws = []
+    monkeypatch.setattr(
+        verify, "minimalize", lambda monomials: draws.append(monomials) or minimalize(monomials)
+    )
+    params = FuzzParams(n_max=6, q_max=10, exp_max=3, trials=0, seed=11)
+    for t in range(1000):
+        random_ideal(params, t)
+    non_minimal = 0
+    for monomials in draws:
+        rows = list(dict.fromkeys(m.exponents for m in monomials))
+        found = backend.first_divisors(rows)
+        assert found == reference_first_divisors(rows)
+        non_minimal += max(found) >= 0
+    assert len(draws) == 1000 and non_minimal > 100
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_first_divisors_match_the_double_loop(backend, data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    exponent = st.one_of(st.integers(0, 3), st.integers(3 * 10**9 - 2, 3 * 10**9))
+    rows = data.draw(st.lists(st.tuples(*[exponent] * n), max_size=10, unique=True))
+    zero = (0,) * n
+    if zero not in rows and data.draw(st.booleans()):
+        rows.insert(data.draw(st.integers(0, len(rows))), zero)
+    assert backend.first_divisors(rows) == reference_first_divisors(rows)

@@ -7,6 +7,7 @@ from monodom import (
     IdealSyntaxError,
     InvalidIdealError,
     Monomial,
+    MonomialIdeal,
     TableMismatchError,
     UnknownVariableError,
     lcm_of,
@@ -87,6 +88,16 @@ class TestMinimalize:
             minimalize([m(tbl, 0)])
         with pytest.raises(InvalidIdealError):
             minimalize([m(tbl, 0), m(tbl, 2)])
+
+    def test_non_minimal_generators_name_the_first_dividing_pair(self):
+        # a*b divides a^2*b (the first generator with a divisor), but c,
+        # which divides both b*c and a*c, comes first among the divisors
+        gens = [m(ABC, 2, 1, 0), m(ABC, 0, 0, 1), m(ABC, 1, 1, 0),
+                m(ABC, 0, 1, 1), m(ABC, 1, 0, 1)]
+        with pytest.raises(
+            InvalidIdealError, match=r"^non-minimal generating set: c divides b\*c$"
+        ):
+            MonomialIdeal(ABC, tuple(gens))
 
     def test_idempotent_and_order_insensitive(self):
         tbl = table("a", "b", "c")

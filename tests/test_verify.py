@@ -64,6 +64,26 @@ class TestRandomIdeal:
         b = [random_ideal(FuzzParams(4, 5, 3, 0, seed=2), t) for t in range(10)]
         assert a != b
 
+    def test_pinned_draws(self):
+        # a failure reproduces from its printed seed and trial only while
+        # these rows stay the same from version to version
+        p = FuzzParams(6, 10, 3, 0, seed=7)
+        assert [random_ideal(p, t).exponent_rows for t in range(10)] == [
+            ((3, 0, 2, 0), (2, 2, 1, 1), (1, 0, 3, 1)),
+            ((1,),),
+            ((1,),),
+            ((3, 1, 0, 3), (1, 3, 0, 2), (1, 2, 2, 1), (1, 1, 3, 0), (0, 2, 0, 3)),
+            ((3, 3, 1, 0, 3), (2, 3, 3, 1, 0), (2, 2, 1, 1, 3), (1, 1, 3, 0, 1),
+             (0, 2, 0, 2, 0), (0, 0, 2, 1, 3)),
+            ((3, 1, 1, 0), (3, 0, 1, 2), (2, 1, 1, 3), (0, 3, 1, 1), (0, 2, 0, 2),
+             (0, 0, 2, 1)),
+            ((1, 1, 3, 0, 2), (1, 0, 3, 1, 1), (0, 2, 0, 3, 3)),
+            ((1,),),
+            ((3, 3, 1, 0, 3, 1), (3, 1, 0, 0, 0, 2), (3, 0, 2, 0, 2, 0),
+             (1, 1, 0, 0, 2, 2)),
+            ((3, 1, 0, 3, 1, 1), (1, 0, 0, 0, 2, 1), (0, 2, 0, 2, 0, 3)),
+        ]
+
     def test_draw_guard_bounds_n_max_times_q_max(self):
         assert random_ideal(FuzzParams(100, 100, 1, 1), 0).n <= 100
         with pytest.raises(GuardExceeded, match="100 x 101 = 10100"):
