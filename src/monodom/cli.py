@@ -8,6 +8,7 @@ broken complex). Diagnostics go to stderr; results to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -399,9 +400,16 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use so that importing this
+    module costs nothing; parsing leaves no state on it, so every `main`
+    call can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = _HANDLERS[args.command](args)
         if sys.stdout is not None:  # None when started with stdout closed

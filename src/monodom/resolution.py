@@ -486,11 +486,9 @@ def minimize(
     if validate:
         cx.validate()
     cursor = 1
-    cancelled = False
     while (hit := cx.find_invertible(cursor)) is not None:
         s, tau, sigma = hit
         cx.cancel(s, tau, sigma)
-        cancelled = True
         cursor = s  # degrees below s were already clean and cannot regress
         if validate:
             cx.validate()
@@ -498,10 +496,6 @@ def minimize(
         cx.check_index()
         if cx.all_invertible():
             raise InternalInvariantError("minimization left an invertible entry")
-    if cancelled:
-        # dicts keep their largest hash table after pops; a copy is sized
-        # to what survived, in the same insertion order
-        cx = cx.copy()
     return cx, cx.betti_table()
 
 

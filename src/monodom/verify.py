@@ -113,11 +113,6 @@ def random_ideal(params: FuzzParams, trial_index: int) -> MonomialIdeal:
     return minimalize(monomials)
 
 
-def _comparable(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Whether one exponent vector divides the other."""
-    return all(map(le, a, b)) or all(map(le, b, a))
-
-
 EXHAUSTIVE_GUARD = 100_000  # exponent vectors in one ambient n's pool
 EXHAUSTIVE_WALK_GUARD = 1_000_000  # subsets of the pools the walk may reach
 
@@ -168,7 +163,9 @@ def exhaustive_ideals(params: FuzzParams) -> Iterator[MonomialIdeal]:
 
         def walk(start: int, chosen: list[int]):
             for i in range(start, k):
-                if any(_comparable(pool[i], pool[j]) for j in chosen):
+                # chosen vectors come earlier in descending lex order, so
+                # none of them can divide pool[i]; only the converse can hold
+                if any(all(map(le, pool[i], pool[j])) for j in chosen):
                     continue
                 chosen.append(i)
                 yield MonomialIdeal(
@@ -211,6 +208,12 @@ class Analysis:
     `taylor` first: the lattice is then held for the object's lifetime,
     and minimize, the oracle and the Scarf basis all read that one lattice
     (`build_taylor` caches it weakly on the ideal).
+
+    When the polarization has the ideal's own exponent rows (every
+    exponent is 0 or 1 and every variable occurs), it only renames x to
+    x_1, so its net family and its odom are the base stages `nets_base`
+    and `dominance`, read rather than recomputed. Net indices coincide;
+    names still come from the polarized table.
     """
 
     def __init__(self, ideal: MonomialIdeal, field=RATIONAL):
@@ -239,7 +242,10 @@ class Analysis:
 
     @cached_property
     def nets_polarized(self) -> MinimalNetFamily:
-        return minimal_nets(self.polarized)
+        pol = self.polarized  # first, so that POLARIZE_GUARD trips first
+        if pol.exponent_rows == self.ideal.exponent_rows:
+            return self.nets_base
+        return minimal_nets(pol)
 
     @cached_property
     def betti(self) -> BettiTable:
@@ -265,7 +271,10 @@ class Analysis:
 
     @cached_property
     def odom_polarized(self) -> int:
-        return odom_by_dominance(self.polarized)[0]
+        pol = self.polarized
+        if pol.exponent_rows == self.ideal.exponent_rows:
+            return self.dominance[0]
+        return odom_by_dominance(pol)[0]
 
     # -- invariants read off the stages
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from monodom.cli import main
 
 # Ideals whose `resolution --show-matrices` output is pinned byte for byte
-# in GOLDEN_TEXT and GOLDEN_JSON at the end of this file, over Q and F_3.
+# in GOLDEN_TEXT and GOLDEN_JSON at the end of this file, over Q and F_3,
+# and whose `analyze --json` output is pinned in GOLDEN_ANALYZE_JSON.
 GOLDEN_IDEALS = {
     "P6": "x1*x2, x2*x3, x3*x4, x4*x5, x5*x6, x6*x7",
     "C4": "a*b, b*c, c*d, a*d",
@@ -218,6 +219,17 @@ class TestOtherCommands:
         golden = json.loads(GOLDEN_JSON[name, field])
         assert out == json.dumps(golden, sort_keys=True, indent=2) + "\n"
 
+    @pytest.mark.parametrize("field", GOLDEN_FIELDS)
+    @pytest.mark.parametrize("name", GOLDEN_IDEALS)
+    def test_analyze_json_golden(self, capsys, name, field):
+        code, out, err = run(
+            capsys, "analyze", "--json", "--ideal", GOLDEN_IDEALS[name],
+            *GOLDEN_FIELDS[field],
+        )
+        assert (code, err) == (0, "")
+        golden = json.loads(GOLDEN_ANALYZE_JSON[name, field])
+        assert out == json.dumps(golden, sort_keys=True, indent=2) + "\n"
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
 
@@ -234,6 +246,62 @@ class TestOtherCommands:
         payload = json.loads(out)
         assert payload["betti"] == [1, 3, 2]
         assert payload["field"] == "fp:32003"
+
+
+class TestParserReuse:
+    """`main` parses with one parser per process; no call may see another's."""
+
+    @pytest.fixture
+    def parser_builds(self, monkeypatch):
+        import functools
+
+        import monodom.cli as cli_mod
+
+        calls = []
+        real = cli_mod.build_parser
+
+        def counted():
+            calls.append(None)
+            return real()
+
+        monkeypatch.setattr(cli_mod, "build_parser", counted)
+        # a fresh cache, so that this test builds the parser itself
+        monkeypatch.setattr(cli_mod, "_parser", functools.cache(cli_mod._parser.__wrapped__))
+        return calls
+
+    def test_built_once_across_calls(self, capsys, parser_builds):
+        for command in (["polarize"], ["betti", "--json"], ["analyze"]):
+            code, _, _ = run(capsys, *command, "--ideal", "a^2, a*b")
+            assert code == 0
+        assert len(parser_builds) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        from monodom.cli import build_parser
+
+        assert build_parser() is not build_parser()
+
+    def test_valid_call_after_an_argparse_error(self, capsys, parser_builds):
+        args = ("odom", "--json", "--ideal", "a*e, b*e, c*e, d*e, a*b, c*d")
+        code, before, _ = run(capsys, *args)
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["odom", "--method", "neither", "--ideal", "a"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert run(capsys, *args) == (0, before, "")
+        assert json.loads(before)["nets"]["odom"] == 4
+        assert len(parser_builds) == 1
+
+    def test_no_option_leaks_into_the_next_call(self, capsys, parser_builds):
+        args = ("analyze", "--json", "--ideal", GOLDEN_IDEALS["C4"])
+        code, out, _ = run(capsys, *args, "--field", "fp", "--prime", "3")
+        assert code == 0 and json.loads(out)["field"] == "fp:3"
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert out == json.dumps(
+            json.loads(GOLDEN_ANALYZE_JSON["C4", "Q"]), sort_keys=True, indent=2
+        ) + "\n"
+        assert len(parser_builds) == 1
 
 
 class TestVerifyCommand:
@@ -1190,5 +1258,214 @@ GOLDEN_JSON = {
         '[a^5*b]","[a^2*c^7]","[a*b^2*c^4]","[b^3*c^2]"],["[a^5*b, a^2*c^7]","[a^5*b, a*b'
         '^2*c^4]","[a^2*c^7, a*b^2*c^4]","[a^5*b, b^3*c^2]","[a*b^2*c^4, b^3*c^2]"],["[a^'
         '5*b, a^2*c^7, a*b^2*c^4]","[a^5*b, a*b^2*c^4, b^3*c^2]"]]}'
+    ),
+}
+
+# compact JSON of `analyze --json`, printed with sort_keys=True, indent=2
+GOLDEN_ANALYZE_JSON = {
+    ("P6", "Q"): (
+        '{"betti":[1,6,11,9,3],"checks":[{"name":"odom-routes-agree","status":"pass"},{"n'
+        'ame":"codim-le-odom-le-pd","status":"pass"},{"name":"pd-n-iff-odom-n","status":"'
+        'pass"},{"name":"pd-1-iff-odom-1","status":"pass"},{"name":"odom-n-minus-1-forces'
+        '-pd","status":"vacuous"},{"name":"odom-q-minus-1-forces-pd","status":"vacuous"},'
+        '{"name":"scarf-forces-pd-eq-odom","status":"vacuous"},{"name":"taylor-minimal-if'
+        'f-odom-q","status":"pass"},{"name":"betti-binomial-odom","status":"pass"},{"name'
+        '":"betti-binomial-pd","status":"pass"},{"name":"betti-sum-two-pow-odom","status"'
+        ':"pass"},{"name":"betti-sum-non-ci","status":"pass"},{"name":"three-variables","'
+        'status":"vacuous"},{"name":"scarf-cm-iff-equal-net-cards","status":"vacuous"},{"'
+        'name":"odom-polarization-invariant","status":"pass"},{"name":"betti-engine-vs-or'
+        'acle","status":"pass"}],"codim":3,"cohen_macaulay":false,"complete_intersection"'
+        ':false,"field":"rational","graded_betti":[[0,0,1],[1,2,6],[2,3,5],[2,4,6],[3,5,9'
+        '],[4,6,3]],"ideal":"x1*x2, x2*x3, x3*x4, x4*x5, x5*x6, x6*x7","minimal_nets":{"b'
+        'ase":[["x2","x4","x6"],["x1","x3","x4","x6"],["x1","x3","x5","x6"],["x1","x3","x'
+        '5","x7"],["x2","x3","x5","x6"],["x2","x3","x5","x7"],["x2","x4","x5","x7"]],"pol'
+        'arized":[["x2_1","x4_1","x6_1"],["x1_1","x3_1","x4_1","x6_1"],["x1_1","x3_1","x5'
+        '_1","x6_1"],["x1_1","x3_1","x5_1","x7_1"],["x2_1","x3_1","x5_1","x6_1"],["x2_1",'
+        '"x3_1","x5_1","x7_1"],["x2_1","x4_1","x5_1","x7_1"]]},"multigraded_betti":[[0,"1'
+        '",1],[1,"x6*x7",1],[1,"x5*x6",1],[1,"x4*x5",1],[1,"x3*x4",1],[1,"x2*x3",1],[1,"x'
+        '1*x2",1],[2,"x5*x6*x7",1],[2,"x4*x5*x6",1],[2,"x3*x4*x6*x7",1],[2,"x3*x4*x5",1],'
+        '[2,"x2*x3*x6*x7",1],[2,"x2*x3*x5*x6",1],[2,"x2*x3*x4",1],[2,"x1*x2*x6*x7",1],[2,'
+        '"x1*x2*x5*x6",1],[2,"x1*x2*x4*x5",1],[2,"x1*x2*x3",1],[3,"x3*x4*x5*x6*x7",1],[3,'
+        '"x2*x3*x5*x6*x7",1],[3,"x2*x3*x4*x6*x7",1],[3,"x2*x3*x4*x5*x6",1],[3,"x1*x2*x5*x'
+        '6*x7",1],[3,"x1*x2*x4*x5*x6",1],[3,"x1*x2*x3*x6*x7",1],[3,"x1*x2*x3*x5*x6",1],[3'
+        ',"x1*x2*x3*x4*x5",1],[4,"x2*x3*x4*x5*x6*x7",1],[4,"x1*x2*x3*x5*x6*x7",1],[4,"x1*'
+        'x2*x3*x4*x5*x6",1]],"n":7,"odom":4,"pd":4,"q":6,"scarf":false,"taylor_minimal":f'
+        'alse,"vars":["x1","x2","x3","x4","x5","x6","x7"],"witnesses":{"dominant_set":["x'
+        '1*x2","x2*x3","x4*x5","x5*x6"],"net":["x1_1","x3_1","x4_1","x6_1"]}}'
+    ),
+    ("P6", "F3"): (
+        '{"betti":[1,6,11,9,3],"checks":[{"name":"odom-routes-agree","status":"pass"},{"n'
+        'ame":"codim-le-odom-le-pd","status":"pass"},{"name":"pd-n-iff-odom-n","status":"'
+        'pass"},{"name":"pd-1-iff-odom-1","status":"pass"},{"name":"odom-n-minus-1-forces'
+        '-pd","status":"vacuous"},{"name":"odom-q-minus-1-forces-pd","status":"vacuous"},'
+        '{"name":"scarf-forces-pd-eq-odom","status":"vacuous"},{"name":"taylor-minimal-if'
+        'f-odom-q","status":"pass"},{"name":"betti-binomial-odom","status":"pass"},{"name'
+        '":"betti-binomial-pd","status":"pass"},{"name":"betti-sum-two-pow-odom","status"'
+        ':"pass"},{"name":"betti-sum-non-ci","status":"pass"},{"name":"three-variables","'
+        'status":"vacuous"},{"name":"scarf-cm-iff-equal-net-cards","status":"vacuous"},{"'
+        'name":"odom-polarization-invariant","status":"pass"},{"name":"betti-engine-vs-or'
+        'acle","status":"pass"}],"codim":3,"cohen_macaulay":false,"complete_intersection"'
+        ':false,"field":"fp:3","graded_betti":[[0,0,1],[1,2,6],[2,3,5],[2,4,6],[3,5,9],[4'
+        ',6,3]],"ideal":"x1*x2, x2*x3, x3*x4, x4*x5, x5*x6, x6*x7","minimal_nets":{"base"'
+        ':[["x2","x4","x6"],["x1","x3","x4","x6"],["x1","x3","x5","x6"],["x1","x3","x5","'
+        'x7"],["x2","x3","x5","x6"],["x2","x3","x5","x7"],["x2","x4","x5","x7"]],"polariz'
+        'ed":[["x2_1","x4_1","x6_1"],["x1_1","x3_1","x4_1","x6_1"],["x1_1","x3_1","x5_1",'
+        '"x6_1"],["x1_1","x3_1","x5_1","x7_1"],["x2_1","x3_1","x5_1","x6_1"],["x2_1","x3_'
+        '1","x5_1","x7_1"],["x2_1","x4_1","x5_1","x7_1"]]},"multigraded_betti":[[0,"1",1]'
+        ',[1,"x6*x7",1],[1,"x5*x6",1],[1,"x4*x5",1],[1,"x3*x4",1],[1,"x2*x3",1],[1,"x1*x2'
+        '",1],[2,"x5*x6*x7",1],[2,"x4*x5*x6",1],[2,"x3*x4*x6*x7",1],[2,"x3*x4*x5",1],[2,"'
+        'x2*x3*x6*x7",1],[2,"x2*x3*x5*x6",1],[2,"x2*x3*x4",1],[2,"x1*x2*x6*x7",1],[2,"x1*'
+        'x2*x5*x6",1],[2,"x1*x2*x4*x5",1],[2,"x1*x2*x3",1],[3,"x3*x4*x5*x6*x7",1],[3,"x2*'
+        'x3*x5*x6*x7",1],[3,"x2*x3*x4*x6*x7",1],[3,"x2*x3*x4*x5*x6",1],[3,"x1*x2*x5*x6*x7'
+        '",1],[3,"x1*x2*x4*x5*x6",1],[3,"x1*x2*x3*x6*x7",1],[3,"x1*x2*x3*x5*x6",1],[3,"x1'
+        '*x2*x3*x4*x5",1],[4,"x2*x3*x4*x5*x6*x7",1],[4,"x1*x2*x3*x5*x6*x7",1],[4,"x1*x2*x'
+        '3*x4*x5*x6",1]],"n":7,"odom":4,"pd":4,"q":6,"scarf":false,"taylor_minimal":false'
+        ',"vars":["x1","x2","x3","x4","x5","x6","x7"],"witnesses":{"dominant_set":["x1*x2'
+        '","x2*x3","x4*x5","x5*x6"],"net":["x1_1","x3_1","x4_1","x6_1"]}}'
+    ),
+    ("C4", "Q"): (
+        '{"betti":[1,4,4,1],"checks":[{"name":"odom-routes-agree","status":"pass"},{"name'
+        '":"codim-le-odom-le-pd","status":"pass"},{"name":"pd-n-iff-odom-n","status":"pas'
+        's"},{"name":"pd-1-iff-odom-1","status":"pass"},{"name":"odom-n-minus-1-forces-pd'
+        '","status":"vacuous"},{"name":"odom-q-minus-1-forces-pd","status":"vacuous"},{"n'
+        'ame":"scarf-forces-pd-eq-odom","status":"vacuous"},{"name":"taylor-minimal-iff-o'
+        'dom-q","status":"pass"},{"name":"betti-binomial-odom","status":"pass"},{"name":"'
+        'betti-binomial-pd","status":"pass"},{"name":"betti-sum-two-pow-odom","status":"v'
+        'acuous"},{"name":"betti-sum-non-ci","status":"pass"},{"name":"three-variables","'
+        'status":"vacuous"},{"name":"scarf-cm-iff-equal-net-cards","status":"vacuous"},{"'
+        'name":"odom-polarization-invariant","status":"pass"},{"name":"betti-engine-vs-or'
+        'acle","status":"pass"}],"codim":2,"cohen_macaulay":false,"complete_intersection"'
+        ':false,"field":"rational","graded_betti":[[0,0,1],[1,2,4],[2,3,4],[3,4,1]],"idea'
+        'l":"a*b, a*d, b*c, c*d","minimal_nets":{"base":[["a","c"],["b","d"]],"polarized"'
+        ':[["a_1","c_1"],["b_1","d_1"]]},"multigraded_betti":[[0,"1",1],[1,"c*d",1],[1,"b'
+        '*c",1],[1,"a*d",1],[1,"a*b",1],[2,"b*c*d",1],[2,"a*c*d",1],[2,"a*b*d",1],[2,"a*b'
+        '*c",1],[3,"a*b*c*d",1]],"n":4,"odom":2,"pd":3,"q":4,"scarf":false,"taylor_minima'
+        'l":false,"vars":["a","b","c","d"],"witnesses":{"dominant_set":["a*b","a*d"],"net'
+        '":["a_1","c_1"]}}'
+    ),
+    ("C4", "F3"): (
+        '{"betti":[1,4,4,1],"checks":[{"name":"odom-routes-agree","status":"pass"},{"name'
+        '":"codim-le-odom-le-pd","status":"pass"},{"name":"pd-n-iff-odom-n","status":"pas'
+        's"},{"name":"pd-1-iff-odom-1","status":"pass"},{"name":"odom-n-minus-1-forces-pd'
+        '","status":"vacuous"},{"name":"odom-q-minus-1-forces-pd","status":"vacuous"},{"n'
+        'ame":"scarf-forces-pd-eq-odom","status":"vacuous"},{"name":"taylor-minimal-iff-o'
+        'dom-q","status":"pass"},{"name":"betti-binomial-odom","status":"pass"},{"name":"'
+        'betti-binomial-pd","status":"pass"},{"name":"betti-sum-two-pow-odom","status":"v'
+        'acuous"},{"name":"betti-sum-non-ci","status":"pass"},{"name":"three-variables","'
+        'status":"vacuous"},{"name":"scarf-cm-iff-equal-net-cards","status":"vacuous"},{"'
+        'name":"odom-polarization-invariant","status":"pass"},{"name":"betti-engine-vs-or'
+        'acle","status":"pass"}],"codim":2,"cohen_macaulay":false,"complete_intersection"'
+        ':false,"field":"fp:3","graded_betti":[[0,0,1],[1,2,4],[2,3,4],[3,4,1]],"ideal":"'
+        'a*b, a*d, b*c, c*d","minimal_nets":{"base":[["a","c"],["b","d"]],"polarized":[["'
+        'a_1","c_1"],["b_1","d_1"]]},"multigraded_betti":[[0,"1",1],[1,"c*d",1],[1,"b*c",'
+        '1],[1,"a*d",1],[1,"a*b",1],[2,"b*c*d",1],[2,"a*c*d",1],[2,"a*b*d",1],[2,"a*b*c",'
+        '1],[3,"a*b*c*d",1]],"n":4,"odom":2,"pd":3,"q":4,"scarf":false,"taylor_minimal":f'
+        'alse,"vars":["a","b","c","d"],"witnesses":{"dominant_set":["a*b","a*d"],"net":["'
+        'a_1","c_1"]}}'
+    ),
+    ("nonscarf", "Q"): (
+        '{"betti":[1,5,6,2],"checks":[{"name":"odom-routes-agree","status":"pass"},{"name'
+        '":"codim-le-odom-le-pd","status":"pass"},{"name":"pd-n-iff-odom-n","status":"pas'
+        's"},{"name":"pd-1-iff-odom-1","status":"pass"},{"name":"odom-n-minus-1-forces-pd'
+        '","status":"vacuous"},{"name":"odom-q-minus-1-forces-pd","status":"vacuous"},{"n'
+        'ame":"scarf-forces-pd-eq-odom","status":"pass"},{"name":"taylor-minimal-iff-odom'
+        '-q","status":"pass"},{"name":"betti-binomial-odom","status":"pass"},{"name":"bet'
+        'ti-binomial-pd","status":"pass"},{"name":"betti-sum-two-pow-odom","status":"pass'
+        '"},{"name":"betti-sum-non-ci","status":"pass"},{"name":"three-variables","status'
+        '":"pass"},{"name":"scarf-cm-iff-equal-net-cards","status":"pass"},{"name":"odom-'
+        'polarization-invariant","status":"pass"},{"name":"betti-engine-vs-oracle","statu'
+        's":"pass"}],"codim":2,"cohen_macaulay":false,"complete_intersection":false,"fiel'
+        'd":"rational","graded_betti":[[0,0,1],[1,2,1],[1,3,4],[2,4,6],[3,5,2]],"ideal":"'
+        'a^2*b, a*b^2, a*c, b*c^2, c^3","minimal_nets":{"base":[["a","c"],["b","c"]],"pol'
+        'arized":[["a_1","c_1"],["a_1","c_2"],["b_1","c_1"],["a_1","b_1","c_3"],["a_2","b'
+        '_2","c_1"]]},"multigraded_betti":[[0,"1",1],[1,"c^3",1],[1,"b*c^2",1],[1,"a*c",1'
+        '],[1,"a*b^2",1],[1,"a^2*b",1],[2,"b*c^3",1],[2,"a*c^3",1],[2,"a*b*c^2",1],[2,"a*'
+        'b^2*c",1],[2,"a^2*b*c",1],[2,"a^2*b^2",1],[3,"a*b*c^3",1],[3,"a^2*b^2*c",1]],"n"'
+        ':3,"odom":3,"pd":3,"q":5,"scarf":true,"taylor_minimal":false,"vars":["a","b","c"'
+        '],"witnesses":{"dominant_set":["a^2*b","a*b^2","a*c"],"net":["a_1","b_1","c_3"]}'
+        '}'
+    ),
+    ("nonscarf", "F3"): (
+        '{"betti":[1,5,6,2],"checks":[{"name":"odom-routes-agree","status":"pass"},{"name'
+        '":"codim-le-odom-le-pd","status":"pass"},{"name":"pd-n-iff-odom-n","status":"pas'
+        's"},{"name":"pd-1-iff-odom-1","status":"pass"},{"name":"odom-n-minus-1-forces-pd'
+        '","status":"vacuous"},{"name":"odom-q-minus-1-forces-pd","status":"vacuous"},{"n'
+        'ame":"scarf-forces-pd-eq-odom","status":"pass"},{"name":"taylor-minimal-iff-odom'
+        '-q","status":"pass"},{"name":"betti-binomial-odom","status":"pass"},{"name":"bet'
+        'ti-binomial-pd","status":"pass"},{"name":"betti-sum-two-pow-odom","status":"pass'
+        '"},{"name":"betti-sum-non-ci","status":"pass"},{"name":"three-variables","status'
+        '":"pass"},{"name":"scarf-cm-iff-equal-net-cards","status":"pass"},{"name":"odom-'
+        'polarization-invariant","status":"pass"},{"name":"betti-engine-vs-oracle","statu'
+        's":"pass"}],"codim":2,"cohen_macaulay":false,"complete_intersection":false,"fiel'
+        'd":"fp:3","graded_betti":[[0,0,1],[1,2,1],[1,3,4],[2,4,6],[3,5,2]],"ideal":"a^2*'
+        'b, a*b^2, a*c, b*c^2, c^3","minimal_nets":{"base":[["a","c"],["b","c"]],"polariz'
+        'ed":[["a_1","c_1"],["a_1","c_2"],["b_1","c_1"],["a_1","b_1","c_3"],["a_2","b_2",'
+        '"c_1"]]},"multigraded_betti":[[0,"1",1],[1,"c^3",1],[1,"b*c^2",1],[1,"a*c",1],[1'
+        ',"a*b^2",1],[1,"a^2*b",1],[2,"b*c^3",1],[2,"a*c^3",1],[2,"a*b*c^2",1],[2,"a*b^2*'
+        'c",1],[2,"a^2*b*c",1],[2,"a^2*b^2",1],[3,"a*b*c^3",1],[3,"a^2*b^2*c",1]],"n":3,"'
+        'odom":3,"pd":3,"q":5,"scarf":true,"taylor_minimal":false,"vars":["a","b","c"],"w'
+        'itnesses":{"dominant_set":["a^2*b","a*b^2","a*c"],"net":["a_1","b_1","c_3"]}}'
+    ),
+    ("gapped", "Q"): (
+        '{"betti":[1,4,5,2],"checks":[{"name":"odom-routes-agree","status":"pass"},{"name'
+        '":"codim-le-odom-le-pd","status":"pass"},{"name":"pd-n-iff-odom-n","status":"pas'
+        's"},{"name":"pd-1-iff-odom-1","status":"pass"},{"name":"odom-n-minus-1-forces-pd'
+        '","status":"vacuous"},{"name":"odom-q-minus-1-forces-pd","status":"pass"},{"name'
+        '":"scarf-forces-pd-eq-odom","status":"pass"},{"name":"taylor-minimal-iff-odom-q"'
+        ',"status":"pass"},{"name":"betti-binomial-odom","status":"pass"},{"name":"betti-'
+        'binomial-pd","status":"pass"},{"name":"betti-sum-two-pow-odom","status":"pass"},'
+        '{"name":"betti-sum-non-ci","status":"pass"},{"name":"three-variables","status":"'
+        'pass"},{"name":"scarf-cm-iff-equal-net-cards","status":"pass"},{"name":"odom-pol'
+        'arization-invariant","status":"pass"},{"name":"betti-engine-vs-oracle","status":'
+        '"pass"}],"codim":2,"cohen_macaulay":false,"complete_intersection":false,"field":'
+        '"rational","graded_betti":[[0,0,1],[1,5,1],[1,6,1],[1,7,1],[1,9,1],[2,8,1],[2,10'
+        ',1],[2,11,2],[2,13,1],[3,12,1],[3,14,1]],"ideal":"a^5*b, a^2*c^7, a*b^2*c^4, b^3'
+        '*c^2","minimal_nets":{"base":[["a","b"],["a","c"],["b","c"]],"polarized":[["a_1"'
+        ',"b_1"],["a_1","b_2"],["a_1","b_3"],["a_1","c_1"],["a_1","c_2"],["a_2","b_1"],["'
+        'a_2","b_2"],["a_2","c_1"],["a_2","c_2"],["a_3","c_1"],["a_3","c_2"],["a_4","c_1"'
+        '],["a_4","c_2"],["a_5","c_1"],["a_5","c_2"],["b_1","c_1"],["b_1","c_2"],["b_1","'
+        'c_3"],["b_1","c_4"],["b_1","c_5"],["b_1","c_6"],["b_1","c_7"],["a_2","b_3","c_3"'
+        '],["a_2","b_3","c_4"],["a_3","b_2","c_3"],["a_3","b_2","c_4"],["a_3","b_2","c_5"'
+        '],["a_3","b_2","c_6"],["a_3","b_2","c_7"],["a_3","b_3","c_3"],["a_3","b_3","c_4"'
+        '],["a_4","b_2","c_3"],["a_4","b_2","c_4"],["a_4","b_2","c_5"],["a_4","b_2","c_6"'
+        '],["a_4","b_2","c_7"],["a_4","b_3","c_3"],["a_4","b_3","c_4"],["a_5","b_2","c_3"'
+        '],["a_5","b_2","c_4"],["a_5","b_2","c_5"],["a_5","b_2","c_6"],["a_5","b_2","c_7"'
+        '],["a_5","b_3","c_3"],["a_5","b_3","c_4"]]},"multigraded_betti":[[0,"1",1],[1,"b'
+        '^3*c^2",1],[1,"a*b^2*c^4",1],[1,"a^2*c^7",1],[1,"a^5*b",1],[2,"a*b^3*c^4",1],[2,'
+        '"a^2*b^2*c^7",1],[2,"a^5*b*c^7",1],[2,"a^5*b^2*c^4",1],[2,"a^5*b^3*c^2",1],[3,"a'
+        '^5*b^2*c^7",1],[3,"a^5*b^3*c^4",1]],"n":3,"odom":3,"pd":3,"q":4,"scarf":true,"ta'
+        'ylor_minimal":false,"vars":["a","b","c"],"witnesses":{"dominant_set":["a^5*b","a'
+        '^2*c^7","a*b^2*c^4"],"net":["a_2","b_3","c_3"]}}'
+    ),
+    ("gapped", "F3"): (
+        '{"betti":[1,4,5,2],"checks":[{"name":"odom-routes-agree","status":"pass"},{"name'
+        '":"codim-le-odom-le-pd","status":"pass"},{"name":"pd-n-iff-odom-n","status":"pas'
+        's"},{"name":"pd-1-iff-odom-1","status":"pass"},{"name":"odom-n-minus-1-forces-pd'
+        '","status":"vacuous"},{"name":"odom-q-minus-1-forces-pd","status":"pass"},{"name'
+        '":"scarf-forces-pd-eq-odom","status":"pass"},{"name":"taylor-minimal-iff-odom-q"'
+        ',"status":"pass"},{"name":"betti-binomial-odom","status":"pass"},{"name":"betti-'
+        'binomial-pd","status":"pass"},{"name":"betti-sum-two-pow-odom","status":"pass"},'
+        '{"name":"betti-sum-non-ci","status":"pass"},{"name":"three-variables","status":"'
+        'pass"},{"name":"scarf-cm-iff-equal-net-cards","status":"pass"},{"name":"odom-pol'
+        'arization-invariant","status":"pass"},{"name":"betti-engine-vs-oracle","status":'
+        '"pass"}],"codim":2,"cohen_macaulay":false,"complete_intersection":false,"field":'
+        '"fp:3","graded_betti":[[0,0,1],[1,5,1],[1,6,1],[1,7,1],[1,9,1],[2,8,1],[2,10,1],'
+        '[2,11,2],[2,13,1],[3,12,1],[3,14,1]],"ideal":"a^5*b, a^2*c^7, a*b^2*c^4, b^3*c^2'
+        '","minimal_nets":{"base":[["a","b"],["a","c"],["b","c"]],"polarized":[["a_1","b_'
+        '1"],["a_1","b_2"],["a_1","b_3"],["a_1","c_1"],["a_1","c_2"],["a_2","b_1"],["a_2"'
+        ',"b_2"],["a_2","c_1"],["a_2","c_2"],["a_3","c_1"],["a_3","c_2"],["a_4","c_1"],["'
+        'a_4","c_2"],["a_5","c_1"],["a_5","c_2"],["b_1","c_1"],["b_1","c_2"],["b_1","c_3"'
+        '],["b_1","c_4"],["b_1","c_5"],["b_1","c_6"],["b_1","c_7"],["a_2","b_3","c_3"],["'
+        'a_2","b_3","c_4"],["a_3","b_2","c_3"],["a_3","b_2","c_4"],["a_3","b_2","c_5"],["'
+        'a_3","b_2","c_6"],["a_3","b_2","c_7"],["a_3","b_3","c_3"],["a_3","b_3","c_4"],["'
+        'a_4","b_2","c_3"],["a_4","b_2","c_4"],["a_4","b_2","c_5"],["a_4","b_2","c_6"],["'
+        'a_4","b_2","c_7"],["a_4","b_3","c_3"],["a_4","b_3","c_4"],["a_5","b_2","c_3"],["'
+        'a_5","b_2","c_4"],["a_5","b_2","c_5"],["a_5","b_2","c_6"],["a_5","b_2","c_7"],["'
+        'a_5","b_3","c_3"],["a_5","b_3","c_4"]]},"multigraded_betti":[[0,"1",1],[1,"b^3*c'
+        '^2",1],[1,"a*b^2*c^4",1],[1,"a^2*c^7",1],[1,"a^5*b",1],[2,"a*b^3*c^4",1],[2,"a^2'
+        '*b^2*c^7",1],[2,"a^5*b*c^7",1],[2,"a^5*b^2*c^4",1],[2,"a^5*b^3*c^2",1],[3,"a^5*b'
+        '^2*c^7",1],[3,"a^5*b^3*c^4",1]],"n":3,"odom":3,"pd":3,"q":4,"scarf":true,"taylor'
+        '_minimal":false,"vars":["a","b","c"],"witnesses":{"dominant_set":["a^5*b","a^2*c'
+        '^7","a*b^2*c^4"],"net":["a_2","b_3","c_3"]}}'
     ),
 }

@@ -12,7 +12,14 @@ from monodom import (
 )
 from monodom.verify import SplitMix64, exhaustive_ideals
 
-from conftest import I, pure_power_extension, reference_dominant_subsets
+from conftest import (
+    I,
+    complete_ideal,
+    cycle_ideal,
+    pure_power_extension,
+    reference_dominant_subsets,
+    rp2_ideal,
+)
 
 
 class TestSplitMix64:
@@ -119,6 +126,29 @@ class TestExhaustive:
             per_n[M.n] = per_n.get(M.n, 0) + 1
         assert per_n == {1: 1, 2: 4, 3: 18}
 
+    @pytest.mark.parametrize("q_max", [1, 2, 3, 4])
+    @pytest.mark.parametrize("exp_max", [1, 2])
+    @pytest.mark.parametrize("n_max", [1, 2])
+    def test_equals_brute_force_antichains(self, n_max, q_max, exp_max):
+        from itertools import combinations, product
+
+        def divides(a, b):
+            return all(x <= y for x, y in zip(a, b))
+
+        expected = []
+        for n in range(1, n_max + 1):
+            pool = [e for e in product(range(exp_max + 1), repeat=n) if any(e)]
+            for j in range(1, q_max + 1):
+                for gens in combinations(pool, j):
+                    if not any(
+                        divides(a, b) or divides(b, a) for a, b in combinations(gens, 2)
+                    ):
+                        expected.append((n, tuple(sorted(gens))))
+        p = FuzzParams(n_max=n_max, q_max=q_max, exp_max=exp_max, trials=0, exhaustive=True)
+        walked = [(M.n, tuple(sorted(M.exponent_rows))) for M in exhaustive_ideals(p)]
+        assert len(walked) == len(set(walked))
+        assert sorted(walked) == sorted(expected)
+
     def test_single_generators_with_a_large_exponent_range(self):
         # one ideal per nonzero exponent vector: sum of 10^n - 1 over n <= 4
         p = FuzzParams(n_max=4, q_max=1, exp_max=9, trials=0, exhaustive=True)
@@ -180,6 +210,45 @@ class TestCheckReport:
         r = check_report(I("a*b^3, a*c, b*c"))
         assert r.odom == 3 and r.betti.sum == 6
         assert "taylor-minimal-iff-odom-q" in [c.name for c in r.failed_checks()]
+
+    @pytest.fixture
+    def route_calls(self, monkeypatch):
+        """Calls of the two routes `Analysis` runs on an ideal and its polarization."""
+        import monodom.verify as verify_mod
+
+        calls = {"minimal_nets": 0, "odom_by_dominance": 0}
+        for name in calls:
+            real = getattr(verify_mod, name)
+
+            def counted(ideal, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(ideal)
+
+            monkeypatch.setattr(verify_mod, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "M",
+        [cycle_ideal(4), complete_ideal(4), rp2_ideal()],
+        ids=["C4", "K4", "RP2"],
+    )
+    def test_squarefree_polarization_reuses_the_base_stages(self, route_calls, M):
+        r = check_report(M)
+        assert route_calls == {"minimal_nets": 1, "odom_by_dominance": 1}
+        assert r.nets_polarized is r.nets_base
+        assert r.odom_polarized == r.odom and r.ok
+
+    @pytest.mark.parametrize(
+        "text,var_names",
+        [("a^2*b, a*b^2, a*c", None), ("x*y, y*z", ["x", "y", "z", "w"])],
+        ids=["exponent-2", "unused-variable"],
+    )
+    def test_other_polarizations_run_both_routes_again(self, route_calls, text, var_names):
+        # an exponent above 1 adds a column; an unused variable drops one
+        r = check_report(I(text, var_names))
+        assert r.polarized.exponent_rows != r.ideal.exponent_rows
+        assert route_calls == {"minimal_nets": 2, "odom_by_dominance": 2}
+        assert r.ok
 
     def test_guard_raises(self):
         M = I(", ".join(f"x{i}" for i in range(1, 16)))
