@@ -52,9 +52,11 @@ def _load_ideal(args) -> MonomialIdeal:
     return ideal
 
 
-def _multigraded_keys(table: BettiTable):
-    """(i, monomial) keys by homological degree, then exponent vector."""
-    return sorted(table.multigraded, key=lambda key: (key[0], key[1].exponents))
+def _multigraded_entries(table: BettiTable):
+    """(i, exponents, monomial, count) by homological degree, then exponent
+    vector; no two entries share (i, exponents), so monomials are never
+    compared."""
+    return sorted((i, m.exponents, m, c) for (i, m), c in table.multigraded.items())
 
 
 def _betti_json(table: BettiTable) -> dict:
@@ -63,9 +65,65 @@ def _betti_json(table: BettiTable) -> dict:
         "betti": list(table.total),
         "graded_betti": [[i, j, c] for (i, j), c in sorted(table.graded.items())],
         "multigraded_betti": [
-            [i, str(m), table.multigraded[(i, m)]] for i, m in _multigraded_keys(table)
+            [i, str(m), c] for i, _, m, c in _multigraded_entries(table)
         ],
     }
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_SCALARS = {str: _encode_str, int: repr}  # the scalars of bulk payloads
+
+
+def _encode(value, indent: str) -> str:
+    """`value` as JSON, laid out as `_dump` describes, nested at `indent`
+    (a newline and the enclosing containers' indentation)."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            _encode_str(key) + ": " + _encode(item, inner)
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_items(value, inner)) + indent + "]"
+    return json.dumps(value)  # None, bools, floats; TypeError if not JSON
+
+
+def _items(values, indent: str) -> list[str]:
+    """The JSON of each item of a non-empty list, nested at `indent`.
+
+    Strings and ints, alone or in non-empty lists of them, are encoded in
+    the comprehension itself, with no call to `_encode`.
+    """
+    try:
+        return [_SCALARS[type(item)](item) for item in values]
+    except KeyError:
+        pass
+    inner = indent + "  "
+    head, sep, tail = "[" + inner, "," + inner, indent + "]"
+    try:
+        return [
+            head + sep.join([_SCALARS[type(x)](x) for x in item]) + tail
+            if type(item) is list and item
+            else _encode(item, indent)
+            for item in values
+        ]
+    except KeyError:  # a list nested two deep
+        return [_encode(item, indent) for item in values]
+
+
+def _dump(payload) -> str:
+    """Canonical JSON: `json.dumps(payload, sort_keys=True, indent=2)`, byte
+    for byte for string-keyed payloads, without the pure-Python encoder
+    that `indent` selects."""
+    return _encode(payload, "\n")
 
 
 def emit_json(report: Analysis) -> str:
@@ -98,7 +156,7 @@ def emit_json(report: Analysis) -> str:
         },
         "checks": [{"name": c.name, "status": c.status} for c in report.checks],
     }
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return _dump(payload)
 
 
 def _print_report(report: Analysis) -> None:
@@ -153,15 +211,15 @@ def _cmd_betti(args) -> int:
     table = analysis.betti_by_oracle if args.oracle else analysis.betti
     if args.json:
         payload = {**_betti_json(table), "pd": table.pd, "field": table.field_name}
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_dump(payload))
         return 0
     print(f"betti: {list(table.total)}   pd = {table.pd}")
     print("graded (i, j -> count):")
     for (i, j), c in sorted(table.graded.items()):
         print(f"  ({i}, {j}) -> {c}")
     print("multigraded (i, monomial -> count):")
-    for i, m in _multigraded_keys(table):
-        print(f"  ({i}, {m}) -> {table.multigraded[(i, m)]}")
+    for i, _, m, c in _multigraded_entries(table):
+        print(f"  ({i}, {m}) -> {c}")
     return 0
 
 
@@ -178,7 +236,7 @@ def _cmd_resolution(args) -> int:
         }
         if args.show_matrices:
             payload["matrices"] = _matrix_payload(cx, ideal)
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_dump(payload))
         return 0
     print(f"minimal free resolution of the quotient; betti {list(table.total)}")
     for h, syms in enumerate(strata):
@@ -222,15 +280,13 @@ def _cmd_nets(args) -> int:
         target, family = analysis.ideal, analysis.nets_base
     if args.json:
         print(
-            json.dumps(
+            _dump(
                 {
                     "polarized": args.polarized,
                     "minimal_nets": [list(net.names(target)) for net in family],
                     "min_card": family.min_card,
                     "max_card": family.max_card,
-                },
-                sort_keys=True,
-                indent=2,
+                }
             )
         )
         return 0
@@ -261,13 +317,11 @@ def _cmd_odom(args) -> int:
         )
     if args.json:
         print(
-            json.dumps(
+            _dump(
                 {
                     method: {"odom": value, "witness": witness}
                     for method, (value, witness) in sorted(results.items())
-                },
-                sort_keys=True,
-                indent=2,
+                }
             )
         )
     else:
@@ -287,15 +341,13 @@ def _cmd_scarf(args) -> int:
     basis, betti, verdict = analysis.scarf_basis, analysis.betti, analysis.scarf
     if args.json:
         print(
-            json.dumps(
+            _dump(
                 {
                     "scarf_basis": [sym.label(ideal) for sym in basis.symbols],
                     "ranks": list(basis.ranks),
                     "betti": list(betti.total),
                     "is_scarf": verdict,
-                },
-                sort_keys=True,
-                indent=2,
+                }
             )
         )
         return 0
@@ -308,13 +360,7 @@ def _cmd_scarf(args) -> int:
 def _cmd_polarize(args) -> int:
     pol = Analysis(_load_ideal(args)).polarized
     if args.json:
-        print(
-            json.dumps(
-                {"ideal": pol.render(), "vars": list(pol.table.names)},
-                sort_keys=True,
-                indent=2,
-            )
-        )
+        print(_dump({"ideal": pol.render(), "vars": list(pol.table.names)}))
     else:
         print(pol.render())
     return 0
@@ -331,7 +377,7 @@ def _cmd_verify(args) -> int:
     )
     summary = fuzz(params, _field_from_args(args))
     if args.json:
-        print(json.dumps(summary.to_dict(), sort_keys=True, indent=2))
+        print(_dump(summary.to_dict()))
         return 0
     print(f"{summary.ideal_count} ideals, zero failures")
     for name, tally in sorted(summary.check_tally.items()):

@@ -153,14 +153,18 @@ class Monomial:
             self.table, tuple(a - b for a, b in zip(self.exponents, other.exponents))
         )
 
+    def __hash__(self) -> int:
+        # equal monomials have equal exponents, so the table can stay out
+        return hash(self.exponents)
+
     def __str__(self) -> str:
-        parts = []
-        for name, e in zip(self.table.names, self.exponents):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
+        return "*".join(
+            [
+                name if e == 1 else f"{name}^{e}"
+                for name, e in zip(self.table.names, self.exponents)
+                if e
+            ]
+        ) or "1"
 
 
 def lcm_of(monomials: Iterable[Monomial]) -> Monomial:

@@ -17,9 +17,15 @@ their ranks are taken.
 
 All arithmetic is exact: rationals by default, or F_p on request.
 Scalars are stored bare; the monomial part of an entry is always the
-quotient of the two symbols' multidegrees. Rational scalars are Python
-ints; `RationalField.div` returns a Fraction only when the quotient is
-not integral, which keeps the common ±1 pivots on the int fast path.
+quotient of the two symbols' multidegrees. A field supplies only its
+characteristic `p` (0 over Q), `one`, `div` and `rank`: the Schur update
+and the checks use Python's operators on the stored scalars, reduced
+`% p` only over F_p, so the inner loop makes no method call. Rational
+scalars are Python ints; `RationalField.div` returns a Fraction only
+when the quotient is not integral, which keeps the common ±1 pivots on
+the int fast path. A scalar is zero when it is 0 over Q, or a multiple
+of p over F_p, so an unreduced multiple of p stored in a column still
+reads as a stored zero.
 
 The complex cancelled is the full Taylor complex or, when only the
 Betti table is wanted, its Lyubeznik subcomplex, which resolves S/M
@@ -62,31 +68,25 @@ from typing import Sequence
 from . import _kernels
 from .errors import InternalInvariantError, InvalidParameterError
 from .monomials import Monomial, MonomialIdeal
-from .taylor import TaylorSymbol, build_taylor, facets, lyubeznik_strata
+from .taylor import (
+    TaylorComplex,
+    TaylorSymbol,
+    build_taylor,
+    facets,
+    lyubeznik_strata,
+)
 
 
 class RationalField:
-    """Exact rational scalars: ints, and a Fraction only for a non-integral quotient."""
+    """Exact rational scalars: ints, and a Fraction only for a non-integral quotient.
+
+    Characteristic `p` = 0: the engine adds, subtracts and multiplies
+    stored scalars with Python's operators and never reduces them.
+    """
 
     name = "rational"
-    zero = 0
     one = 1
-
-    @staticmethod
-    def neg(x):
-        return -x
-
-    @staticmethod
-    def add(x, y):
-        return x + y
-
-    @staticmethod
-    def sub(x, y):
-        return x - y
-
-    @staticmethod
-    def mul(x, y):
-        return x * y
+    p = 0
 
     @staticmethod
     def div(x, y):
@@ -95,10 +95,6 @@ class RationalField:
             if not rem:
                 return quot
         return Fraction(x, y)
-
-    @staticmethod
-    def is_zero(x):
-        return x == 0
 
     def rank(self, rows):
         """Rank of an integer matrix given as {column: nonzero int} row dicts."""
@@ -136,7 +132,12 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """F_p scalars as plain ints in [0, p)."""
+    """F_p scalars as plain ints in [0, p).
+
+    The engine computes with Python's operators on the stored ints and
+    reduces `% p` wherever it stores a result or tests one for zero, so
+    an unreduced multiple of p still reads as zero.
+    """
 
     def __init__(self, p: int = 32003):
         if p >= _MR_BOUND:
@@ -147,26 +148,10 @@ class PrimeField:
             raise InvalidParameterError(f"{p} is not prime")
         self.p = p
         self.name = f"fp:{p}"
-        self.zero = 0
         self.one = 1
-
-    def neg(self, x):
-        return (-x) % self.p
-
-    def add(self, x, y):
-        return (x + y) % self.p
-
-    def sub(self, x, y):
-        return (x - y) % self.p
-
-    def mul(self, x, y):
-        return (x * y) % self.p
 
     def div(self, x, y):
         return (x * pow(y, self.p - 2, self.p)) % self.p
-
-    def is_zero(self, x):
-        return x % self.p == 0
 
     def rank(self, rows):
         """Rank over F_p of an integer matrix given as {column: nonzero int} row dicts."""
@@ -194,17 +179,26 @@ class BettiTable:
         return self.total[i] if 0 <= i < len(self.total) else 0
 
 
-def _table_from_multigraded(
-    multigraded: dict[tuple[int, Monomial], int], field_name: str
+def _table_from_codes(
+    taylor: TaylorComplex, counts: dict[tuple[int, int], int], field_name: str
 ) -> BettiTable:
-    pd = max(i for i, _ in multigraded)
+    """The Betti table of the counts β_{h,b} keyed by (h, lcm code of b).
+
+    Each distinct code is decoded once, into the lattice's shared cache;
+    the multigraded table keeps the order of `counts`.
+    """
+    monomials = taylor.monomials(code for _, code in counts)
+    pd = max(h for h, _ in counts)
     total = [0] * (pd + 1)
     graded: dict[tuple[int, int], int] = {}
-    for (i, m), c in multigraded.items():
-        total[i] += c
-        key = (i, m.degree())
+    multigraded: dict[tuple[int, Monomial], int] = {}
+    for (h, code), c in counts.items():
+        m = monomials[code]
+        total[h] += c
+        key = (h, sum(m.exponents))
         graded[key] = graded.get(key, 0) + c
-    return BettiTable(tuple(total), graded, dict(multigraded), pd, field_name)
+        multigraded[(h, m)] = c
+    return BettiTable(tuple(total), graded, multigraded, pd, field_name)
 
 
 class FreeComplex:
@@ -235,7 +229,8 @@ class FreeComplex:
         self.taylor = taylor
         self.mdeg_codes = codes = taylor.mdeg_codes
         masks = taylor.masks  # keys share the lattice's int per mask
-        one, neg_one = field.one, field.neg(field.one)
+        p = field.p
+        one, neg_one = field.one, (-field.one % p if p else -field.one)
         self.mats: list[dict[int, dict[int, object]]] = [{0: {}}]
         self.rows: list[dict[int, dict[int, None]]] = [dict()]
         self.queue: list[list[int]] = [[]]
@@ -297,9 +292,10 @@ class FreeComplex:
 
     def is_invertible(self, s: int, tau: int, sigma: int) -> bool:
         val = self.mats[s].get(sigma, {}).get(tau)
+        p = self.field.p
         return (
             val is not None
-            and not self.field.is_zero(val)
+            and (val % p if p else val) != 0
             and self.mdeg_codes[tau] == self.mdeg_codes[sigma]
         )
 
@@ -346,7 +342,7 @@ class FreeComplex:
             raise ValueError(
                 f"entry at degree {s}, row {tau:#x}, column {sigma:#x} is not invertible"
             )
-        F = self.field
+        div, p = self.field.div, self.field.p
         mat, rows = self.mats[s], self.rows[s]
         col_rest = mat.pop(sigma)
         a = col_rest.pop(tau)
@@ -356,19 +352,19 @@ class FreeComplex:
         del row_rest[sigma]
         for sig2 in row_rest:
             col2 = mat[sig2]
-            factor = F.div(col2.pop(tau), a)
+            factor = div(col2.pop(tau), a)
             for tau2, c in col_rest.items():
-                delta = F.mul(c, factor)
                 cur = col2.get(tau2)
-                new = F.neg(delta) if cur is None else F.sub(cur, delta)
-                if F.is_zero(new):
-                    if cur is not None:
-                        del col2[tau2]
-                        del rows[tau2][sig2]
-                else:
+                new = -(c * factor) if cur is None else cur - c * factor
+                if p:
+                    new %= p
+                if new:
                     if cur is None:
                         rows[tau2][sig2] = None
                     col2[tau2] = new
+                elif cur is not None:
+                    del col2[tau2]
+                    del rows[tau2][sig2]
         if s < self.q:
             above = self.mats[s + 1]
             for sig2 in self.rows[s + 1].pop(sigma, ()):
@@ -405,12 +401,12 @@ class FreeComplex:
                 )
 
     def check_multihomogeneous(self) -> None:
-        is_zero, codes = self.field.is_zero, self.mdeg_codes
+        p, codes = self.field.p, self.mdeg_codes
         for mat in self.mats[1:]:
             for sigma, col in mat.items():
                 up = codes[sigma]
                 for tau, val in col.items():
-                    if is_zero(val):
+                    if (val % p if p else val) == 0:
                         raise InternalInvariantError("stored zero entry")
                     if codes[tau] | up != up:
                         raise InternalInvariantError(
@@ -418,19 +414,16 @@ class FreeComplex:
                         )
 
     def check_d_squared(self) -> None:
-        F = self.field
-        mul, add, is_zero = F.mul, F.add, F.is_zero
+        p = self.field.p
         for s in range(2, self.q + 1):
             lower = self.mats[s - 1]
             for sigma, col in self.mats[s].items():
                 acc: dict[int, object] = {}
                 for tau, val in col.items():
                     for rho, val2 in lower.get(tau, {}).items():
-                        prod = mul(val, val2)
-                        cur = acc.get(rho)
-                        acc[rho] = prod if cur is None else add(cur, prod)
+                        acc[rho] = acc.get(rho, 0) + val * val2
                 for total in acc.values():
-                    if not is_zero(total):
+                    if (total % p if p else total) != 0:
                         raise InternalInvariantError(
                             f"d∘d != 0 between degrees {s} and {s - 2}"
                         )
@@ -447,9 +440,7 @@ class FreeComplex:
             for mask in mat:
                 key = (h, codes[mask])
                 counts[key] = counts.get(key, 0) + 1
-        monomial = self.taylor.monomial
-        multigraded = {(h, monomial(code)): c for (h, code), c in counts.items()}
-        return _table_from_multigraded(multigraded, self.field.name)
+        return _table_from_codes(self.taylor, counts, self.field.name)
 
     def surviving_symbols(self):
         return [
@@ -526,7 +517,7 @@ def betti_oracle(ideal: MonomialIdeal, field=RATIONAL) -> BettiTable:
     """
     cx = build_taylor(ideal)
     lcms = cx.mdeg_codes
-    multigraded: dict[tuple[int, Monomial], int] = {}
+    counts: dict[tuple[int, int], int] = {}
     for b, group in cx.mdeg_groups.items():
         top = group[-1]  # every member of G is a subset of the top face
         rest = top
@@ -560,8 +551,8 @@ def betti_oracle(ideal: MonomialIdeal, field=RATIONAL) -> BettiTable:
             if beta < 0:
                 raise InternalInvariantError("negative strand homology rank")
             if beta:
-                multigraded[(h, cx.monomial(b))] = beta
-    return _table_from_multigraded(multigraded, field.name)
+                counts[(h, b)] = beta
+    return _table_from_codes(cx, counts, field.name)
 
 
 def is_complete_intersection(ideal: MonomialIdeal) -> bool:

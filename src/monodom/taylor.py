@@ -26,7 +26,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
 from .errors import TaylorTooLarge
@@ -117,15 +117,27 @@ class TaylorComplex:
             strata[mask.bit_count()].append(mask)
         self.strata = tuple(map(tuple, strata))
 
+    def monomials(self, codes: Iterable[int]) -> dict[int, Monomial]:
+        """The shared cache of decoded codes, holding every code of `codes`.
+
+        The codes not yet decoded are decoded together, one variable
+        field at a time, into one shared `Monomial` per distinct code.
+        """
+        cache = self._monomials
+        new = [code for code in dict.fromkeys(codes) if code not in cache]
+        if new:
+            columns = [
+                [levels[(code >> offset & bits).bit_count()] for code in new]
+                for offset, bits, levels in self._fields
+            ]
+            for code, exps in zip(new, zip(*columns)):
+                cache[code] = Monomial(self.table, exps)
+        return cache
+
     def monomial(self, code: int) -> Monomial:
         """The monomial of a code, one shared object per distinct code."""
         mono = self._monomials.get(code)
-        if mono is None:
-            exps = []
-            for offset, bits, levels in self._fields:
-                exps.append(levels[(code >> offset & bits).bit_count()])
-            mono = self._monomials[code] = Monomial(self.table, tuple(exps))
-        return mono
+        return self.monomials((code,))[code] if mono is None else mono
 
     def mdeg(self, mask: int) -> Monomial:
         return self.monomial(self.mdeg_codes[mask])

@@ -204,10 +204,10 @@ def brute_strand_betti(ideal, field):
     with the Taylor differential (drop the j-th member, 0-based, with
     sign (-1)^j) restricted to the strand, and beta_{h,b} is the
     dimension of its homology in degree h. Ranks are taken densely over
-    Q, or over F_p when the field has a modulus p.
+    Q, or over F_p when the field's characteristic p is nonzero.
     """
     rows, n, q = ideal.exponent_rows, ideal.n, ideal.q
-    p = getattr(field, "p", None)
+    p = field.p or None
     strands = {}
     for mask in range(1 << q):
         members = [k for k in range(q) if mask >> k & 1]

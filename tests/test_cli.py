@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monodom.cli import main
+from monodom.cli import _dump, main
 
 # Ideals whose `resolution --show-matrices` output is pinned byte for byte
 # in GOLDEN_TEXT and GOLDEN_JSON at the end of this file, over Q and F_3,
@@ -320,6 +320,80 @@ class TestVerifyCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["ideals"] == 20
+
+
+# every subcommand's --json form, as run on each GOLDEN_IDEALS entry
+JSON_COMMANDS = {
+    "analyze": ("analyze",),
+    "betti": ("betti",),
+    "betti-oracle": ("betti", "--oracle"),
+    "resolution-matrices": ("resolution", "--show-matrices"),
+    "nets": ("nets",),
+    "nets-polarized": ("nets", "--polarized"),
+    "odom-both": ("odom", "--method", "both"),
+    "scarf": ("scarf",),
+    "polarize": ("polarize",),
+}
+
+
+def assert_canonical(out):
+    """`out` is one canonical JSON document: sorted keys, two-space indent,
+    ASCII escapes, as `json.dumps(sort_keys=True, indent=2)` lays it out."""
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+class TestCanonicalJson:
+    @pytest.mark.parametrize("field", GOLDEN_FIELDS)
+    @pytest.mark.parametrize("name", GOLDEN_IDEALS)
+    @pytest.mark.parametrize("command", JSON_COMMANDS)
+    def test_subcommand_layout(self, capsys, command, name, field):
+        code, out, err = run(
+            capsys, *JSON_COMMANDS[command], "--json", "--ideal", GOLDEN_IDEALS[name],
+            *GOLDEN_FIELDS[field],
+        )
+        assert (code, err) == (0, "")
+        assert_canonical(out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--trials", "200", "--seed", "42"),
+            ("--exhaustive", "--n-max", "2", "--exp-max", "2", "--q-max", "8", "--trials", "0"),
+        ],
+        ids=["seeded", "exhaustive"],
+    )
+    def test_verify_layout(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv, "--json")
+        assert (code, err) == (0, "")
+        assert_canonical(out)
+
+
+# strings over all of Unicode, with quotes, backslashes and control
+# characters made likely
+JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ud800'))
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | JSON_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | st.lists(st.integers() | st.booleans()),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(JSON_VALUES)
+@example([])
+@example({})
+@example([[]])
+@example({"a": {}})
+@example([1, True])
+@settings(max_examples=300, deadline=None)
+def test_dump_matches_json_dumps(payload):
+    assert _dump(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
 class TestExitCodes:

@@ -10,6 +10,7 @@ from monodom import (
     MonomialIdeal,
     TableMismatchError,
     UnknownVariableError,
+    VariableTable,
     lcm_of,
     minimalize,
     parse_ideal,
@@ -50,6 +51,30 @@ class TestLcmDivides:
             m(ABC, 1, 0, 0).lcm(m(other, 1, 0, 0))
         with pytest.raises(TableMismatchError):
             m(ABC, 1, 0, 0).divides(m(other, 1, 0, 0))
+
+
+class TestHash:
+    """A monomial hashes its exponents only; equality still compares tables."""
+
+    def test_equal_tables_built_apart_hash_equal(self):
+        left, right = table("a", "b", "c"), table("a", "b", "c")
+        assert left is not right
+        x, y = m(left, 2, 0, 1), m(right, 2, 0, 1)
+        assert x == y and hash(x) == hash(y)
+        assert {x: 1}[y] == 1
+        assert len({x, y}) == 1
+
+    @pytest.mark.parametrize(
+        "other",
+        [table("x", "y", "z"), VariableTable(("a", "b", "c"), (("a", 1), ("b", 1), ("c", 1)))],
+        ids=["renamed", "polarization-origins"],
+    )
+    def test_equal_exponents_on_different_tables_stay_apart(self, other):
+        x, y = m(ABC, 1, 2, 0), m(other, 1, 2, 0)
+        assert x != y and hash(x) == hash(y)
+        keys = {x: "abc", y: "other"}
+        assert len(keys) == 2
+        assert keys[x] == "abc" and keys[y] == "other"
 
 
 class TestSupport:

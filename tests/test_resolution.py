@@ -505,7 +505,7 @@ def corrupt(cx, rng):
     elif kind == "delete":
         del col[tau]
     else:
-        col[tau] = cx.field.zero
+        col[tau] = 0
     return kind
 
 
