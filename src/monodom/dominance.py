@@ -24,6 +24,7 @@ from typing import Iterable
 from . import _kernels
 from .errors import GuardExceeded
 from .monomials import Monomial, MonomialIdeal
+from .taylor import members_of
 
 DOMINANCE_GUARD = 20  # 2^q subset enumeration; fail loudly past this
 
@@ -110,15 +111,7 @@ def _covering_assignment(
         e = lcm_exps[var]
         return frozenset(g for g in outsiders if rows[g][var] >= e)
 
-    choices = []
-    for mask in masks:
-        vars_here = []
-        m = mask
-        while m:
-            low = m & -m
-            vars_here.append(low.bit_length() - 1)
-            m ^= low
-        choices.append(vars_here)
+    choices = [members_of(mask) for mask in masks]
 
     if not outsiders:
         return tuple(vs[0] for vs in choices)

@@ -29,15 +29,16 @@ reads as a stored zero.
 
 The complex cancelled is the full Taylor complex or, when only the
 Betti table is wanted, its Lyubeznik subcomplex, which resolves S/M
-from far fewer symbols. `FreeComplex` reads the ideal's shared Taylor
-lattice and builds its own matrices from `facets` on the given strata,
-with the row index and the pivot queues in the same pass. The matrices
-are its only copy of the symbols: the surviving strata are their keys.
-Multidegrees are the lattice's integer codes, so every comparison is an
-int operation: equal multidegrees have equal codes, and mdeg(tau)
-divides mdeg(sigma) iff `codes[tau] | codes[sigma] == codes[sigma]`. A
-code is decoded to a `Monomial` only for the Betti table and the
-printed symbols.
+from far fewer symbols. `FreeComplex` takes its faces per degree with
+their lcm codes: from the Lyubeznik walk, which never reads the 2^q
+table the oracle reads, or, for the full Taylor start, from that table.
+It builds its own matrices from `facets`, with the row index and the
+pivot queues in the same pass. The matrices are its only copy of the
+symbols: the surviving strata are their keys. Multidegrees are integer
+codes, so every comparison is an int operation: equal multidegrees have
+equal codes, and mdeg(tau) divides mdeg(sigma) iff
+`codes[tau] | codes[sigma] == codes[sigma]`. A code is decoded to a
+`Monomial` only for the Betti table and the printed symbols.
 
 Cancellation is local. Each matrix keeps a row index, the transpose of
 its columns, so cancelling (tau, sigma) touches only the columns in row
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import _kernels
 from .errors import InternalInvariantError, InvalidParameterError
@@ -179,6 +180,14 @@ class BettiTable:
         return self.total[i] if 0 <= i < len(self.total) else 0
 
 
+def _taylor_strata(taylor: TaylorComplex) -> list[dict[int, int]]:
+    """The lattice table in the shape of `lyubeznik_strata`: every subset."""
+    strata: list[dict[int, int]] = [{} for _ in range(taylor.q + 1)]
+    for mask, code in enumerate(taylor.mdeg_codes):
+        strata[mask.bit_count()][mask] = code
+    return strata
+
+
 def _table_from_codes(
     taylor: TaylorComplex, counts: dict[tuple[int, int], int], field_name: str
 ) -> BettiTable:
@@ -204,9 +213,10 @@ def _table_from_codes(
 class FreeComplex:
     """Mutable labeled complex over a field, with the Taylor differential.
 
-    It starts on `strata`, per degree the ascending masks of a subcomplex
-    of the ideal's Taylor complex closed under facets (by default all of
-    it; `taylor.lyubeznik_strata` gives the Lyubeznik subcomplex).
+    It starts on `strata`, per degree the `{mask: lcm code}` dict, masks
+    ascending, of a subcomplex of the ideal's Taylor complex closed under
+    facets (by default all of it; `taylor.lyubeznik_strata` gives the
+    Lyubeznik subcomplex), merged into mdeg_codes.
     mats[s] maps each surviving degree-s symbol, ascending, to its column
     {row: scalar}; mats[0] holds the empty symbol. rows[s] is the
     transpose of mats[s], {row: {column: None}}; queue[s] lists, in
@@ -218,48 +228,50 @@ class FreeComplex:
         self,
         ideal: MonomialIdeal,
         field=RATIONAL,
-        strata: Sequence[Sequence[int]] | None = None,
+        strata: Sequence[Mapping[int, int]] | None = None,
     ):
         taylor = build_taylor(ideal)
         if strata is None:
-            strata = taylor.strata
+            strata = _taylor_strata(taylor)
         self.ideal = ideal
         self.field = field
         self.q = ideal.q
         self.taylor = taylor
-        self.mdeg_codes = codes = taylor.mdeg_codes
-        masks = taylor.masks  # keys share the lattice's int per mask
+        self.mdeg_codes = codes = dict(strata[0])
         p = field.p
         one, neg_one = field.one, (-field.one % p if p else -field.one)
         self.mats: list[dict[int, dict[int, object]]] = [{0: {}}]
         self.rows: list[dict[int, dict[int, None]]] = [dict()]
         self.queue: list[list[int]] = [[]]
         for s in range(1, self.q + 1):
+            # each face one degree down: its one shared int object, its code
+            below = {tau: (tau, code) for tau, code in strata[s - 1].items()}
             stratum = strata[s]
+            codes.update(stratum)
             mat: dict[int, dict[int, object]] = {}
             rows: dict[int, dict[int, None]] = {}
             queue = []
-            for sigma in stratum:
-                up = codes[sigma]
+            for sigma, up in stratum.items():
                 col: dict[int, object] = {}
                 hit = False
                 for tau, sign in facets(sigma):
-                    tau = masks[tau]
+                    face = below.get(tau)
+                    if face is None:
+                        raise InternalInvariantError(
+                            f"a facet of a degree-{s} symbol is not in the starting complex"
+                        )
+                    tau, low = face
                     col[tau] = one if sign > 0 else neg_one
                     row = rows.get(tau)
                     if row is None:
                         rows[tau] = {sigma: None}
                     else:
                         row[sigma] = None
-                    if not hit and codes[tau] == up:
+                    if low == up:
                         hit = True
                 mat[sigma] = col
                 if hit:
                     queue.append(sigma)
-            if not rows.keys() <= set(strata[s - 1]):
-                raise InternalInvariantError(
-                    f"a facet of a degree-{s} symbol is not in the starting complex"
-                )
             queue.reverse()  # strata are ascending
             self.mats.append(mat)
             self.rows.append(rows)
@@ -469,10 +481,9 @@ def minimize(
     """
     if start not in ("taylor", "lyubeznik"):
         raise InvalidParameterError(f"unknown start {start!r}")
-    # held here so that lyubeznik_strata and FreeComplex share one lattice
-    taylor = build_taylor(ideal)
-    strata = lyubeznik_strata(ideal) if start == "lyubeznik" else None
-    cx = FreeComplex(ideal, field, strata)
+    cx = FreeComplex(
+        ideal, field, lyubeznik_strata(ideal) if start == "lyubeznik" else None
+    )
     validate = ideal.q <= VALIDATE_GUARD
     if validate:
         cx.validate()

@@ -5,9 +5,10 @@ Symbols are encoded as q-bit masks over the canonical generator order.
 The differential of a symbol removes one member at a time with sign
 (-1)^(j+1), j being the member's 1-based position in the ascending index
 list; `facets` yields those pairs. The monomial part of every entry is
-the quotient of the two symbols' multidegrees, so nothing but the lcm
-table is stored, and `build_taylor` shares one lattice per ideal,
-read-only, between the engine, the oracle and the Scarf basis.
+the quotient of the two symbols' multidegrees, so only lcm codes are
+stored, and `build_taylor` shares one lattice per ideal, read-only. The
+Lyubeznik walk computes its faces' lcm codes itself, never reading the
+2^q table that the oracle and the Scarf basis read.
 
 Multidegrees are held as integer codes. The lcm lattice depends only on
 the order of each variable's exponents (Gasharov–Peeva–Welker, Math.
@@ -76,12 +77,11 @@ class TaylorSymbol:
 class TaylorComplex:
     """The lcm lattice of generator subsets, read-only once built.
 
-    codes[k] is the code of generator k and mdeg_codes[mask] the code of
-    the lcm of the subset `mask`; `monomial` decodes a code, and returns
-    one shared `Monomial` per distinct code. strata[h] holds the masks
-    with h members in ascending order; masks[m] is m itself, one int
-    object per mask for callers that key tables by mask. The
-    differential is never stored: `facets` gives each column.
+    Building it costs O(q·n): codes[k] is the code of generator k, and
+    `monomial` decodes a code, returning one shared `Monomial` per
+    distinct code. mdeg_codes[mask], the code of the lcm of the subset
+    `mask`, is the 2^q table, built on first read. The differential is
+    never stored: `facets` gives each column.
     """
 
     def __init__(self, ideal: MonomialIdeal):
@@ -110,12 +110,11 @@ class TaylorComplex:
         self.codes = tuple(codes)
         self._fields = fields
         self._monomials: dict[int, Monomial] = {}
-        self.mdeg_codes = tuple(_kernels.subset_lcms(self.codes))
-        self.masks = tuple(range(1 << self.q))
-        strata: list[list[int]] = [[] for _ in range(self.q + 1)]
-        for mask in self.masks:
-            strata[mask.bit_count()].append(mask)
-        self.strata = tuple(map(tuple, strata))
+
+    @cached_property
+    def mdeg_codes(self) -> tuple[int, ...]:
+        """The lcm code of every subset, indexed by mask: the 2^q table."""
+        return tuple(_kernels.subset_lcms(self.codes))
 
     def monomials(self, codes: Iterable[int]) -> dict[int, Monomial]:
         """The shared cache of decoded codes, holding every code of `codes`.
@@ -202,35 +201,32 @@ def _lyubeznik_order(ideal: MonomialIdeal, codes: Sequence[int]) -> tuple[int, .
 
 def lyubeznik_strata(
     ideal: MonomialIdeal, order: Sequence[int] | None = None
-) -> tuple[tuple[int, ...], ...]:
-    """The faces of the Lyubeznik complex, per degree, masks ascending.
+) -> tuple[dict[int, int], ...]:
+    """The faces of the Lyubeznik complex with their lcm codes.
 
-    With the generators in `order`, a subset is a face when, for each
-    of its tails in that order, no generator before the tail's first
-    member divides the tail's lcm (Lyubeznik, J. Pure Appl. Algebra 51,
-    1988). The faces are closed under subsets and, with the Taylor
-    differential restricted to them, still resolve S/M. The default
-    order keeps the complex small: the path ideal with q = 14 has 4,352
-    faces, against 16,384 in the natural order.
+    Per degree, a `{mask: lcm code}` dict with masks ascending. With the
+    generators in `order`, a subset is a face when, for each of its tails
+    in that order, no generator before the tail's first member divides
+    the tail's lcm (Lyubeznik, J. Pure Appl. Algebra 51, 1988). The faces
+    are closed under subsets and, with the Taylor differential restricted
+    to them, still resolve S/M. The default order keeps the complex
+    small: the path ideal with q = 14 has 4,352 faces, against 16,384 in
+    the natural order.
 
     The walk adds a new first member i to a face tau and carries the
     lcm code of each face, the OR of its parent's and the new member's:
     {i} | tau is a face iff no generator k before i divides that lcm,
-    `codes[k] | lcm == lcm`.
+    `codes[k] | lcm == lcm`. The 2^q lattice table is never read.
     """
     cx = build_taylor(ideal)
-    masks, q = cx.masks, cx.q
-    if q <= 2:
-        # no generator divides another, and the first member of a pair has
-        # no generator before it: every subset is a face
-        return cx.strata
+    q = cx.q
     if order is None:
         order = _lyubeznik_order(ideal, cx.codes)
     bits = [1 << k for k in order]
     codes = [cx.codes[k] for k in order]
     earlier = [codes[:i] for i in range(q)]  # the generators before position i
-    strata: list[list[int]] = [[] for _ in range(q + 1)]
-    strata[0].append(0)
+    strata: list[list[tuple[int, int]]] = [[] for _ in range(q + 1)]
+    strata[0].append((0, 0))
     stack = [(0, q, 0)]  # (face, position of its first member in the order, lcm code)
     while stack:
         tau, first, below = stack.pop()
@@ -241,9 +237,9 @@ def lyubeznik_strata(
                     break
             else:
                 sigma = tau | bits[i]
-                strata[sigma.bit_count()].append(masks[sigma])
+                strata[sigma.bit_count()].append((sigma, lcm))
                 stack.append((sigma, i, lcm))
-    return tuple(tuple(sorted(stratum)) for stratum in strata)
+    return tuple(dict(sorted(stratum)) for stratum in strata)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .resolution import (
     is_complete_intersection,
     minimize,
 )
-from .taylor import ScarfBasis, TaylorComplex, build_taylor, scarf_basis
+from .taylor import ScarfBasis, TaylorComplex, build_taylor, members_of, scarf_basis
 
 # ---------------------------------------------------------------------------
 # splitmix64: chosen because it is bit-exactly specifiable in a few lines
@@ -206,8 +206,10 @@ class Analysis:
     keeps the result, so a caller pays for, and trips the guards of, only
     the stages it reads. Every stage that reads the Taylor lattice touches
     `taylor` first: the lattice is then held for the object's lifetime,
-    and minimize, the oracle and the Scarf basis all read that one lattice
-    (`build_taylor` caches it weakly on the ideal).
+    and minimize, the oracle and the Scarf basis all decode through that
+    one lattice (`build_taylor` caches it weakly on the ideal). Only the
+    oracle and the Scarf basis read its 2^q table; minimize takes its
+    lcm codes from the Lyubeznik walk.
 
     When the polarization has the ideal's own exponent rows (every
     exponent is 0 or 1 and every variable occurs), it only renames x to
@@ -566,17 +568,10 @@ def check_lemma_hypotheses(ideal: MonomialIdeal, field=RATIONAL) -> list[LemmaIn
     sizes = range(1, min(ideal.q, ideal.n) + 1)
     for members, masks in _kernels.dominant_subsets(rows, sizes):
         # keep only dominant variables carrying the global lcm exponent
-        choices = []
-        for g, mask in zip(members, masks):
-            opts = []
-            m = mask
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                if rows[g][v] == global_lcm[v]:
-                    opts.append(v)
-                m ^= low
-            choices.append(opts)
+        choices = [
+            [v for v in members_of(mask) if rows[g][v] == global_lcm[v]]
+            for g, mask in zip(members, masks)
+        ]
         if any(not opts for opts in choices):
             continue
         for assignment in iter_product(*choices):

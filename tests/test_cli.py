@@ -161,8 +161,8 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize(
         "command",
-        [["analyze"], ["scarf"], ["betti"], ["betti", "--oracle"], ["resolution"]],
-        ids=["analyze", "scarf", "betti", "betti-oracle", "resolution"],
+        [["analyze"], ["scarf"], ["betti", "--oracle"], ["resolution"]],
+        ids=["analyze", "scarf", "betti-oracle", "resolution"],
     )
     def test_scarf_builds_one_lattice(self, capsys, lattice_builds, command):
         code, out, _ = run(
@@ -171,6 +171,15 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["betti"] == [1, 5, 6, 2]
         assert len(lattice_builds) == 1
+
+    def test_betti_builds_no_lattice(self, capsys, lattice_builds):
+        # the engine takes its lcm codes from the Lyubeznik walk
+        code, out, _ = run(
+            capsys, "betti", "--ideal", "a^2*b, a*b^2, a*c, b*c^2, c^3", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["betti"] == [1, 5, 6, 2]
+        assert lattice_builds == []
 
     def test_odom_both_polarizes_once(self, capsys, monkeypatch):
         import sys

@@ -18,6 +18,7 @@ from monodom import (
     PrimeField,
     betti_oracle,
     build_taylor,
+    check_report,
     is_complete_intersection,
     minimalize,
     minimize,
@@ -26,7 +27,8 @@ from monodom import (
     random_ideal,
     table,
 )
-from monodom.taylor import lyubeznik_strata
+from monodom.resolution import _taylor_strata
+from monodom.taylor import facets, lyubeznik_strata
 
 from conftest import (
     EXHAUSTIVE,
@@ -385,6 +387,10 @@ class TestLyubeznikStart:
         cx.validate()
         cx.check_index()
         assert sum(map(len, cx.strata)) < 2 ** cx.q
+        # every row key is the int object that keys its face's column
+        for s in range(1, cx.q + 1):
+            faces = {id(tau) for tau in cx.mats[s - 1]}
+            assert all(id(tau) in faces for col in cx.mats[s].values() for tau in col)
 
     def test_random_pivots_give_the_same_table(self):
         for M in (NAMED["C7"], I("a^2*b, a*b^2, a*c, b*c^2, c^3")):
@@ -395,17 +401,25 @@ class TestLyubeznikStart:
 
     def test_start_missing_a_facet_is_rejected(self):
         M = I("a^2*b, a*b^2, a*c, b*c^2, c^3")
-        strata = [list(stratum) for stratum in build_taylor(M).strata]
-        strata[2].pop(0)
-        with pytest.raises(InternalInvariantError, match="facet of a degree-3"):
-            FreeComplex(M, RATIONAL, strata)
+        for start in (lyubeznik_strata(M), _taylor_strata(build_taylor(M))):
+            strata = [dict(stratum) for stratum in start]
+            tau, _ = next(facets(min(strata[3])))
+            del strata[2][tau]  # a face of the walk's {mask: code} shape
+            with pytest.raises(InternalInvariantError, match="facet of a degree-3"):
+                FreeComplex(M, RATIONAL, strata)
 
     def test_unknown_start_is_rejected(self):
         with pytest.raises(InvalidParameterError, match="start"):
             minimize(I("a, b"), start="scarf")
 
-    def test_lyubeznik_start_builds_one_lattice(self, lattice_builds):
-        minimize(path_ideal(10), start="lyubeznik")
+    def test_lyubeznik_start_builds_no_lattice(self, lattice_builds):
+        # the walk carries its faces' lcm codes, so the engine never reads
+        # the 2^q table; the oracle and the Scarf basis share one
+        M = path_ideal(10)
+        minimize(M, start="lyubeznik")
+        assert Analysis(M).betti.total == minimize(M, start="lyubeznik")[1].total
+        assert lattice_builds == []
+        assert check_report(M).ok
         assert len(lattice_builds) == 1
 
 
@@ -579,10 +593,10 @@ class TestIncrementalValidation:
         cx = FreeComplex(I("a, b"))
         cx.validate()
         other = cx.copy()  # the same columns
-        codes = list(cx.mdeg_codes)
-        assert codes[3] == 0b11  # lcm([a, b]) = a*b
-        codes[1] = 0b100  # [a] now holds a bit that [a, b] lacks
-        other.mdeg_codes = tuple(codes)
+        codes = dict(cx.mdeg_codes)
+        assert codes[0b11] == 0b11  # lcm([a, b]) = a*b
+        codes[0b01] = 0b100  # [a] now holds a bit that [a, b] lacks
+        other.mdeg_codes = codes
         with pytest.raises(InternalInvariantError, match="incomparable"):
             other.validate()
 
@@ -609,14 +623,13 @@ class TestIncrementalValidation:
 
     @pytest.mark.parametrize("text", ["x1^2*x2^3, x1*x3", "a^2, a*b, b^2*c"])
     def test_start_with_nothing_to_cancel_is_validated(self, monkeypatch, text):
-        # an lcm table that drops the last variable of every lcm of two or
-        # more generators; on these Lyubeznik starts the bad column either
-        # survives without a cancellation or is itself cancelled first, so
-        # only the check of the start can see it (the walk reads generator
-        # codes, not this table, so its faces are the true ones)
-        from monodom import _kernels
+        # lcm codes that drop the last variable of every face of two or
+        # more generators, as the walk hands them to the engine (its faces
+        # stay the true ones); on these starts nothing is cancelled before
+        # the check of the start, so only that check can see the fault
+        from monodom import resolution
 
-        real = _kernels.subset_lcms
+        real = resolution.lyubeznik_strata
         # the last variable's field is the top one: one bit per distinct
         # nonzero exponent of each variable, laid out in variable order
         rows = I(text).exponent_rows
@@ -624,16 +637,27 @@ class TestIncrementalValidation:
         total = sum(widths)
         keep = (1 << total - widths[-1]) - 1
 
-        def lossy(codes):
-            table = real(codes)
-            return [
-                lcm if mask.bit_count() < 2 else lcm & keep
-                for mask, lcm in enumerate(table)
-            ]
+        def lossy(ideal, order=None):
+            return tuple(
+                {
+                    mask: lcm if mask.bit_count() < 2 else lcm & keep
+                    for mask, lcm in stratum.items()
+                }
+                for stratum in real(ideal, order)
+            )
 
-        monkeypatch.setattr(_kernels, "subset_lcms", lossy)
+        cancels = []
+        real_cancel = resolution.FreeComplex.cancel
+
+        def counted_cancel(self, *hit):
+            cancels.append(hit)
+            return real_cancel(self, *hit)
+
+        monkeypatch.setattr(resolution, "lyubeznik_strata", lossy)
+        monkeypatch.setattr(resolution.FreeComplex, "cancel", counted_cancel)
         with pytest.raises(InternalInvariantError, match="incomparable multidegrees"):
             minimize(I(text), start="lyubeznik")
+        assert cancels == []
 
     @pytest.mark.parametrize("field", FIELDS[::2], ids=lambda f: f.name)
     @pytest.mark.parametrize(

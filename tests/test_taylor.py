@@ -42,7 +42,10 @@ class TestBuildTaylor:
         first, second = members_of(top)
         assert col[top ^ (1 << first)] == 1
         assert col[top ^ (1 << second)] == -1
-        for single in cx.strata[1]:
+        a, b = cx.codes
+        # the walk gives every subset of two generators, each with its lcm code
+        assert lyubeznik_strata(M) == ({0: 0}, {0b01: a, 0b10: b}, {top: a | b})
+        for single in lyubeznik_strata(M)[1]:
             assert dict(facets(single)) == {0: 1}
         # quotient monomials: mdeg([a,b]) / mdeg single = the other variable
         assert str(cx.mdeg(top)) == "a*b"
@@ -61,8 +64,10 @@ class TestBuildTaylor:
         assert str(cx.mdeg(pair)) == "a^2*b^2"
 
     def test_strata_sizes(self):
-        cx = build_taylor(I("a, b, c, d"))
-        assert [len(s) for s in cx.strata] == [1, 4, 6, 4, 1]
+        # no generator divides the lcm of others: every subset is a face
+        M = I("a, b, c, d")
+        assert [len(s) for s in lyubeznik_strata(M)] == [1, 4, 6, 4, 1]
+        assert [len(s) for s in FreeComplex(M).strata] == [1, 4, 6, 4, 1]
 
     def test_guard(self):
         M = I(", ".join(f"x{i}" for i in range(1, 16)))
@@ -72,28 +77,35 @@ class TestBuildTaylor:
     def test_lattice_is_shared_and_read_only(self):
         M = I("a^2*b, a*b^2, a*c, b*c^2, c^3")
         cx = build_taylor(M)
-        strata = [list(st) for st in cx.strata]
+        gens = cx.codes
+        strata = lyubeznik_strata(M)
         codes = list(cx.mdeg_codes)
         scarf = scarf_basis(M)
         engine = minimize(M)[1]
         assert build_taylor(M) is cx
-        assert [list(st) for st in cx.strata] == strata
+        assert cx.codes == gens
+        assert lyubeznik_strata(M) == strata
         assert list(cx.mdeg_codes) == codes
+        # the Taylor start reads the table; the walk's codes agree with it
+        assert FreeComplex(M).mdeg_codes == dict(enumerate(codes))
+        assert all(codes[mask] == code for st in strata for mask, code in st.items())
         assert betti_oracle(M) == engine
         assert scarf_basis(M) == scarf
         assert not hasattr(cx, "diff")
 
     def test_one_tuple_object_per_distinct_lcm(self):
-        # the engine's table, the oracle and the Scarf symbols all decode
-        # through the lattice, which builds one Monomial per distinct code
+        # the engine's tables from both starts, the oracle and the Scarf
+        # symbols all decode through the lattice, which builds one
+        # Monomial per distinct code
         params = FuzzParams(n_max=6, q_max=10, exp_max=3, trials=0, seed=7)
         for M in (path_ideal(10), *(random_ideal(params, t) for t in range(100))):
             cx = build_taylor(M)
-            mdegs = [cx.mdeg(mask) for mask in cx.masks]
+            mdegs = [cx.mdeg(mask) for mask in range(1 << M.q)]
             assert len({id(m) for m in mdegs}) == len(set(cx.mdeg_codes))
             assert all(m is cx.monomial(code) for m, code in zip(mdegs, cx.mdeg_codes))
             shared = {m.exponents: m for m in mdegs}
-            for table_ in (minimize(M)[1], betti_oracle(M)):
+            tables = (minimize(M)[1], minimize(M, start="lyubeznik")[1], betti_oracle(M))
+            for table_ in tables:
                 assert all(shared[m.exponents] is m for _, m in table_.multigraded)
             assert all(sym.mdeg is cx.mdeg(sym.mask) for sym in scarf_basis(M).symbols)
 
@@ -236,6 +248,8 @@ class TestLyubeznik:
         for order in orders:
             strata = lyubeznik_strata(M, order)
             faces = {mask for stratum in strata for mask in stratum}
+            lcms = build_taylor(M).mdeg_codes
+            assert all(lcms[mask] == code for st in strata for mask, code in st.items())
             if order is None:
                 order = _lyubeznik_order(M, build_taylor(M).codes)
             assert faces == brute_lyubeznik_faces(M, list(order))

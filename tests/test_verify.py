@@ -16,6 +16,7 @@ from conftest import (
     I,
     complete_ideal,
     cycle_ideal,
+    path_ideal,
     pure_power_extension,
     reference_dominant_subsets,
     rp2_ideal,
@@ -249,6 +250,31 @@ class TestCheckReport:
         assert r.polarized.exponent_rows != r.ideal.exponent_rows
         assert route_calls == {"minimal_nets": 2, "odom_by_dominance": 2}
         assert r.ok
+
+    @pytest.mark.parametrize("M", [path_ideal(9), cycle_ideal(11)], ids=["P9", "C11"])
+    def test_lossy_lattice_table_fails_the_cross_check(self, monkeypatch, capsys, M):
+        # the lattice table with the top code bit cleared from the lcm of
+        # every subset of two or more generators: the oracle reads it, while
+        # the engine takes its codes from the Lyubeznik walk, so the two
+        # routes disagree (q > 8, where minimize validates no step)
+        from monodom import _kernels
+        from monodom.cli import main
+
+        real = _kernels.subset_lcms
+
+        def lossy(codes):
+            top = 1 << max(codes).bit_length() - 1
+            return [
+                lcm if mask.bit_count() < 2 else lcm & ~top
+                for mask, lcm in enumerate(real(codes))
+            ]
+
+        monkeypatch.setattr(_kernels, "subset_lcms", lossy)
+        failed = [c.name for c in check_report(M).failed_checks()]
+        assert "betti-engine-vs-oracle" in failed
+        text = ", ".join(map(str, M.generators))
+        assert main(["analyze", "--ideal", text, "--vars", ",".join(M.table.names)]) == 3
+        assert "betti-engine-vs-oracle" in capsys.readouterr().out
 
     def test_guard_raises(self):
         M = I(", ".join(f"x{i}" for i in range(1, 16)))
