@@ -31,7 +31,7 @@ The complex cancelled is the full Taylor complex or, when only the
 Betti table is wanted, its Lyubeznik subcomplex, which resolves S/M
 from far fewer symbols. `FreeComplex` takes its faces per degree with
 their lcm codes: from the Lyubeznik walk, which never reads the 2^q
-table the oracle reads, or, for the full Taylor start, from that table.
+table the oracle reads, or, for the Taylor start, from its own table.
 It builds its own matrices from `facets`, with the row index and the
 pivot queues in the same pass. The matrices are its only copy of the
 symbols: the surviving strata are their keys. Multidegrees are integer
@@ -180,10 +180,10 @@ class BettiTable:
         return self.total[i] if 0 <= i < len(self.total) else 0
 
 
-def _taylor_strata(taylor: TaylorComplex) -> list[dict[int, int]]:
-    """The lattice table in the shape of `lyubeznik_strata`: every subset."""
-    strata: list[dict[int, int]] = [{} for _ in range(taylor.q + 1)]
-    for mask, code in enumerate(taylor.mdeg_codes):
+def _taylor_strata(table: Sequence[int], q: int) -> list[dict[int, int]]:
+    """The lattice table `table` in the shape of `lyubeznik_strata`."""
+    strata: list[dict[int, int]] = [{} for _ in range(q + 1)]
+    for mask, code in enumerate(table):
         strata[mask.bit_count()][mask] = code
     return strata
 
@@ -215,8 +215,9 @@ class FreeComplex:
 
     It starts on `strata`, per degree the `{mask: lcm code}` dict, masks
     ascending, of a subcomplex of the ideal's Taylor complex closed under
-    facets (by default all of it; `taylor.lyubeznik_strata` gives the
-    Lyubeznik subcomplex), merged into mdeg_codes.
+    facets (`taylor.lyubeznik_strata` gives the Lyubeznik subcomplex),
+    merged into the dict mdeg_codes. By default it is all of it, and
+    mdeg_codes is the 2^q table, built here and kept by no one else.
     mats[s] maps each surviving degree-s symbol, ascending, to its column
     {row: scalar}; mats[0] holds the empty symbol. rows[s] is the
     transpose of mats[s], {row: {column: None}}; queue[s] lists, in
@@ -232,12 +233,15 @@ class FreeComplex:
     ):
         taylor = build_taylor(ideal)
         if strata is None:
-            strata = _taylor_strata(taylor)
+            codes = _kernels.subset_lcms(taylor.codes)
+            strata = _taylor_strata(codes, ideal.q)
+        else:
+            codes = {mask: code for stratum in strata for mask, code in stratum.items()}
         self.ideal = ideal
         self.field = field
         self.q = ideal.q
         self.taylor = taylor
-        self.mdeg_codes = codes = dict(strata[0])
+        self.mdeg_codes = codes
         p = field.p
         one, neg_one = field.one, (-field.one % p if p else -field.one)
         self.mats: list[dict[int, dict[int, object]]] = [{0: {}}]
@@ -247,7 +251,6 @@ class FreeComplex:
             # each face one degree down: its one shared int object, its code
             below = {tau: (tau, code) for tau, code in strata[s - 1].items()}
             stratum = strata[s]
-            codes.update(stratum)
             mat: dict[int, dict[int, object]] = {}
             rows: dict[int, dict[int, None]] = {}
             queue = []

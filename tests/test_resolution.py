@@ -27,6 +27,7 @@ from monodom import (
     random_ideal,
     table,
 )
+from monodom import _kernels
 from monodom.resolution import _taylor_strata
 from monodom.taylor import facets, lyubeznik_strata
 
@@ -401,12 +402,22 @@ class TestLyubeznikStart:
 
     def test_start_missing_a_facet_is_rejected(self):
         M = I("a^2*b, a*b^2, a*c, b*c^2, c^3")
-        for start in (lyubeznik_strata(M), _taylor_strata(build_taylor(M))):
+        taylor = _taylor_strata(_kernels.subset_lcms(build_taylor(M).codes), M.q)
+        for start in (lyubeznik_strata(M), taylor):
             strata = [dict(stratum) for stratum in start]
             tau, _ = next(facets(min(strata[3])))
             del strata[2][tau]  # a face of the walk's {mask: code} shape
             with pytest.raises(InternalInvariantError, match="facet of a degree-3"):
                 FreeComplex(M, RATIONAL, strata)
+
+    def test_taylor_start_keeps_its_table_to_itself(self, lattice_builds):
+        # the full start builds the 2^q table once, as its own mdeg_codes,
+        # and leaves nothing of size 2^q on the shared lattice
+        M = path_ideal(6)
+        cx = FreeComplex(M)
+        assert len(lattice_builds) == 1
+        assert "mdeg_codes" not in vars(cx.taylor)
+        assert cx.mdeg_codes == _kernels.subset_lcms(cx.taylor.codes)
 
     def test_unknown_start_is_rejected(self):
         with pytest.raises(InvalidParameterError, match="start"):
@@ -593,7 +604,7 @@ class TestIncrementalValidation:
         cx = FreeComplex(I("a, b"))
         cx.validate()
         other = cx.copy()  # the same columns
-        codes = dict(cx.mdeg_codes)
+        codes = list(cx.mdeg_codes)
         assert codes[0b11] == 0b11  # lcm([a, b]) = a*b
         codes[0b01] = 0b100  # [a] now holds a bit that [a, b] lacks
         other.mdeg_codes = codes
