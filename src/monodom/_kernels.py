@@ -2,9 +2,12 @@
 minimal transversals, dominance scans and exact rank.
 
 They take and return plain ints, tuples, lists and dicts, so they know
-nothing of the monomial and complex types built on them. Python ints
-never overflow, so every result is exact however large the exponents
-or matrix entries grow.
+nothing of the monomial and complex types built on them. Sets are
+bitmasks: of variables for transversals, of lattice-code bits for the
+dominance scans (which compare only the order of each variable's
+exponents, and the codes keep exactly that order), of generators for
+the lcm table. Python ints never overflow, so every result is exact
+however large the exponents or matrix entries grow.
 
 Callers look each kernel up on this module at call time
 (`_kernels.rank_int(...)`), so patching a name here replaces the kernel
@@ -54,127 +57,110 @@ def subset_lcms(codes):
     return table
 
 
-def minimal_transversals(edges, n_vars, cap):
+def minimal_transversals(edges, cap):
     """All minimal hitting sets of the edge hypergraph, as variable bitmasks.
 
-    edges: nonzero variable bitmasks. Depth-first include/exclude search
-    over variables in descending edge-degree order; a branch stops as soon
-    as every edge is hit (supersets cannot be minimal). A candidate can
-    still contain a variable that later choices made redundant, so only
-    the candidates in which every variable has a private edge are kept,
-    ordered by size (stably, in search order within one size). Raises
-    GuardExceeded when more than `cap` candidate sets accumulate.
+    edges: nonzero variable bitmasks. Berge's algorithm (Berge,
+    *Hypergraphs*, 1989): the family starts as the empty set alone and
+    takes the distinct edges by ascending size. After each edge it keeps
+    the sets that hit the edge, and extends each set that misses it by
+    each variable of the edge. An extension is kept only when every
+    variable in it has a private edge among the edges taken so far: one
+    that the extension meets in that variable alone. The new variable
+    has the new edge; a member u of the old set keeps a private edge
+    unless the new variable lies in every edge private to u, the AND of
+    those edges. So one pass over the edges per old set gives the
+    variables that may extend it. The family is then exactly the minimal
+    transversals of the edges taken, with no repeats. An edge that every
+    set already hits changes neither the family nor which sets are
+    minimal, so it is not taken. Returns the masks ordered by size
+    (stably, in family order within one size). Raises GuardExceeded as
+    soon as the family held after one edge grows past `cap` sets.
     """
     if not edges:
         return []
-    degree = [0] * n_vars
-    for e in edges:
-        m = e
-        while m:
-            low = m & -m
-            degree[low.bit_length() - 1] += 1
-            m ^= low
-    order = sorted(range(n_vars), key=lambda v: (-degree[v], v))
-    order = [v for v in order if degree[v] > 0]
-    k = len(order)
-    # suffix_cover[i] = union of variables order[i:], for the feasibility prune
-    suffix_cover = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix_cover[i] = suffix_cover[i + 1] | (1 << order[i])
-
-    found = []
-    # depth-first over (position, chosen, uncovered), include branch first;
-    # an explicit stack, since k can exceed the recursion limit
-    stack = [(0, 0, list(edges))]
-    while stack:
-        i, chosen, uncovered = stack.pop()
-        if not uncovered:
-            found.append(chosen)
-            if len(found) > cap:
-                raise GuardExceeded(
-                    f"{len(found)} candidate minimal nets exceed the guard of {cap}"
-                )
+    family = [0]
+    taken = []
+    for edge in sorted(dict.fromkeys(edges), key=int.bit_count):
+        kept, missing = [], []
+        for s in family:
+            (kept if s & edge else missing).append(s)
+        if not missing:
             continue
-        hit = 0
-        for e in uncovered:
-            hit |= e
-        while i < k and not hit >> order[i] & 1:
-            i += 1  # order[i] covers nothing new, so only excluding it can be minimal
-        if i == k:
-            continue
-        cover = suffix_cover[i]
-        if not all(e & cover for e in uncovered):
-            continue
-        bit = 1 << order[i]
-        stack.append((i + 1, chosen, uncovered))
-        stack.append((i + 1, chosen | bit, [e for e in uncovered if not e & bit]))
+        bits = []
+        rest = edge
+        while rest:
+            low = rest & -rest
+            bits.append(low)
+            rest ^= low
+        for s in missing:
+            private = {}  # member of s -> AND of the edges s meets in it alone
+            for e in taken:
+                hit = e & s
+                if not hit & (hit - 1):
+                    private[hit] = private.get(hit, e) & e
+            blocked = 0
+            for common in private.values():
+                blocked |= common
+            for bit in bits:
+                if not bit & blocked:
+                    kept.append(s | bit)
+                    if len(kept) > cap:
+                        raise GuardExceeded(
+                            f"{len(kept)} candidate minimal nets exceed the guard of {cap}"
+                        )
+        taken.append(edge)
+        family = kept
+    family.sort(key=int.bit_count)
+    return family
 
-    minimal = [cand for cand in found if _is_minimal(cand, edges)]
-    minimal.sort(key=int.bit_count)
-    return minimal
 
+def dominance_masks(codes, members):
+    """Dominant bits of each member of a generator subset, on lattice codes.
 
-def _is_minimal(chosen, edges):
-    """Whether the hitting set `chosen` is minimal.
-
-    It is when every chosen variable has a private edge: one that
-    `chosen` meets in that variable alone. O(len(edges)).
+    codes: all generator codes (see `taylor.lattice_codes`); members:
+    ascending generator indices. A member's dominant bits are the bits
+    of its code that no other member's code has: in the field of
+    variable v they are nonzero exactly when the member alone holds v's
+    top exponent in the subset, i.e. when v is dominant for it, and they
+    then hold the top bit of the member's v-field. Returns one mask per
+    member, or None when some member has none (the subset is then not
+    dominant).
     """
-    private = 0
-    for e in edges:
-        hit = e & chosen
-        if not hit & (hit - 1):
-            private |= hit
-    return private == chosen
+    masks = []
+    for a in members:
+        rest = 0
+        for b in members:
+            if b != a:
+                rest |= codes[b]
+        mask = codes[a] & ~rest
+        if not mask:
+            return None
+        masks.append(mask)
+    return masks
 
 
-def dominance_masks(exps, members):
-    """Dominant-variable bitmask for each member of a generator subset.
-
-    exps: all generator exponent tuples; members: ascending generator
-    indices. A variable is dominant for a member when its exponent there
-    is positive and strictly exceeds its exponent in every other member,
-    i.e. when the member alone holds the variable's top exponent. Returns
-    one mask per member, or None when some member has no dominant
-    variable (the subset is then not dominant).
-    """
-    n = len(exps[0]) if exps else 0
-    rows = [exps[i] for i in members]
-    masks = [0] * len(rows)
-    for v in range(n):
-        top, holder = 0, -1  # holder: the one member above all others, if any
-        for a, row in enumerate(rows):
-            e = row[v]
-            if e > top:
-                top, holder = e, a
-            elif e == top:
-                holder = -1
-        if holder >= 0:
-            masks[holder] |= 1 << v
-    return masks if all(masks) else None
-
-
-def dominant_subsets(exps, sizes):
+def dominant_subsets(codes, sizes):
     """Every dominant generator subset of the given sizes, with its masks.
 
-    exps: all generator exponent tuples. For each size in `sizes`, in the
-    order given, yields (members, masks) for the dominant subsets of that
-    size, members ascending and the subsets in lexicographic order; masks
-    are what `dominance_masks(exps, members)` returns for them.
+    codes: all generator codes. For each size in `sizes`, in the order
+    given, yields (members, masks) for the dominant subsets of that size,
+    members ascending and the subsets in lexicographic order; masks are
+    what `dominance_masks(codes, members)` returns for them.
 
     Depth-first over ascending prefixes, extending a prefix only while it
     stays dominant: a subset of a dominant set is dominant, so no superset
     of a non-dominant prefix is. Adding generator j keeps, of each
-    member's mask, the variables where it beats j, and gives j the
-    variables where it beats every member. Which variables of a beat b is
+    member's mask, the bits it holds and j lacks, and gives j the bits it
+    holds and every member lacks. Which bits of a are missing from b is
     a's mask in the pair {a, b}: `dominance_masks` computes it once per
     pair, on first use, and a pair that is not dominant beats nothing.
     """
-    q = len(exps)
-    beats = [None] * (q * q)  # beats[a * q + b]: variables where a beats b
+    q = len(codes)
+    beats = [None] * (q * q)  # beats[a * q + b]: bits of a that b lacks
     for size in sizes:
         # one (prefix, its masks, generators left to try) entry per depth. A
-        # lone member's mask is left at -1, every variable, until a second
+        # lone member's mask is left at -1, every bit, until a second
         # member cuts it to their pair mask; a size-1 set takes its own.
         path = [((), [], iter(range(q - size + 1)))]
         while path:
@@ -185,7 +171,7 @@ def dominant_subsets(exps, sizes):
                 for a, mask in zip(members, masks):
                     ab, ja = a * q + j, j * q + a
                     if beats[ab] is None:
-                        pair = dominance_masks(exps, (a, j))
+                        pair = dominance_masks(codes, (a, j))
                         beats[ab], beats[ja] = pair if pair else (0, 0)
                     mask &= beats[ab]
                     own &= beats[ja]
@@ -204,7 +190,7 @@ def dominant_subsets(exps, sizes):
                 path.append((members, grown, iter(range(j + 1, q - size + k + 1))))
             elif k > 1:
                 yield members, grown
-            elif single := dominance_masks(exps, members):
+            elif single := dominance_masks(codes, members):
                 yield members, single
 
 

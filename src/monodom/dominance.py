@@ -7,6 +7,15 @@ largest size of a dominant subset of the generators that additionally
 covers, via the top powers of its dominant variables, every generator
 dividing its lcm.
 
+Dominance and covering compare only the order of each variable's
+exponents, so the scan runs on the generators' lattice codes
+(`taylor.lattice_codes`), in which exponent e of variable v is the r
+low bits of v's field, r the rank of e. A member's dominant bits in a
+set are the bits of its code that no other member's code has; the top
+bit of its v-field is among them exactly when v is dominant for it, and
+the generators holding that bit are those whose v-exponent reaches the
+member's. Variables are read off the bits only for witnesses.
+
 The scan for odom visits dominant subsets only. A member's dominant
 variable strictly beats every other member, so it still does once some
 of them are removed: every subset of a dominant set is dominant, and no
@@ -24,7 +33,7 @@ from typing import Iterable
 from . import _kernels
 from .errors import GuardExceeded
 from .monomials import Monomial, MonomialIdeal
-from .taylor import members_of
+from .taylor import bit_variables, generator_codes, members_of
 
 DOMINANCE_GUARD = 20  # 2^q subset enumeration; fail loudly past this
 
@@ -76,71 +85,76 @@ def is_dominant_set(
     members = tuple(sorted(set(subset)))
     if not members:
         raise ValueError("a dominant set must be nonempty")
-    masks = _kernels.dominance_masks(ideal.exponent_rows, members)
+    codes, fields = generator_codes(ideal)
+    masks = _kernels.dominance_masks(codes, members)
     if masks is None:
         return False, None
-    variables = tuple((m & -m).bit_length() - 1 for m in masks)
-    return True, DominanceWitness(members, variables)
+    variable = bit_variables(fields)[0]
+    least = tuple(variable[(m & -m).bit_length() - 1] for m in masks)
+    return True, DominanceWitness(members, least)
 
 
 def _covering_assignment(
-    ideal: MonomialIdeal, members: tuple[int, ...], masks: list[int]
+    codes: tuple[int, ...], highs: int, members: tuple[int, ...], masks: list[int]
 ) -> tuple[int, ...] | None:
     """Pick one dominant variable per member so the subset covers its lcm.
 
-    A generator g dividing lcm(members) is covered when some chosen
-    variable's full lcm-exponent power divides g. Members always cover
-    themselves, so only outside divisors constrain the choice. Returns
-    the lexicographically least choice vector, or None.
+    On codes: a generator g dividing lcm(members) has `codes[g] | L == L`,
+    L the OR of the members' codes. Choosing variable v for member a
+    covers the g whose code holds the top bit of a's v-field, whose
+    v-exponent reaches lcm(members)'s. Members always cover themselves,
+    so only outside divisors constrain the choice. Each choice is such a
+    top bit among the member's dominant bits, tried in ascending order,
+    which is ascending variable order. Returns the lexicographically
+    least choice vector, as one code bit per member, or None.
     """
-    rows = ideal.exponent_rows
-    lcm_exps = [0] * ideal.n
-    for g in members:
-        for v, e in enumerate(rows[g]):
-            if e > lcm_exps[v]:
-                lcm_exps[v] = e
-    member_set = set(members)
-    outsiders = [
-        g
-        for g in range(ideal.q)
-        if g not in member_set
-        and all(a <= b for a, b in zip(rows[g], lcm_exps))
-    ]
+    lcm = 0
+    for a in members:
+        lcm |= codes[a]
+    tops = [mask & (~(codes[a] >> 1) | highs) for a, mask in zip(members, masks)]
+    need = 0  # the outside divisors of the lcm, as a generator bitmask
+    for g, code in enumerate(codes):
+        if code | lcm == lcm:
+            need |= 1 << g
+    for a in members:
+        need ^= 1 << a
+    if not need:
+        return tuple((t & -t).bit_length() - 1 for t in tops)
 
-    def covers(var: int) -> frozenset[int]:
-        e = lcm_exps[var]
-        return frozenset(g for g in outsiders if rows[g][var] >= e)
-
-    choices = [members_of(mask) for mask in masks]
-
-    if not outsiders:
-        return tuple(vs[0] for vs in choices)
-
-    cover_of = {v: covers(v) for vs in choices for v in vs}
+    outsiders = members_of(need)
+    choices = list(map(members_of, tops))
+    # the outsiders, as a generator bitmask, that each choice covers
+    cover_of = {}
+    for bits in choices:
+        for t in bits:
+            hit = 0
+            for g in outsiders:
+                if codes[g] >> t & 1:
+                    hit |= 1 << g
+            cover_of[t] = hit
     # union of everything still choosable from position i onward
-    suffix_union: list[frozenset[int]] = [frozenset()] * (len(choices) + 1)
+    suffix_union = [0] * (len(choices) + 1)
     for i in range(len(choices) - 1, -1, -1):
         acc = suffix_union[i + 1]
-        for v in choices[i]:
-            acc = acc | cover_of[v]
+        for t in choices[i]:
+            acc |= cover_of[t]
         suffix_union[i] = acc
 
-    need = frozenset(outsiders)
     picked: list[int] = []
 
-    def walk(i: int, covered: frozenset[int]) -> bool:
+    def walk(i: int, covered: int) -> bool:
         if i == len(choices):
-            return covered >= need
-        if not (covered | suffix_union[i]) >= need:
+            return covered == need
+        if covered | suffix_union[i] != need:
             return False
-        for v in choices[i]:
-            picked.append(v)
-            if walk(i + 1, covered | cover_of[v]):
+        for t in choices[i]:
+            picked.append(t)
+            if walk(i + 1, covered | cover_of[t]):
                 return True
             picked.pop()
         return False
 
-    if walk(0, frozenset()):
+    if walk(0, 0):
         return tuple(picked)
     return None
 
@@ -158,11 +172,14 @@ def odom_by_dominance(ideal: MonomialIdeal) -> tuple[int, DominanceWitness]:
             f"odom enumeration over 2^{ideal.q} subsets exceeds the "
             f"q <= {DOMINANCE_GUARD} guard"
         )
+    codes, fields = generator_codes(ideal)
+    variable, highs = bit_variables(fields)
     cap = min(ideal.q, len(ideal.appearing_variables()))
     sizes = range(cap, 0, -1)
-    for members, masks in _kernels.dominant_subsets(ideal.exponent_rows, sizes):
-        assignment = _covering_assignment(ideal, members, masks)
-        if assignment is not None:
+    for members, masks in _kernels.dominant_subsets(codes, sizes):
+        picked = _covering_assignment(codes, highs, members, masks)
+        if picked is not None:
+            assignment = tuple(variable[t] for t in picked)
             return len(members), DominanceWitness(members, assignment)
     raise AssertionError("unreachable: every singleton generator qualifies")
 

@@ -290,19 +290,19 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
         )
     names = []
     origins = []
-    slot = {}
-    for i, c in enumerate(copies):
+    for name, c in zip(ideal.table.names, copies):
         for j in range(1, c + 1):
-            slot[(i, j)] = len(names)
-            names.append(f"{ideal.table.names[i]}_{j}")
-            origins.append((ideal.table.names[i], j))
+            names.append(f"{name}_{j}")
+            origins.append((name, j))
     pol_table = VariableTable(tuple(names), tuple(origins))
     gens = []
-    for g in ideal.generators:
-        exps = [0] * pol_table.n
-        for i, e in enumerate(g.exponents):
-            for j in range(1, e + 1):
-                exps[slot[(i, j)]] = 1
+    for row in ideal.exponent_rows:
+        # variable i with exponent e becomes the block of its c_i copies:
+        # e ones, then c_i - e zeros
+        exps = []
+        for c, e in zip(copies, row):
+            exps += [1] * e
+            exps += [0] * (c - e)
         gens.append(Monomial(pol_table, tuple(exps)))
     # polarization preserves divisibility both ways, so minimality carries over
     return MonomialIdeal(pol_table, tuple(gens))

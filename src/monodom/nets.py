@@ -4,6 +4,11 @@ A net is a set of variables hitting the support of every generator; the
 minimal ones are the minimal generating sets of the monomial primes over
 the ideal. Their minimum cardinality is codim; the maximum cardinality
 over the polarization is the second, independent route to odom.
+
+The family is grown edge by edge on variable bitmasks (Berge's
+algorithm, `_kernels.minimal_transversals`) and kept as those masks:
+sizes, codim and the odom bound are bit counts, and `Net` objects are
+built only when the family is first iterated.
 """
 
 from __future__ import annotations
@@ -38,18 +43,25 @@ class Net:
 class MinimalNetFamily:
     """The complete antichain of minimal nets, canonically ordered.
 
-    Order: ascending cardinality, then ascending index tuple.
+    Held as variable bitmasks ordered by size. Iteration gives `Net`s in
+    the canonical order: ascending cardinality, then ascending index
+    tuple.
     """
 
-    nets: tuple[Net, ...]
+    masks: tuple[int, ...]
 
     @cached_property
+    def nets(self) -> tuple[Net, ...]:
+        variables = sorted(map(members_of, self.masks), key=lambda vs: (len(vs), vs))
+        return tuple(map(Net, variables))
+
+    @property
     def min_card(self) -> int:
-        return min(net.cardinality for net in self.nets)
+        return self.masks[0].bit_count()
 
-    @cached_property
+    @property
     def max_card(self) -> int:
-        return max(net.cardinality for net in self.nets)
+        return self.masks[-1].bit_count()
 
     @cached_property
     def widest(self) -> Net:
@@ -57,19 +69,17 @@ class MinimalNetFamily:
 
         Over the polarization this is the witness of the nets route to odom.
         """
-        return min(
-            (net for net in self.nets if net.cardinality == self.max_card),
-            key=lambda net: net.variables,
-        )
+        top = self.max_card
+        return Net(min(members_of(m) for m in self.masks if m.bit_count() == top))
 
     def cardinalities(self) -> tuple[int, ...]:
-        return tuple(net.cardinality for net in self.nets)
+        return tuple(m.bit_count() for m in self.masks)
 
     def __iter__(self):
         return iter(self.nets)
 
     def __len__(self):
-        return len(self.nets)
+        return len(self.masks)
 
 
 def _resolve_variables(ideal: MonomialIdeal, X: Iterable) -> tuple[int, ...]:
@@ -96,12 +106,8 @@ def is_net(ideal: MonomialIdeal, X: Iterable) -> bool:
 
 def minimal_nets(ideal: MonomialIdeal) -> MinimalNetFamily:
     """Complete family of minimal nets (minimal transversals of the supports)."""
-    masks = _kernels.minimal_transversals(
-        list(ideal.support_masks), ideal.n, NET_FAMILY_GUARD
-    )
-    nets = [Net(members_of(m)) for m in masks]
-    nets.sort(key=lambda net: (net.cardinality, net.variables))
-    return MinimalNetFamily(tuple(nets))
+    masks = _kernels.minimal_transversals(ideal.support_masks, NET_FAMILY_GUARD)
+    return MinimalNetFamily(tuple(masks))
 
 
 def odom_by_nets(ideal: MonomialIdeal) -> tuple[int, Net]:

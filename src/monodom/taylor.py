@@ -19,14 +19,17 @@ field of its own: the support of a rank-compressed polarization
 lcm is `a | b`, divisibility is `a | b == b` and equality is `==`; the
 width is the number of distinct nonzero (variable, exponent) pairs,
 never an exponent itself. A code becomes a `Monomial` only for output,
-once per distinct code.
+once per distinct code. `lattice_codes` builds the codes; the dominance
+route reads them through `generator_codes`, which reuses a held lattice
+and is not bounded by the lattice's guard.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import mul, or_
 from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
@@ -64,6 +67,58 @@ def symbol_label(ideal: MonomialIdeal, mask: int) -> str:
     return "[" + ", ".join(str(ideal.generators[i]) for i in members_of(mask)) + "]"
 
 
+def lattice_codes(
+    rows: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], list[tuple[int, int, list[int]]]]:
+    """The code of each exponent row, and the per-variable fields.
+
+    Variable v owns the bits [offset, offset + width) for its width
+    distinct nonzero exponents; levels[r] is the exponent of rank r,
+    coded as the r low bits of the field. Returns the codes and one
+    (offset, field bits, levels) triple per variable. O(q·n), with no
+    guard: the lattice and the dominance route both start here.
+    """
+    if rows and max(map(max, rows)) == 1:
+        # squarefree: if every variable occurs, each field is one bit and
+        # each code is its row's support
+        n = len(rows[0])
+        powers = [1 << v for v in range(n)]
+        codes = [sum(map(mul, row, powers)) for row in rows]
+        if reduce(or_, codes) == (1 << n) - 1:
+            return tuple(codes), [(v, 1, [0, 1]) for v in range(n)]
+    codes = [0] * len(rows)
+    fields = []
+    offset = 0
+    for column in zip(*rows):
+        levels = sorted(set(column))
+        if levels[0]:
+            levels.insert(0, 0)
+        width = len(levels) - 1
+        if width:
+            thermometer = {e: ((1 << r) - 1) << offset for r, e in enumerate(levels)}
+            codes = list(map(or_, codes, map(thermometer.__getitem__, column)))
+        fields.append((offset, (1 << width) - 1, levels))
+        offset += width
+    return tuple(codes), fields
+
+
+def bit_variables(fields) -> tuple[list[int], int]:
+    """The variable of each code bit, and the mask of each field's top bit.
+
+    fields: the per-variable (offset, bits, levels) of `lattice_codes`.
+    A field's top bit is its variable's largest exponent among the
+    generators.
+    """
+    variable = []
+    highs = 0
+    for v, (offset, bits, _) in enumerate(fields):
+        width = bits.bit_length()
+        variable += [v] * width
+        if width:
+            highs |= 1 << offset + width - 1
+    return variable, highs
+
+
 @dataclass(frozen=True)
 class TaylorSymbol:
     mask: int
@@ -87,28 +142,7 @@ class TaylorComplex:
     def __init__(self, ideal: MonomialIdeal):
         self.table = ideal.table
         self.q = ideal.q
-        # Variable v owns the bits [offset, offset + width) for its width
-        # distinct nonzero exponents; levels[r] is the exponent of rank r,
-        # coded as the r low bits of the field.
-        codes = [0] * self.q
-        fields = []
-        offset = 0
-        for column in zip(*ideal.exponent_rows):
-            levels = sorted(set(column))
-            if levels[0]:
-                levels.insert(0, 0)
-            width = len(levels) - 1
-            if width:
-                thermometer = {}
-                for r, e in enumerate(levels):
-                    thermometer[e] = ((1 << r) - 1) << offset
-                for k, e in enumerate(column):
-                    if e:
-                        codes[k] |= thermometer[e]
-            fields.append((offset, (1 << width) - 1, levels))
-            offset += width
-        self.codes = tuple(codes)
-        self._fields = fields
+        self.codes, self._fields = lattice_codes(ideal.exponent_rows)
         self._monomials: dict[int, Monomial] = {}
 
     @cached_property
@@ -153,6 +187,11 @@ class TaylorComplex:
         return {code: tuple(group) for code, group in groups.items()}
 
 
+def _held_lattice(ideal: MonomialIdeal) -> TaylorComplex | None:
+    ref = vars(ideal).get("_taylor")
+    return ref() if ref is not None else None
+
+
 def build_taylor(ideal: MonomialIdeal) -> TaylorComplex:
     """The subset lattice of `ideal`, shared by every caller while one holds it.
 
@@ -163,12 +202,25 @@ def build_taylor(ideal: MonomialIdeal) -> TaylorComplex:
     """
     if ideal.q > TAYLOR_GUARD:
         raise TaylorTooLarge(ideal.q, TAYLOR_GUARD)
-    ref = vars(ideal).get("_taylor")
-    cx = ref() if ref is not None else None
+    cx = _held_lattice(ideal)
     if cx is None:
         cx = TaylorComplex(ideal)
         object.__setattr__(ideal, "_taylor", weakref.ref(cx))  # a frozen dataclass
     return cx
+
+
+def generator_codes(
+    ideal: MonomialIdeal,
+) -> tuple[tuple[int, ...], list[tuple[int, int, list[int]]]]:
+    """`lattice_codes` of the generators, read off the lattice if one is held.
+
+    Unlike `build_taylor`, this neither applies TAYLOR_GUARD nor keeps
+    what it builds.
+    """
+    cx = _held_lattice(ideal)
+    if cx is None:
+        return lattice_codes(ideal.exponent_rows)
+    return cx.codes, cx._fields
 
 
 def _lyubeznik_order(ideal: MonomialIdeal, codes: Sequence[int]) -> tuple[int, ...]:

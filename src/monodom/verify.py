@@ -29,7 +29,15 @@ from .resolution import (
     is_complete_intersection,
     minimize,
 )
-from .taylor import ScarfBasis, TaylorComplex, build_taylor, members_of, scarf_basis
+from .taylor import (
+    ScarfBasis,
+    TaylorComplex,
+    bit_variables,
+    build_taylor,
+    generator_codes,
+    members_of,
+    scarf_basis,
+)
 
 # ---------------------------------------------------------------------------
 # splitmix64: chosen because it is bit-exactly specifiable in a few lines
@@ -562,24 +570,24 @@ def check_lemma_hypotheses(ideal: MonomialIdeal, field=RATIONAL) -> list[LemmaIn
     for (h, m), _ in betti.multigraded.items():
         by_degree.setdefault(h, []).append(m.exponents)
 
-    rows = ideal.exponent_rows
     global_lcm = ideal.lcm().exponents
+    codes, fields = generator_codes(ideal)
+    variable, highs = bit_variables(fields)
     out: list[LemmaInstance] = []
     sizes = range(1, min(ideal.q, ideal.n) + 1)
-    for members, masks in _kernels.dominant_subsets(rows, sizes):
-        # keep only dominant variables carrying the global lcm exponent
-        choices = [
-            [v for v in members_of(mask) if rows[g][v] == global_lcm[v]]
-            for g, mask in zip(members, masks)
-        ]
-        if any(not opts for opts in choices):
+    for members, masks in _kernels.dominant_subsets(codes, sizes):
+        # a member's dominant bits that are the top bit of their field: the
+        # dominant variables in which it carries the global lcm exponent
+        choices = [members_of(mask & highs) for mask in masks]
+        if not all(choices):
             continue
-        for assignment in iter_product(*choices):
+        for picked in iter_product(*choices):
+            tops = 0
+            for t in picked:
+                tops |= 1 << t
+            assignment = tuple(variable[t] for t in picked)
             powers = {v: global_lcm[v] for v in assignment}
-            satisfied = all(
-                any(rows[g][v] >= e for v, e in powers.items())
-                for g in range(ideal.q)
-            )
+            satisfied = all(code & tops for code in codes)
             witness = None
             if satisfied:
                 for exps in by_degree.get(len(members), []):
@@ -590,5 +598,5 @@ def check_lemma_hypotheses(ideal: MonomialIdeal, field=RATIONAL) -> list[LemmaIn
                     ):
                         witness = Monomial(ideal.table, exps)
                         break
-            out.append(LemmaInstance(members, tuple(assignment), satisfied, witness))
+            out.append(LemmaInstance(members, assignment, satisfied, witness))
     return out

@@ -18,7 +18,7 @@ from monodom import (
     parse_ideal,
 )
 from monodom import _kernels
-from monodom.dominance import _covering_assignment
+from monodom.taylor import lattice_codes, members_of
 from monodom.verify import exhaustive_ideals
 
 # Every run draws the same examples, so whether a test catches a given
@@ -235,17 +235,121 @@ def brute_strand_betti(ideal, field):
 
 
 # ---------------------------------------------------------------------------
-# the plain dominance scan: every subset of each size in lexicographic order,
-# each tested on its own, against which the pruned walk is checked
+# the plain dominance scan on exponent rows: every subset of each size in
+# lexicographic order, each tested on its own, with variable masks. The
+# library's walk runs on lattice codes; these stay on rows, so that the
+# two agree only if the codes keep the order of every variable's exponents.
+
+
+def reference_dominance_masks(exps, members):
+    """Dominant-variable bitmask of each member, or None if one has none.
+
+    A variable is dominant for a member when its exponent there is
+    positive and strictly exceeds its exponent in every other member.
+    """
+    n = len(exps[0]) if exps else 0
+    rows = [exps[i] for i in members]
+    masks = [0] * len(rows)
+    for v in range(n):
+        top, holder = 0, -1  # holder: the one member above all others, if any
+        for a, row in enumerate(rows):
+            e = row[v]
+            if e > top:
+                top, holder = e, a
+            elif e == top:
+                holder = -1
+        if holder >= 0:
+            masks[holder] |= 1 << v
+    return masks if all(masks) else None
 
 
 def reference_dominant_subsets(exps, sizes):
-    """(members, masks) for each dominant subset, as `dominant_subsets` yields them."""
+    """(members, variable masks) for each dominant subset, by size, then lexicographically."""
     for size in sizes:
         for members in combinations(range(len(exps)), size):
-            masks = _kernels.dominance_masks(exps, members)
+            masks = reference_dominance_masks(exps, members)
             if masks is not None:
                 yield members, masks
+
+
+def variable_masks(fields, masks):
+    """The variables whose code field meets each code-bit mask, as variable masks."""
+    if masks is None:
+        return None
+    return [
+        sum(1 << v for v, (offset, bits, _) in enumerate(fields) if mask >> offset & bits)
+        for mask in masks
+    ]
+
+
+def walked_dominant_subsets(exps, sizes):
+    """What `_kernels.dominant_subsets` yields on the rows' codes, with variable masks."""
+    codes, fields = lattice_codes(exps)
+    for members, masks in _kernels.dominant_subsets(codes, sizes):
+        yield members, variable_masks(fields, masks)
+
+
+def reference_covering_assignment(
+    ideal: MonomialIdeal, members: tuple[int, ...], masks: list[int]
+) -> tuple[int, ...] | None:
+    """Pick one dominant variable per member so the subset covers its lcm,
+    on exponent rows and variable masks.
+
+    A generator g dividing lcm(members) is covered when some chosen
+    variable's full lcm-exponent power divides g. Members always cover
+    themselves, so only outside divisors constrain the choice. Returns
+    the lexicographically least choice vector, or None.
+    """
+    rows = ideal.exponent_rows
+    lcm_exps = [0] * ideal.n
+    for g in members:
+        for v, e in enumerate(rows[g]):
+            if e > lcm_exps[v]:
+                lcm_exps[v] = e
+    member_set = set(members)
+    outsiders = [
+        g
+        for g in range(ideal.q)
+        if g not in member_set
+        and all(a <= b for a, b in zip(rows[g], lcm_exps))
+    ]
+
+    def covers(var: int) -> frozenset[int]:
+        e = lcm_exps[var]
+        return frozenset(g for g in outsiders if rows[g][var] >= e)
+
+    choices = [members_of(mask) for mask in masks]
+
+    if not outsiders:
+        return tuple(vs[0] for vs in choices)
+
+    cover_of = {v: covers(v) for vs in choices for v in vs}
+    # union of everything still choosable from position i onward
+    suffix_union: list[frozenset[int]] = [frozenset()] * (len(choices) + 1)
+    for i in range(len(choices) - 1, -1, -1):
+        acc = suffix_union[i + 1]
+        for v in choices[i]:
+            acc = acc | cover_of[v]
+        suffix_union[i] = acc
+
+    need = frozenset(outsiders)
+    picked: list[int] = []
+
+    def walk(i: int, covered: frozenset[int]) -> bool:
+        if i == len(choices):
+            return covered >= need
+        if not (covered | suffix_union[i]) >= need:
+            return False
+        for v in choices[i]:
+            picked.append(v)
+            if walk(i + 1, covered | cover_of[v]):
+                return True
+            picked.pop()
+        return False
+
+    if walk(0, frozenset()):
+        return tuple(picked)
+    return None
 
 
 def reference_odom_by_dominance(ideal):
@@ -253,10 +357,53 @@ def reference_odom_by_dominance(ideal):
     cap = min(ideal.q, len(ideal.appearing_variables()))
     sizes = range(cap, 0, -1)
     for members, masks in reference_dominant_subsets(ideal.exponent_rows, sizes):
-        assignment = _covering_assignment(ideal, members, masks)
+        assignment = reference_covering_assignment(ideal, members, masks)
         if assignment is not None:
             return len(members), DominanceWitness(members, assignment)
     raise AssertionError("unreachable: every singleton generator qualifies")
+
+
+def reference_transversals(edges, n_vars):
+    """Minimal transversals by include/exclude depth-first search over the
+    variables, most-hit first, each candidate then tested for minimality;
+    ordered by size, stably in search order."""
+    degree = [sum(e >> v & 1 for e in edges) for v in range(n_vars)]
+    order = [v for v in sorted(range(n_vars), key=lambda v: (-degree[v], v)) if degree[v]]
+    k = len(order)
+    # suffix_cover[i] = union of variables order[i:], for the feasibility prune
+    suffix_cover = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        suffix_cover[i] = suffix_cover[i + 1] | (1 << order[i])
+    found = []
+    stack = [(0, 0, list(edges))]
+    while stack:
+        i, chosen, uncovered = stack.pop()
+        if not uncovered:
+            found.append(chosen)
+            continue
+        hit = 0
+        for e in uncovered:
+            hit |= e
+        while i < k and not hit >> order[i] & 1:
+            i += 1
+        if i == k:
+            continue
+        cover = suffix_cover[i]
+        if not all(e & cover for e in uncovered):
+            continue
+        bit = 1 << order[i]
+        stack.append((i + 1, chosen, uncovered))
+        stack.append((i + 1, chosen | bit, [e for e in uncovered if not e & bit]))
+
+    def minimal(chosen):
+        private = 0
+        for e in edges:
+            hit = e & chosen
+            if not hit & (hit - 1):
+                private |= hit
+        return private == chosen
+
+    return sorted((c for c in found if minimal(c)), key=int.bit_count)
 
 
 # ---------------------------------------------------------------------------

@@ -609,6 +609,16 @@ class TestHostileInputs:
         assert code == 0
         assert payload["minimal_nets"] == [[f"x{i}"] for i in range(1, 1201)]
 
+    def test_nets_of_the_thirty_cycle(self, capsys):
+        # 4,610 minimal nets; a search that counted its non-minimal
+        # candidates against the 100,000 guard refused this ideal
+        ideal = ", ".join([f"x{i}*x{i + 1}" for i in range(1, 30)] + ["x1*x30"])
+        code, out, err = run(capsys, "nets", "--json", "--ideal", ideal)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert len(payload["minimal_nets"]) == 4610
+        assert (payload["min_card"], payload["max_card"]) == (15, 20)
+
     def test_huge_exponent_analyze_is_guarded(self, capsys):
         code, out, err = run(capsys, "analyze", "--ideal", HUGE)
         assert code == 2 and out == ""

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from monodom import (
     FuzzParams,
     GuardExceeded,
-    _kernels,
     dominant_variables,
     is_dominant_set,
     is_taylor_minimal,
@@ -27,6 +26,7 @@ from conftest import (
     brute_odom,
     reference_dominant_subsets,
     reference_odom_by_dominance,
+    walked_dominant_subsets,
 )
 
 
@@ -156,20 +156,20 @@ def degree_four_ideal():
 
 
 class TestWalkMatchesPlainScan:
-    """The pruned walk against testing every subset on its own."""
+    """The pruned walk on codes against testing every subset on its own, on rows."""
 
     def test_subsets_and_masks_on_the_exhaustive_families(self):
         assert len(EXHAUSTIVE) == 208
         for M in EXHAUSTIVE:
             rows, sizes = M.exponent_rows, range(1, M.q + 1)
-            assert list(_kernels.dominant_subsets(rows, sizes)) == list(
+            assert list(walked_dominant_subsets(rows, sizes)) == list(
                 reference_dominant_subsets(rows, sizes)
             ), M.render()
 
     def test_subsets_and_masks_on_seeded_draws(self):
         for M in seeded_ideals(200, n_max=8, q_max=10, exp_max=3):
             rows, sizes = M.exponent_rows, range(M.q, 0, -1)
-            assert list(_kernels.dominant_subsets(rows, sizes)) == list(
+            assert list(walked_dominant_subsets(rows, sizes)) == list(
                 reference_dominant_subsets(rows, sizes)
             ), M.render()
 

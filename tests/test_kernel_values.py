@@ -19,7 +19,9 @@ from monodom import (
     verify,
 )
 
-from conftest import EXHAUSTIVE, reference_dominant_subsets
+from monodom.taylor import lattice_codes
+
+from conftest import EXHAUSTIVE, reference_dominant_subsets, variable_masks
 
 # the kernel module under test; each test keeps the id it had when the
 # kernels lived in the package module monodom/_kernels/py.py
@@ -44,15 +46,20 @@ def test_rank_matches_known_values(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_transversal_cap_raises(backend):
     with pytest.raises(GuardExceeded):
-        backend.minimal_transversals([0b01, 0b10], 2, 0)
+        backend.minimal_transversals([0b01, 0b10], 0)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_wide_tables(backend):
     rows = (tuple([1] + [0] * 69), tuple([0] * 69 + [1]))
-    assert backend.dominance_masks(rows, (0, 1)) == [1, 1 << 69]
+    # the 68 variables that never occur get no code bits
+    codes, fields = lattice_codes(rows)
+    assert codes == (0b01, 0b10)
+    masks = backend.dominance_masks(codes, (0, 1))
+    assert masks == [0b01, 0b10]
+    assert variable_masks(fields, masks) == [1, 1 << 69]
     edges = [1, 1 << 69]
-    assert backend.minimal_transversals(edges, 70, 100) == [1 | 1 << 69]
+    assert backend.minimal_transversals(edges, 100) == [1 | 1 << 69]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -60,10 +67,14 @@ def test_huge_exponents(backend):
     rows = ((3 * 10**9, 1), (0, 2))
     # codes of the two rows: a^(3*10^9) is a's one level (bit 0); b and
     # b^2 are b's two levels (bits 1 and 1-2), so the width is 3 bits
-    codes = (0b011, 0b110)
+    codes, fields = lattice_codes(rows)
+    assert codes == (0b011, 0b110)
     assert backend.subset_lcms(codes) == [0, 0b011, 0b110, 0b111]
-    assert backend.dominance_masks(rows, (0, 1)) == [0b01, 0b10]
-    assert list(backend.dominant_subsets(rows, [2, 1])) == [
+    # the bits each code holds alone: a's level, and b's second level
+    assert backend.dominance_masks(codes, (0, 1)) == [0b001, 0b100]
+    walked = list(backend.dominant_subsets(codes, [2, 1]))
+    assert walked == [((0, 1), [0b001, 0b100]), ((0,), [0b011]), ((1,), [0b110])]
+    assert [(members, variable_masks(fields, masks)) for members, masks in walked] == [
         ((0, 1), [0b01, 0b10]), ((0,), [0b11]), ((1,), [0b10])
     ]
 
@@ -162,7 +173,7 @@ def test_transversals_match_brute_force(backend, data):
     edges = data.draw(
         st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), min_size=1, max_size=10)
     )
-    found = backend.minimal_transversals(edges, n, 10**5)
+    found = backend.minimal_transversals(edges, 10**5)
     assert len(found) == len(set(found))
     assert set(found) == brute_transversals(edges, n)
     sizes = [s.bit_count() for s in found]
@@ -174,7 +185,7 @@ def test_transversals_of_two_wide_generators(backend):
     # x1*...*x60, y1*...*y60: every net is one x and one y
     k = 60
     xs, ys = (1 << k) - 1, ((1 << k) - 1) << k
-    found = backend.minimal_transversals([xs, ys], 2 * k, 10**5)
+    found = backend.minimal_transversals([xs, ys], 10**5)
     assert len(found) == 3600
     assert set(found) == {1 << i | 1 << j for i in range(k) for j in range(k, 2 * k)}
 
@@ -200,7 +211,9 @@ def test_dominance_masks_match_the_definition(backend, data):
     q = data.draw(st.integers(min_value=1, max_value=6))
     exps = [tuple(data.draw(st.integers(0, 3)) for _ in range(n)) for _ in range(q)]
     members = tuple(sorted(data.draw(st.sets(st.integers(0, q - 1), min_size=1))))
-    assert backend.dominance_masks(exps, members) == brute_dominance_masks(exps, members)
+    codes, fields = lattice_codes(exps)
+    masks = backend.dominance_masks(codes, members)
+    assert variable_masks(fields, masks) == brute_dominance_masks(exps, members)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -211,10 +224,13 @@ def test_dominant_subsets_match_the_plain_scan(backend, data):
     n = data.draw(st.integers(min_value=1, max_value=4))
     q = data.draw(st.integers(min_value=1, max_value=7))
     exps = [tuple(data.draw(st.integers(0, 2)) for _ in range(n)) for _ in range(q)]
+    codes, fields = lattice_codes(exps)
     for sizes in (range(q, 0, -1), range(1, q + 1)):
-        assert list(backend.dominant_subsets(exps, sizes)) == list(
-            reference_dominant_subsets(exps, sizes)
-        )
+        walked = [
+            (members, variable_masks(fields, masks))
+            for members, masks in backend.dominant_subsets(codes, sizes)
+        ]
+        assert walked == list(reference_dominant_subsets(exps, sizes))
 
 
 def reference_first_divisors(rows):

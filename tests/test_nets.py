@@ -15,11 +15,20 @@ from monodom import (
     odom_by_dominance,
     odom_by_nets,
     polarize,
+    random_ideal,
     table,
 )
-from monodom import _kernels
+from monodom import FuzzParams, _kernels
 
-from conftest import I, brute_minimal_nets, dominant_set_from_net, family_as_tuples
+from conftest import (
+    EXHAUSTIVE,
+    I,
+    brute_minimal_nets,
+    cycle_ideal,
+    dominant_set_from_net,
+    family_as_tuples,
+    reference_transversals,
+)
 
 
 class TestIsNet:
@@ -102,13 +111,58 @@ class TestMinimalNets:
                 support = rng.sample(range(n), rng.randint(1, min(n, 6)))
                 edges.append(Monomial(tbl, tuple(int(i in support) for i in range(n))))
             M = minimalize(edges)
-            masks = _kernels.minimal_transversals(list(M.support_masks), M.n, 10**5)
+            masks = _kernels.minimal_transversals(M.support_masks, 10**5)
             old = sorted(
                 (bin(m).count("1"), tuple(i for i in range(n) if m >> i & 1))
                 for m in masks
             )
             fam = minimal_nets(M)
             assert [(net.cardinality, net.variables) for net in fam] == old
+
+
+def berge_and_search(X):
+    """Berge's family and the include/exclude search's, each as a set of masks."""
+    found = _kernels.minimal_transversals(X.support_masks, 10**5)
+    sizes = [m.bit_count() for m in found]
+    assert sizes == sorted(sizes) and len(found) == len(set(found))
+    return set(found), set(reference_transversals(X.support_masks, X.n))
+
+
+class TestBergeMatchesTheSearch:
+    """The edge-by-edge family against the depth-first search it replaced."""
+
+    def test_exhaustive_families_and_their_polarizations(self):
+        for M in EXHAUSTIVE:
+            for X in (M, polarize(M)):
+                berge, search = berge_and_search(X)
+                assert berge == search, X.render()
+
+    def test_fuzz_draws_and_their_polarizations(self):
+        params = FuzzParams(n_max=6, q_max=10, exp_max=3, trials=0, seed=7)
+        for t in range(300):
+            M = random_ideal(params, t)
+            for X in (M, polarize(M)):
+                berge, search = berge_and_search(X)
+                assert berge == search, X.render()
+
+    def test_seeded_hypergraphs(self):
+        rng = random.Random(21)
+        for _ in range(300):
+            n = rng.randint(1, 14)
+            edges = [
+                sum(1 << v for v in rng.sample(range(n), rng.randint(1, min(n, 5))))
+                for _ in range(rng.randint(1, 12))
+            ]
+            found = _kernels.minimal_transversals(edges, 10**5)
+            assert set(found) == set(reference_transversals(edges, n)), edges
+
+    def test_thirty_cycle(self):
+        # the minimal vertex covers of C30 are the complements of its maximal
+        # independent sets, which the Perrin number P(30) = 4,610 counts
+        M = cycle_ideal(30)
+        fam = minimal_nets(M)
+        assert len(fam) == 4610
+        assert (fam.min_card, fam.max_card) == (15, 20)
 
 
 class TestCodim:

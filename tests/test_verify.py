@@ -1,3 +1,5 @@
+from itertools import product as iter_product
+
 import pytest
 
 from monodom import (
@@ -8,8 +10,10 @@ from monodom import (
     check_lemma_hypotheses,
     check_report,
     fuzz,
+    polarize,
     random_ideal,
 )
+from monodom.taylor import lattice_codes
 from monodom.verify import SplitMix64, exhaustive_ideals
 
 from conftest import (
@@ -190,15 +194,32 @@ class TestCheckReport:
     def test_taylor_minimality_is_read_from_the_resolution(self, monkeypatch):
         from monodom import _kernels
 
-        def lax_dominance_masks(exps, members):
-            # the dominance kernel with `<=` for `<`: a tied exponent counts
-            rows = [exps[i] for i in members]
+        M = I("a*b^3, a*c, b*c")
+        # for the codes of M and of its polarization: the bit above each
+        # code bit within its field, and none above a field's top bit
+        above_of = {}
+        for X in (M, polarize(M)):
+            codes, fields = lattice_codes(X.exponent_rows)
+            above_of[codes] = [
+                1 << offset + r + 1 if r + 1 < bits.bit_length() else 0
+                for offset, bits, _ in fields
+                for r in range(bits.bit_length())
+            ]
+
+        def lax_dominance_masks(codes, members):
+            # the dominance kernel with `<=` for `<`: a member keeps a field
+            # unless another member's code reaches above its top bit there,
+            # so a tied top exponent counts
             masks = []
-            for a, row in enumerate(rows):
+            for a in members:
+                rest = 0
+                for b in members:
+                    if b != a:
+                        rest |= codes[b]
                 mask = 0
-                for v, e in enumerate(row):
-                    if e and all(o[v] <= e for b, o in enumerate(rows) if b != a):
-                        mask |= 1 << v
+                for t, up in enumerate(above_of[codes]):
+                    if codes[a] >> t & 1 and not rest & up:
+                        mask |= 1 << t
                 if not mask:
                     return None
                 masks.append(mask)
@@ -208,7 +229,7 @@ class TestCheckReport:
         # comparison reaches every mask the walk builds
         monkeypatch.setattr(_kernels, "dominance_masks", lax_dominance_masks)
         # betti (1, 3, 2): the Taylor resolution is not minimal, but the lax odom is q = 3
-        r = check_report(I("a*b^3, a*c, b*c"))
+        r = check_report(M)
         assert r.odom == 3 and r.betti.sum == 6
         assert "taylor-minimal-iff-odom-q" in [c.name for c in r.failed_checks()]
 
@@ -322,6 +343,25 @@ class TestFuzz:
         assert "trial 0" in str(exc.value)
 
 
+def plain_lemma_scan(M):
+    """(members, variables, satisfied) of each lemma instance, from the
+    plain scan on exponent rows: every dominant subset, each member
+    assigned in turn each dominant variable where it carries the global
+    lcm exponent."""
+    rows, top = M.exponent_rows, M.lcm().exponents
+    out = []
+    sizes = range(1, min(M.q, M.n) + 1)
+    for members, masks in reference_dominant_subsets(rows, sizes):
+        choices = [
+            [v for v in range(M.n) if mask >> v & 1 and rows[g][v] == top[v]]
+            for g, mask in zip(members, masks)
+        ]
+        for assignment in iter_product(*choices):
+            satisfied = all(any(row[v] >= top[v] for v in assignment) for row in rows)
+            out.append((members, assignment, satisfied))
+    return out
+
+
 class TestLemma:
     def test_three_pipes_instance(self):
         M = I("a*d, b*d, c*d", ["a", "b", "c", "d"])
@@ -353,9 +393,7 @@ class TestLemma:
         ]
         assert pairs and all(not i.satisfied for i in pairs)
 
-    def test_walk_lists_the_instances_of_the_plain_scan(self, monkeypatch):
-        from monodom import _kernels
-
+    def test_walk_lists_the_instances_of_the_plain_scan(self):
         acceptance_examples = [
             I("a, b, c"),
             I("a*d, b*d, c*d", ["a", "b", "c", "d"]),
@@ -367,9 +405,11 @@ class TestLemma:
         ]
         params = FuzzParams(n_max=4, q_max=5, exp_max=3, trials=200, seed=42)
         ideals = acceptance_examples + [random_ideal(params, t) for t in range(200)]
-        walked = [check_lemma_hypotheses(M) for M in ideals]
-        monkeypatch.setattr(_kernels, "dominant_subsets", reference_dominant_subsets)
-        assert [check_lemma_hypotheses(M) for M in ideals] == walked
+        walked = [
+            [(i.members, i.variables, i.satisfied) for i in check_lemma_hypotheses(M)]
+            for M in ideals
+        ]
+        assert walked == [plain_lemma_scan(M) for M in ideals]
         assert sum(map(len, walked)) == 960
 
     def test_satisfied_instances_always_witnessed_on_seeded_ideals(self):
