@@ -6,9 +6,9 @@ the ideal. Their minimum cardinality is codim; the maximum cardinality
 over the polarization is the second, independent route to odom.
 
 The family is grown edge by edge on variable bitmasks (Berge's
-algorithm, `_kernels.minimal_transversals`) and kept as those masks:
-sizes, codim and the odom bound are bit counts, and `Net` objects are
-built only when the family is first iterated.
+algorithm, `_kernels.minimal_transversals`) and kept as a set of those
+masks: sizes, codim and the odom bound are bit counts, and `Net` objects
+are built only when the family is first iterated.
 """
 
 from __future__ import annotations
@@ -41,27 +41,28 @@ class Net:
 
 @dataclass(frozen=True)
 class MinimalNetFamily:
-    """The complete antichain of minimal nets, canonically ordered.
+    """The complete antichain of minimal nets.
 
-    Held as variable bitmasks ordered by size. Iteration gives `Net`s in
-    the canonical order: ascending cardinality, then ascending index
-    tuple.
+    Held as a set of variable bitmasks, so two families are equal when
+    they hold the same nets, whatever the order in which they were
+    found. Iteration gives `Net`s in the canonical order: ascending
+    cardinality, then ascending index tuple.
     """
 
-    masks: tuple[int, ...]
+    masks: frozenset[int]
 
     @cached_property
     def nets(self) -> tuple[Net, ...]:
         variables = sorted(map(members_of, self.masks), key=lambda vs: (len(vs), vs))
         return tuple(map(Net, variables))
 
-    @property
+    @cached_property
     def min_card(self) -> int:
-        return self.masks[0].bit_count()
+        return min(map(int.bit_count, self.masks))
 
-    @property
+    @cached_property
     def max_card(self) -> int:
-        return self.masks[-1].bit_count()
+        return max(map(int.bit_count, self.masks))
 
     @cached_property
     def widest(self) -> Net:
@@ -73,7 +74,7 @@ class MinimalNetFamily:
         return Net(min(members_of(m) for m in self.masks if m.bit_count() == top))
 
     def cardinalities(self) -> tuple[int, ...]:
-        return tuple(m.bit_count() for m in self.masks)
+        return tuple(sorted(map(int.bit_count, self.masks)))
 
     def __iter__(self):
         return iter(self.nets)
@@ -107,7 +108,7 @@ def is_net(ideal: MonomialIdeal, X: Iterable) -> bool:
 def minimal_nets(ideal: MonomialIdeal) -> MinimalNetFamily:
     """Complete family of minimal nets (minimal transversals of the supports)."""
     masks = _kernels.minimal_transversals(ideal.support_masks, NET_FAMILY_GUARD)
-    return MinimalNetFamily(tuple(masks))
+    return MinimalNetFamily(frozenset(masks))
 
 
 def odom_by_nets(ideal: MonomialIdeal) -> tuple[int, Net]:

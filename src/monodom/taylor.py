@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import mul, or_
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
@@ -78,14 +77,6 @@ def lattice_codes(
     (offset, field bits, levels) triple per variable. O(q·n), with no
     guard: the lattice and the dominance route both start here.
     """
-    if rows and max(map(max, rows)) == 1:
-        # squarefree: if every variable occurs, each field is one bit and
-        # each code is its row's support
-        n = len(rows[0])
-        powers = [1 << v for v in range(n)]
-        codes = [sum(map(mul, row, powers)) for row in rows]
-        if reduce(or_, codes) == (1 << n) - 1:
-            return tuple(codes), [(v, 1, [0, 1]) for v in range(n)]
     codes = [0] * len(rows)
     fields = []
     offset = 0
@@ -95,8 +86,12 @@ def lattice_codes(
             levels.insert(0, 0)
         width = len(levels) - 1
         if width:
-            thermometer = {e: ((1 << r) - 1) << offset for r, e in enumerate(levels)}
-            codes = list(map(or_, codes, map(thermometer.__getitem__, column)))
+            thermometer = {}
+            for r, e in enumerate(levels):
+                thermometer[e] = ((1 << r) - 1) << offset
+            for k, e in enumerate(column):
+                if e:
+                    codes[k] |= thermometer[e]
         fields.append((offset, (1 << width) - 1, levels))
         offset += width
     return tuple(codes), fields
