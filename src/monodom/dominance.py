@@ -141,22 +141,32 @@ def _covering_assignment(
         suffix_union[i] = acc
 
     picked: list[int] = []
-
-    def walk(i: int, covered: int) -> bool:
-        if i == len(choices):
-            return covered == need
-        if covered | suffix_union[i] != need:
-            return False
-        for t in choices[i]:
-            picked.append(t)
-            if walk(i + 1, covered | cover_of[t]):
-                return True
-            picked.pop()
-        return False
-
-    if walk(0, 0):
+    if _extend_cover(choices, cover_of, suffix_union, need, picked, 0):
         return tuple(picked)
     return None
+
+
+def _extend_cover(choices, cover_of, suffix_union, need, picked, covered) -> bool:
+    """Extend `picked`, one choice per position, so the choices cover `need`.
+
+    Tries each position's choices in order, so the first success is the
+    lexicographically least; `picked` is left at it, or as given on
+    failure. A module function rather than a closure that calls itself,
+    which would leave a reference cycle behind on every call.
+    """
+    i = len(picked)
+    if i == len(choices):
+        return covered == need
+    if covered | suffix_union[i] != need:
+        return False
+    for t in choices[i]:
+        picked.append(t)
+        if _extend_cover(
+            choices, cover_of, suffix_union, need, picked, covered | cover_of[t]
+        ):
+            return True
+        picked.pop()
+    return False
 
 
 def odom_by_dominance(ideal: MonomialIdeal) -> tuple[int, DominanceWitness]:

@@ -11,7 +11,7 @@ check is reported by name, never swallowed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from math import comb
 from operator import le
@@ -20,7 +20,7 @@ from typing import Iterator
 from . import _kernels
 from .dominance import DOMINANCE_GUARD, DominanceWitness, odom_by_dominance
 from .errors import FuzzFailure, GuardExceeded, InvalidParameterError
-from .monomials import Monomial, MonomialIdeal, VariableTable, minimalize, polarize
+from .monomials import Monomial, MonomialIdeal, VariableTable, _minimal_ideal, polarize
 from .nets import MinimalNetFamily, Net, minimal_nets
 from .resolution import (
     RATIONAL,
@@ -53,14 +53,15 @@ class SplitMix64:
     def __init__(self, state: int):
         self.state = state & _M64
 
-    def next_u64(self) -> int:
+    def below(self, bound: int) -> int:
+        """The next output of the stream, reduced mod `bound`."""
         z = self.state = (self.state + _GAMMA) & _M64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-        return z ^ (z >> 31)
+        return (z ^ (z >> 31)) % bound
 
-    def below(self, bound: int) -> int:
-        return self.next_u64() % bound
+    def next_u64(self) -> int:
+        return self.below(1 << 64)
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,8 @@ def random_ideal(params: FuzzParams, trial_index: int) -> MonomialIdeal:
     Draws: n in [1, n_max], q' in [1, q_max], then q' exponent vectors
     uniform in [0, exp_max]^n; all-zero draws are retried a bounded
     number of times before one coordinate is forced positive. The result
-    is the minimalization of those monomials. Parameters that let one
+    is the ideal those vectors generate, built by `minimalize`'s row pass
+    without a Monomial for the vectors it drops. Parameters that let one
     draw build more than DRAW_GUARD exponent entries raise GuardExceeded
     before anything is drawn.
     """
@@ -103,22 +105,25 @@ def random_ideal(params: FuzzParams, trial_index: int) -> MonomialIdeal:
     below = SplitMix64((params.seed + trial_index * _GAMMA) & _M64).below
     n = 1 + below(params.n_max)
     qq = 1 + below(params.q_max)
-    tbl = VariableTable(tuple(f"x{i}" for i in range(1, n + 1)))
-    monomials = []
+    rows = []
     bound = params.exp_max + 1
     for _ in range(qq):
-        exps = None
         for _ in range(16):
-            cand = tuple([below(bound) for _ in range(n)])
-            if any(cand):
-                exps = cand
+            row = tuple([below(bound) for _ in range(n)])
+            if any(row):
                 break
-        if exps is None:
+        else:
             forced = [0] * n
             forced[below(n)] = 1 + below(params.exp_max)
-            exps = tuple(forced)
-        monomials.append(Monomial(tbl, exps))
-    return minimalize(monomials)
+            row = tuple(forced)
+        rows.append(row)
+    return _minimal_ideal(_draw_table(n), rows)
+
+
+@lru_cache(maxsize=16)  # a table may hold up to DRAW_GUARD names
+def _draw_table(n: int) -> VariableTable:
+    """The table x1..xn of a random draw; tables are frozen, so draws share one."""
+    return VariableTable(tuple(f"x{i}" for i in range(1, n + 1)))
 
 
 EXHAUSTIVE_GUARD = 100_000  # exponent vectors in one ambient n's pool

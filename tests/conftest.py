@@ -10,14 +10,17 @@ from monodom import (
     FreeComplex,
     FuzzParams,
     InternalInvariantError,
+    InvalidIdealError,
     Monomial,
     MonomialIdeal,
     Net,
+    TableMismatchError,
     is_dominant_set,
     is_net,
     parse_ideal,
 )
 from monodom import _kernels
+from monodom.monomials import _check_pairwise_cost
 from monodom.taylor import lattice_codes, members_of
 from monodom.verify import exhaustive_ideals
 
@@ -535,3 +538,27 @@ def _recheck_witness(ideal, witness):
             raise InternalInvariantError(
                 "a generator dividing the witness lcm escapes every top power"
             )
+
+
+# ---------------------------------------------------------------------------
+# minimalization on Monomials, as it was before the row path: dedupe in
+# order of first appearance, drop the rows some other row divides, and
+# hand the survivors to the validating MonomialIdeal constructor, which
+# checks them all again and sorts them
+
+
+def reference_minimalize(monomials):
+    if not monomials:
+        raise InvalidIdealError("cannot build an ideal from no monomials")
+    tbl = monomials[0].table
+    distinct = {}  # exponents -> first monomial with them
+    for m in monomials:
+        if m.table != tbl:
+            raise TableMismatchError("monomials from different rings")
+        distinct.setdefault(m.exponents, m)
+    _check_pairwise_cost(len(distinct), tbl.n)
+    divisors = _kernels.first_divisors(list(distinct))
+    kept = [m for m, j in zip(distinct.values(), divisors) if j < 0]
+    if any(m.is_unit for m in kept):
+        raise InvalidIdealError("input generates the unit ideal")
+    return MonomialIdeal(tbl, tuple(kept))

@@ -13,12 +13,12 @@ from monodom import (
     Monomial,
     _kernels,
     kernel_backend,
-    minimalize,
     random_ideal,
     table,
     verify,
 )
 
+from monodom.monomials import _minimal_ideal
 from monodom.taylor import lattice_codes
 
 from conftest import EXHAUSTIVE, reference_dominant_subsets, variable_masks
@@ -259,17 +259,17 @@ def test_first_divisors_on_the_exhaustive_families(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_first_divisors_on_raw_fuzz_draws(backend, monkeypatch):
-    # the monomials random_ideal draws, before minimalize drops any
+    # the exponent rows random_ideal draws, before any is dropped
     draws = []
     monkeypatch.setattr(
-        verify, "minimalize", lambda monomials: draws.append(monomials) or minimalize(monomials)
+        verify, "_minimal_ideal", lambda tbl, rows: draws.append(rows) or _minimal_ideal(tbl, rows)
     )
     params = FuzzParams(n_max=6, q_max=10, exp_max=3, trials=0, seed=11)
     for t in range(1000):
         random_ideal(params, t)
     non_minimal = 0
-    for monomials in draws:
-        rows = list(dict.fromkeys(m.exponents for m in monomials))
+    for drawn in draws:
+        rows = list(dict.fromkeys(drawn))
         found = backend.first_divisors(rows)
         assert found == reference_first_divisors(rows)
         non_minimal += max(found) >= 0

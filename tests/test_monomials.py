@@ -18,7 +18,7 @@ from monodom import (
     table,
 )
 
-from conftest import I
+from conftest import I, reference_minimalize
 
 ABC = table("a", "b", "c")
 
@@ -304,3 +304,62 @@ def test_polarize_idempotent_structure(data):
         g.exponents for g in P.generators
     )
     assert lcm_of(P.generators).degree() == lcm_of(M.generators).degree()
+
+
+def _outcome(build, mons):
+    """The ideal's table and rows, each generator's table, or the exception raised."""
+    try:
+        M = build(mons)
+    except Exception as e:
+        return type(e), str(e)
+    return M.table, M.exponent_rows, {g.table for g in M.generators}
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_minimalize_matches_the_validating_path(data):
+    # duplicates, multiples, the unit, and monomials from other tables: a
+    # table equal to the first by value is the same ring, a renamed or a
+    # longer one is not
+    t = data.draw(small_tables)
+    mons = data.draw(st.lists(monomials(tbl=t), max_size=8))
+    if mons and data.draw(st.booleans()):
+        a, b = data.draw(st.sampled_from(mons)), data.draw(st.sampled_from(mons))
+        mons.insert(data.draw(st.integers(0, len(mons))), a.lcm(b))
+    if mons and data.draw(st.booleans()):
+        mons.insert(data.draw(st.integers(0, len(mons))), data.draw(st.sampled_from(mons)))
+    if data.draw(st.integers(0, 4)) == 0:
+        mons.insert(data.draw(st.integers(0, len(mons))), Monomial(t, (0,) * t.n))
+    if mons and data.draw(st.integers(0, 3)) == 0:
+        other = data.draw(
+            st.sampled_from(
+                [
+                    VariableTable(t.names),
+                    VariableTable(tuple(f"y{i}" for i in range(1, t.n + 1))),
+                    VariableTable(t.names + ("z",)),
+                ]
+            )
+        )
+        stranger = data.draw(monomials(tbl=other))
+        mons.insert(data.draw(st.integers(0, len(mons))), stranger)
+    assert _outcome(minimalize, mons) == _outcome(reference_minimalize, mons)
+
+
+def test_minimalize_matches_the_validating_path_on_errors():
+    tbl = table("a", "b")
+    cases = [
+        [],
+        [m(tbl, 0, 0)],
+        [m(tbl, 1, 0), m(tbl, 0, 0), m(tbl, 1, 0)],
+        [m(tbl, 1, 0), m(table("a", "c"), 1, 0)],
+        [m(tbl, 0, 0), m(table("a", "b", "c"), 1, 0, 0)],
+    ]
+    for mons in cases:
+        out = _outcome(minimalize, mons)
+        assert isinstance(out[0], type) and issubclass(out[0], Exception)
+        assert out == _outcome(reference_minimalize, mons)
+    # past the pairwise guard, before anything is compared
+    big = [Monomial(tbl, (i, 3000 - i)) for i in range(3000)] + [m(tbl, 0, 0)]
+    out = _outcome(minimalize, big)
+    assert out[0] is GuardExceeded
+    assert out == _outcome(reference_minimalize, big)

@@ -1,3 +1,5 @@
+import gc
+from itertools import combinations
 from itertools import product as iter_product
 
 import pytest
@@ -6,23 +8,30 @@ from monodom import (
     FuzzFailure,
     FuzzParams,
     GuardExceeded,
+    Monomial,
+    MonomialIdeal,
     TaylorTooLarge,
     check_lemma_hypotheses,
     check_report,
     fuzz,
+    minimalize,
     polarize,
     random_ideal,
+    verify,
 )
+from monodom.monomials import _minimal_ideal
 from monodom.taylor import lattice_codes
-from monodom.verify import SplitMix64, exhaustive_ideals
+from monodom.verify import _GAMMA, _M64, SplitMix64, exhaustive_ideals
 
 from conftest import (
+    EXHAUSTIVE,
     I,
     complete_ideal,
     cycle_ideal,
     path_ideal,
     pure_power_extension,
     reference_dominant_subsets,
+    reference_minimalize,
     rp2_ideal,
 )
 
@@ -42,6 +51,25 @@ class TestSplitMix64:
         sm2 = SplitMix64(1234567)
         assert sm2.next_u64() == first
         assert sm2.next_u64() != first
+
+    BOUNDS = [1, 2, 4, 6, 10] * 4
+
+    def test_below_known_answer_seed_zero(self):
+        below = SplitMix64(0).below
+        assert [below(b) for b in self.BOUNDS] == [
+            0, 0, 3, 4, 7, 0, 1, 0, 5, 0, 0, 0, 3, 3, 7, 0, 1, 2, 0, 4
+        ]
+
+    def test_below_known_answer_from_a_trial_offset(self):
+        # trial 17 of seed 42 starts where random_ideal starts it, and
+        # reads seed 42's stream from its 18th output on
+        below = SplitMix64((42 + 17 * _GAMMA) & _M64).below
+        drawn = [below(b) for b in self.BOUNDS]
+        assert drawn == [0, 1, 0, 0, 1, 0, 1, 0, 3, 7, 0, 1, 3, 1, 2, 0, 0, 1, 1, 3]
+        master = SplitMix64(42)
+        for _ in range(17):
+            master.next_u64()
+        assert [master.below(b) for b in self.BOUNDS] == drawn
 
 
 class TestRandomIdeal:
@@ -65,7 +93,8 @@ class TestRandomIdeal:
             assert all(e <= 1 for g in M.generators for e in g.exponents)
 
     def test_output_minimal_by_construction(self):
-        # the MonomialIdeal constructor would raise otherwise; spot-check anyway
+        # random_ideal builds its ideal without the constructor's checks,
+        # so check minimality here from the definition
         for t in range(40):
             M = random_ideal(self.PARAMS, t)
             for g in M.generators:
@@ -95,6 +124,37 @@ class TestRandomIdeal:
              (1, 1, 0, 0, 2, 2)),
             ((3, 1, 0, 3, 1, 1), (1, 0, 0, 0, 2, 1), (0, 2, 0, 2, 0, 3)),
         ]
+
+    def test_row_path_equals_the_validating_path(self, monkeypatch):
+        # the fuzz_campaign draws and the README preset's: each ideal is the
+        # one the Monomial path builds from the same rows, and the
+        # validating constructor accepts its generators in the same order
+        drawn = []
+        monkeypatch.setattr(
+            verify,
+            "_minimal_ideal",
+            lambda tbl, rows: drawn.append((tbl, rows)) or _minimal_ideal(tbl, rows),
+        )
+        fuzz_campaign = FuzzParams(n_max=6, q_max=10, exp_max=3, trials=0, seed=1)
+        readme = FuzzParams(n_max=4, q_max=5, exp_max=3, trials=0, seed=42)
+        ideals = [random_ideal(fuzz_campaign, t) for t in range(4000)]
+        ideals += [random_ideal(readme, t) for t in range(1000)]
+        assert len(drawn) == len(ideals)
+        dropped = 0
+        for (tbl, rows), M in zip(drawn, ideals):
+            ref = reference_minimalize([Monomial(tbl, row) for row in rows])
+            assert M == ref and M.exponent_rows == ref.exponent_rows
+            dropped += M.q < len(rows)
+        assert dropped > 1000
+        # the exhaustive families, each given with its pairwise lcms
+        for M in EXHAUSTIVE:
+            lcms = [g.lcm(h) for g, h in combinations(M.generators, 2)]
+            mons = lcms + list(M.generators[::-1])
+            assert minimalize(mons).generators == reference_minimalize(mons).generators
+            ideals.append(minimalize(mons))
+        for M in ideals:
+            again = MonomialIdeal(M.table, M.generators)
+            assert again == M and again.generators == M.generators
 
     def test_draw_guard_bounds_n_max_times_q_max(self):
         assert random_ideal(FuzzParams(100, 100, 1, 1), 0).n <= 100
@@ -179,6 +239,22 @@ class TestCheckReport:
         assert (r.codim, r.pd, r.n) == (1, 4, 4)
         assert r.odom == 4
         assert r.ok
+
+    def test_reports_leave_no_reference_cycles(self):
+        # everything a report allocates is freed by reference counting, so
+        # a long fuzz run does not lean on the cyclic collector
+        p = FuzzParams(n_max=6, q_max=10, exp_max=3, trials=0, seed=1)
+        ideals = [random_ideal(p, t) for t in range(300)]
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for M in ideals:
+                check_report(M)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_every_check_reported_once(self):
         r = check_report(I("a, b"))
