@@ -182,13 +182,13 @@ def lcm_of(monomials: Iterable[Monomial]) -> Monomial:
 class MonomialIdeal:
     """A monomial ideal, held as its unique minimal generating set.
 
-    There are two ways in. The constructor takes a generating set that is
-    claimed to be minimal: it validates it (no unit, no mutual
-    divisibility, no duplicates, one table) and stores it in canonical
-    order; PAIRWISE_GUARD bounds the divisibility check. `minimalize`
-    takes any generating set, checks minimality once on its exponent
-    rows, and builds the ideal from the survivors without validating
-    them again.
+    The constructor is the way in for a generating set that is claimed to
+    be minimal: it validates it (no unit, no mutual divisibility, no
+    duplicates, one table) and stores it in canonical order;
+    PAIRWISE_GUARD bounds the divisibility check. Inside the package,
+    every ideal whose rows are canonical by construction is built by
+    `_canonical_ideal` without that check: `minimalize`'s survivors,
+    polarizations and the exhaustive walk's antichains.
     """
 
     table: VariableTable
@@ -263,10 +263,9 @@ def minimalize(monomials: Sequence[Monomial]) -> MonomialIdeal:
     when the monomials come from different tables, and GuardExceeded
     when the distinct monomials are too many to compare pairwise.
 
-    This is one of the two ways to build a MonomialIdeal: the check runs
-    once, on the exponent rows, and the ideal is built from its result
-    without the constructor's validation. The other way, the constructor,
-    validates a generating set that is claimed to be minimal already.
+    The check runs once, on the exponent rows, and the ideal is built
+    from its survivors by `_canonical_ideal`, without the constructor's
+    validation, which is for generating sets claimed to be minimal.
     """
     if not monomials:
         raise InvalidIdealError("cannot build an ideal from no monomials")
@@ -284,9 +283,8 @@ def _minimal_ideal(
 
     rows: at least one exponent tuple of tbl's length, none negative.
     Deduplicates, sorts canonically, keeps the rows that no other row
-    divides, and raises as `minimalize` does. Only the surviving rows
-    become Monomials, and the MonomialIdeal constructor's checks are
-    skipped, since every one of them holds by construction.
+    divides, and raises as `minimalize` does. The survivors are
+    canonical, so `_canonical_ideal` builds the ideal from them.
     """
     rows = sorted(set(rows), reverse=True)
     _check_pairwise_cost(len(rows), tbl.n)
@@ -294,9 +292,21 @@ def _minimal_ideal(
     # the zero row comes last in descending order and divides every other row
     if not any(kept[-1]):
         raise InvalidIdealError("input generates the unit ideal")
+    return _canonical_ideal(tbl, kept)
+
+
+def _canonical_ideal(tbl: VariableTable, rows: Iterable[tuple]) -> MonomialIdeal:
+    """The ideal with exactly these generator rows, built unchecked.
+
+    rows: at least one exponent tuple of tbl's length, distinct, nonzero,
+    none dividing another, in descending lexicographic order. Every
+    check of the MonomialIdeal constructor then holds, so it is skipped;
+    only a Monomial per row is built. This is the package's one way past
+    the constructor, for rows its own code has made canonical.
+    """
     ideal = object.__new__(MonomialIdeal)
     object.__setattr__(ideal, "table", tbl)
-    object.__setattr__(ideal, "generators", tuple(Monomial(tbl, row) for row in kept))
+    object.__setattr__(ideal, "generators", tuple(Monomial(tbl, row) for row in rows))
     return ideal
 
 
@@ -307,6 +317,12 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
     exactly the copies that occur in some polarized generator. Raises
     GuardExceeded, before building anything, when that is more than
     POLARIZE_GUARD variables.
+
+    The rows come out canonical, so `_canonical_ideal` builds the result
+    without a pairwise check (and without PAIRWISE_GUARD): polarization
+    maps divisibility both ways, so no row divides another, and the
+    first variable where two rows differ holds the first bit where
+    their blocks differ, so descending order carries over.
     """
     copies = list(map(max, zip(*ideal.exponent_rows)))
     total = sum(copies)
@@ -321,7 +337,7 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
             names.append(f"{name}_{j}")
             origins.append((name, j))
     pol_table = VariableTable(tuple(names), tuple(origins))
-    gens = []
+    rows = []
     for row in ideal.exponent_rows:
         # variable i with exponent e becomes the block of its c_i copies:
         # e ones, then c_i - e zeros
@@ -329,9 +345,8 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
         for c, e in zip(copies, row):
             exps += [1] * e
             exps += [0] * (c - e)
-        gens.append(Monomial(pol_table, tuple(exps)))
-    # polarization preserves divisibility both ways, so minimality carries over
-    return MonomialIdeal(pol_table, tuple(gens))
+        rows.append(tuple(exps))
+    return _canonical_ideal(pol_table, rows)
 
 
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\^|\*|,|[0-9]+|.")

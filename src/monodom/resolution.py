@@ -570,10 +570,10 @@ def betti_oracle(ideal: MonomialIdeal, field=RATIONAL) -> BettiTable:
 
 
 def is_complete_intersection(ideal: MonomialIdeal) -> bool:
-    """Pairwise disjoint generator supports."""
+    """Pairwise disjoint generator supports.
+
+    They are disjoint exactly when no variable is counted twice, i.e. the
+    support sizes add up to the number of variables that occur at all.
+    """
     masks = ideal.support_masks
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if masks[i] & masks[j]:
-                return False
-    return True
+    return sum(map(int.bit_count, masks)) == len(ideal.appearing_variables())

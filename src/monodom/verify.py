@@ -20,7 +20,8 @@ from typing import Iterator
 from . import _kernels
 from .dominance import DOMINANCE_GUARD, DominanceWitness, odom_by_dominance
 from .errors import FuzzFailure, GuardExceeded, InvalidParameterError
-from .monomials import Monomial, MonomialIdeal, VariableTable, _minimal_ideal, polarize
+from .monomials import Monomial, MonomialIdeal, VariableTable, polarize
+from .monomials import _canonical_ideal, _minimal_ideal
 from .nets import MinimalNetFamily, Net, minimal_nets
 from .resolution import (
     RATIONAL,
@@ -122,7 +123,8 @@ def random_ideal(params: FuzzParams, trial_index: int) -> MonomialIdeal:
 
 @lru_cache(maxsize=16)  # a table may hold up to DRAW_GUARD names
 def _draw_table(n: int) -> VariableTable:
-    """The table x1..xn of a random draw; tables are frozen, so draws share one."""
+    """The table x1..xn of a random draw or an exhaustive pool; tables are
+    frozen, so ideals of the same n share one."""
     return VariableTable(tuple(f"x{i}" for i in range(1, n + 1)))
 
 
@@ -139,7 +141,9 @@ def exhaustive_ideals(params: FuzzParams) -> Iterator[MonomialIdeal]:
     GuardExceeded before the first ideal is built. The walk yields at
     most the sum over n of C(pool_n, j) for 1 <= j <= q_max, and a sum
     past EXHAUSTIVE_WALK_GUARD raises GuardExceeded before any pool is
-    built; the sum stops as soon as it passes the guard.
+    built; the sum stops as soon as it passes the guard. Each antichain's
+    rows come in pool order, descending, so `_canonical_ideal` builds it
+    without the constructor's checks.
     """
     size = 1
     for _ in range(params.n_max):  # stops past the guard, however large n_max
@@ -163,7 +167,7 @@ def exhaustive_ideals(params: FuzzParams) -> Iterator[MonomialIdeal]:
                     f"{EXHAUSTIVE_WALK_GUARD}"
                 )
     for n in range(1, params.n_max + 1):
-        tbl = VariableTable(tuple(f"x{i}" for i in range(1, n + 1)))
+        tbl = _draw_table(n)
         pool = sorted(
             (
                 exps
@@ -172,23 +176,22 @@ def exhaustive_ideals(params: FuzzParams) -> Iterator[MonomialIdeal]:
             ),
             reverse=True,
         )
-        k = len(pool)
-
-        def walk(start: int, chosen: list[int]):
-            for i in range(start, k):
-                # chosen vectors come earlier in descending lex order, so
-                # none of them can divide pool[i]; only the converse can hold
-                if any(all(map(le, pool[i], pool[j])) for j in chosen):
-                    continue
+        # depth first over the antichains: `chosen` holds pool indices in
+        # ascending order, so their vectors are in descending lex order
+        chosen: list[int] = []
+        i = 0
+        while chosen or i < len(pool):
+            if i == len(pool):
+                i = chosen.pop() + 1
+                continue
+            # chosen vectors come earlier in descending lex order, so none
+            # of them can divide pool[i]; only the converse can hold
+            if not any(all(map(le, pool[i], pool[j])) for j in chosen):
                 chosen.append(i)
-                yield MonomialIdeal(
-                    tbl, tuple(Monomial(tbl, pool[j]) for j in chosen)
-                )
-                if len(chosen) < params.q_max:
-                    yield from walk(i + 1, chosen)
-                chosen.pop()
-
-        yield from walk(0, [])
+                yield _canonical_ideal(tbl, [pool[j] for j in chosen])
+                if len(chosen) == params.q_max:
+                    chosen.pop()
+            i += 1
 
 
 # ---------------------------------------------------------------------------

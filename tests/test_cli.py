@@ -490,6 +490,24 @@ class TestExitCodes:
             "of 15000000\n"
         )
 
+    def test_wide_polarization_skips_the_pairwise_guard(self, capsys):
+        # (x, y)^299: 300 generators parse under the pairwise guard, and
+        # their polarization over 598 variables is canonical by
+        # construction, so no pairwise check runs and no guard trips
+        text = ", ".join(f"x^{299 - i}*y^{i}" for i in range(300))
+        text = text.replace("*y^0", "").replace("x^0*", "")
+        code, out, err = run(capsys, "polarize", "--json", "--ideal", text)
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["vars"]) == 598
+        code, out, err = run(
+            capsys, "odom", "--method", "nets", "--json", "--ideal", text
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["nets"]["odom"] == 2
+        code, out, err = run(capsys, "analyze", "--ideal", text)
+        assert code == 2 and out == ""
+        assert err == "error: refusing to build 2^300 Taylor symbols (limit q <= 14)\n"
+
     @pytest.mark.parametrize(
         "limits,entries",
         [

@@ -43,6 +43,17 @@ def test_odom_routes_share_no_module(module, other):
     assert f"monodom.{other}" not in imported_modules(module)
 
 
+def test_one_way_past_the_ideal_constructor():
+    # every ideal built without MonomialIdeal's checks goes through
+    # `_canonical_ideal`, so no second unchecked path can creep back
+    bypasses = {
+        path.name: path.read_text().count("object.__new__(MonomialIdeal)")
+        for path in PACKAGE.glob("*.py")
+    }
+    assert sum(bypasses.values()) == 1
+    assert bypasses["monomials.py"] == 1
+
+
 def test_exports_resolve():
     names = monodom.__all__
     assert len(names) == len(set(names))

@@ -711,6 +711,16 @@ class TestPredicates:
         assert is_complete_intersection(I("a^2, b^3"))
         assert is_complete_intersection(I("a*b, c*d"))
         assert not is_complete_intersection(I("a^2, a*b"))
+        # against a pairwise reference, on every exhaustive ideal
+        for M in EXHAUSTIVE:
+            masks = M.support_masks
+            disjoint = all(
+                masks[i] & masks[j] == 0
+                for i in range(M.q)
+                for j in range(i + 1, M.q)
+            )
+            assert is_complete_intersection(M) == disjoint
+        assert 0 < sum(map(is_complete_intersection, EXHAUSTIVE)) < len(EXHAUSTIVE)
 
     def test_cohen_macaulay(self):
         assert Analysis(I("a^2, a*b, b^2")).cohen_macaulay

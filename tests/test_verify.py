@@ -128,7 +128,8 @@ class TestRandomIdeal:
     def test_row_path_equals_the_validating_path(self, monkeypatch):
         # the fuzz_campaign draws and the README preset's: each ideal is the
         # one the Monomial path builds from the same rows, and the
-        # validating constructor accepts its generators in the same order
+        # validating constructor accepts its generators in the same order,
+        # as it does for every other ideal built without its checks
         drawn = []
         monkeypatch.setattr(
             verify,
@@ -152,6 +153,14 @@ class TestRandomIdeal:
             mons = lcms + list(M.generators[::-1])
             assert minimalize(mons).generators == reference_minimalize(mons).generators
             ideals.append(minimalize(mons))
+        # the other ideals built without the constructor's checks: the
+        # exhaustive walk's, and the polarizations of the first 1000
+        # fuzz_campaign draws, the README preset's and the exhaustive ones
+        base = ideals[:1000] + ideals[4000:5000] + EXHAUSTIVE
+        polarized = [polarize(M) for M in base]
+        renamed = sum(P.exponent_rows == M.exponent_rows for P, M in zip(polarized, base))
+        assert renamed < len(base) // 2
+        ideals += EXHAUSTIVE + polarized
         for M in ideals:
             again = MonomialIdeal(M.table, M.generators)
             assert again == M and again.generators == M.generators
@@ -214,6 +223,17 @@ class TestExhaustive:
         assert len(walked) == len(set(walked))
         assert sorted(walked) == sorted(expected)
 
+    @pytest.mark.parametrize("n_max,q_max,exp_max", [(2, 8, 2), (4, 5, 1), (3, 4, 2)])
+    def test_walk_is_depth_first_in_pool_order(self, n_max, q_max, exp_max):
+        # per n, the antichains come as the ascending index lists of the
+        # descending pool, prefixes first: ascending in negated rows
+        p = FuzzParams(n_max=n_max, q_max=q_max, exp_max=exp_max, trials=0, exhaustive=True)
+        keys = [
+            (M.n, tuple(tuple(-e for e in row) for row in M.exponent_rows))
+            for M in exhaustive_ideals(p)
+        ]
+        assert keys == sorted(set(keys))
+
     def test_single_generators_with_a_large_exponent_range(self):
         # one ideal per nonzero exponent vector: sum of 10^n - 1 over n <= 4
         p = FuzzParams(n_max=4, q_max=1, exp_max=9, trials=0, exhaustive=True)
@@ -245,12 +265,21 @@ class TestCheckReport:
         # a long fuzz run does not lean on the cyclic collector
         p = FuzzParams(n_max=6, q_max=10, exp_max=3, trials=0, seed=1)
         ideals = [random_ideal(p, t) for t in range(300)]
+        presets = [
+            FuzzParams(n_max=2, q_max=8, exp_max=2, trials=0, exhaustive=True),
+            FuzzParams(n_max=4, q_max=5, exp_max=1, trials=0, exhaustive=True),
+        ]
         enabled = gc.isenabled()
         gc.collect()
         gc.disable()
         try:
             for M in ideals:
                 check_report(M)
+            assert gc.collect() == 0
+            # nor does the exhaustive walk
+            for preset in presets:
+                for _ in exhaustive_ideals(preset):
+                    pass
             assert gc.collect() == 0
         finally:
             if enabled:
