@@ -1,8 +1,9 @@
 """Command-line surface: parse ideals, run analyses, emit reports.
 
 Exit codes: 0 success, 1 parse/input error, 2 enumeration guard
-exceeded, 3 internal invariant violation (a failed theorem check or a
-broken complex). Diagnostics go to stderr; results to stdout.
+exceeded or argparse usage error, 3 internal invariant violation (a
+failed theorem check or a broken complex); each error class carries its
+code as `exit_code`. Diagnostics go to stderr; results to stdout.
 """
 
 from __future__ import annotations
@@ -14,15 +15,7 @@ import os
 import sys
 import warnings
 
-from .errors import (
-    GuardExceeded,
-    InternalInvariantError,
-    InvalidIdealError,
-    IdealSyntaxError,
-    FuzzFailure,
-    MonodomError,
-    UnknownVariableError,
-)
+from .errors import InvalidIdealError, MonodomError
 from .monomials import MonomialIdeal, parse_ideal
 from .resolution import RATIONAL, BettiTable, PrimeField, minimize
 from .taylor import symbol_label
@@ -30,9 +23,7 @@ from .verify import Analysis, FuzzParams, check_report, fuzz
 
 
 def _field_from_args(args):
-    if getattr(args, "field", "rational") == "fp":
-        return PrimeField(getattr(args, "prime", 32003))
-    return RATIONAL
+    return PrimeField(args.prime) if args.field == "fp" else RATIONAL
 
 
 def _load_ideal(args) -> MonomialIdeal:
@@ -394,36 +385,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--ideal", help="generator list, e.g. 'a^2*e, b^3*f' ('-' reads stdin)")
-    common.add_argument("--vars", help="comma-separated variable list fixing the ambient ring")
-    common.add_argument("--json", action="store_true", help="emit JSON to stdout")
-    common.add_argument(
+    # the option groups; each subcommand takes only those it reads
+    ideal_input = argparse.ArgumentParser(add_help=False)
+    ideal_input.add_argument("--ideal", help="generator list, e.g. 'a^2*e, b^3*f' ('-' reads stdin)")
+    ideal_input.add_argument("--vars", help="comma-separated variable list fixing the ambient ring")
+    json_output = argparse.ArgumentParser(add_help=False)
+    json_output.add_argument("--json", action="store_true", help="emit JSON to stdout")
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument(
         "--field", choices=["rational", "fp"], default="rational",
         help="scalar field for the engine (default: rational)",
     )
-    common.add_argument("--prime", type=int, default=32003, help="prime for --field fp")
+    field.add_argument("--prime", type=int, default=32003, help="prime for --field fp")
+    with_field = [ideal_input, json_output, field]
+    field_free = [ideal_input, json_output]
 
-    sub.add_parser("analyze", parents=[common], help="full invariant report with theorem checks")
+    def command(name, handler, parents, summary):
+        p = sub.add_parser(name, parents=parents, help=summary)
+        p.set_defaults(handler=handler)
+        return p
 
-    p_betti = sub.add_parser("betti", parents=[common], help="total/graded/multigraded Betti numbers")
+    command("analyze", _cmd_analyze, with_field, "full invariant report with theorem checks")
+
+    p_betti = command("betti", _cmd_betti, with_field, "total/graded/multigraded Betti numbers")
     p_betti.add_argument("--oracle", action="store_true", help="use the strand-homology oracle")
 
-    p_res = sub.add_parser("resolution", parents=[common], help="minimized complex")
+    p_res = command("resolution", _cmd_resolution, with_field, "minimized complex")
     p_res.add_argument("--show-matrices", action="store_true")
 
-    p_nets = sub.add_parser("nets", parents=[common], help="minimal net family")
+    p_nets = command("nets", _cmd_nets, field_free, "minimal net family")
     p_nets.add_argument("--polarized", action="store_true", help="nets of the polarization")
 
-    p_odom = sub.add_parser("odom", parents=[common], help="order of dominance")
+    p_odom = command("odom", _cmd_odom, field_free, "order of dominance")
     p_odom.add_argument(
         "--method", choices=["dominant-sets", "nets", "both"], default="both"
     )
 
-    sub.add_parser("scarf", parents=[common], help="Scarf basis and Scarf-ness")
-    sub.add_parser("polarize", parents=[common], help="print the polarization")
+    command("scarf", _cmd_scarf, with_field, "Scarf basis and Scarf-ness")
+    command("polarize", _cmd_polarize, field_free, "print the polarization")
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run the fuzzing suite")
+    p_verify = command("verify", _cmd_verify, [json_output, field], "run the fuzzing suite")
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--n-max", type=int, default=4)
@@ -432,18 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--exhaustive", action="store_true")
 
     return parser
-
-
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "betti": _cmd_betti,
-    "resolution": _cmd_resolution,
-    "nets": _cmd_nets,
-    "odom": _cmd_odom,
-    "scarf": _cmd_scarf,
-    "polarize": _cmd_polarize,
-    "verify": _cmd_verify,
-}
 
 
 @functools.cache
@@ -457,7 +446,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code = _HANDLERS[args.command](args)
+        code = args.handler(args)
         if sys.stdout is not None:  # None when started with stdout closed
             sys.stdout.flush()  # so that a closed pipe fails here, not at exit
         return code
@@ -469,18 +458,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (IdealSyntaxError, InvalidIdealError, UnknownVariableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InternalInvariantError, FuzzFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except MonodomError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

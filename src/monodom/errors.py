@@ -1,8 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each class carries the CLI's exit code for it as `exit_code`.
+"""
 
 
 class MonodomError(Exception):
     """Base class for all errors raised by monodom."""
+
+    exit_code = 1
 
 
 class TableMismatchError(MonodomError):
@@ -32,6 +37,8 @@ class InvalidParameterError(MonodomError, ValueError):
 class GuardExceeded(MonodomError):
     """A configured enumeration bound was exceeded; fail loudly, never truncate."""
 
+    exit_code = 2
+
 
 class TaylorTooLarge(GuardExceeded):
     """Generator count too large for full 2^q complex construction."""
@@ -45,9 +52,13 @@ class TaylorTooLarge(GuardExceeded):
 class InternalInvariantError(MonodomError):
     """A structural invariant (d∘d = 0, multihomogeneity, ...) failed."""
 
+    exit_code = 3
+
 
 class FuzzFailure(MonodomError):
     """A fuzzed ideal violated a theorem check; carries a reproduction recipe."""
+
+    exit_code = 3
 
     def __init__(self, message: str, ideal_text: str, origin: str):
         super().__init__(f"{message}\n  ideal:  {ideal_text}\n  origin: {origin}")

@@ -385,7 +385,7 @@ def parse_ideal(text: str, var_names: Sequence[str] | None = None) -> MonomialId
     tbl = VariableTable(tuple(var_names))
     index = {name: i for i, name in enumerate(tbl.names)}
 
-    monomials = []
+    rows = []
     for gen in gens_raw:
         exps = [0] * tbl.n
         for name, k, pos in gen:
@@ -395,10 +395,10 @@ def parse_ideal(text: str, var_names: Sequence[str] | None = None) -> MonomialId
                     f"unknown variable {name!r} at position {pos}"
                 )
             exps[i] += k
-        monomials.append(Monomial(tbl, tuple(exps)))
+        rows.append(tuple(exps))
 
-    ideal = minimalize(monomials)
-    if ideal.q < len(monomials):
+    ideal = _minimal_ideal(tbl, rows)
+    if ideal.q < len(rows):
         warnings.warn(
             f"generating set was not minimal; reduced to {ideal.render()}",
             stacklevel=2,

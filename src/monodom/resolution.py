@@ -18,7 +18,7 @@ their ranks are taken.
 All arithmetic is exact: rationals by default, or F_p on request.
 Scalars are stored bare; the monomial part of an entry is always the
 quotient of the two symbols' multidegrees. A field supplies only its
-characteristic `p` (0 over Q), `one`, `div` and `rank`: the Schur update
+characteristic `p` (0 over Q), `name`, `div` and `rank`: the Schur update
 and the checks use Python's operators on the stored scalars, reduced
 `% p` only over F_p, so the inner loop makes no method call. Rational
 scalars are Python ints; `RationalField.div` returns a Fraction only
@@ -86,7 +86,6 @@ class RationalField:
     """
 
     name = "rational"
-    one = 1
     p = 0
 
     @staticmethod
@@ -149,7 +148,6 @@ class PrimeField:
             raise InvalidParameterError(f"{p} is not prime")
         self.p = p
         self.name = f"fp:{p}"
-        self.one = 1
 
     def div(self, x, y):
         return (x * pow(y, self.p - 2, self.p)) % self.p
@@ -237,13 +235,12 @@ class FreeComplex:
             strata = _taylor_strata(codes, ideal.q)
         else:
             codes = {mask: code for stratum in strata for mask, code in stratum.items()}
-        self.ideal = ideal
         self.field = field
         self.q = ideal.q
         self.taylor = taylor
         self.mdeg_codes = codes
         p = field.p
-        one, neg_one = field.one, (-field.one % p if p else -field.one)
+        neg_one = p - 1 if p else -1
         self.mats: list[dict[int, dict[int, object]]] = [{0: {}}]
         self.rows: list[dict[int, dict[int, None]]] = [dict()]
         self.queue: list[list[int]] = [[]]
@@ -264,7 +261,7 @@ class FreeComplex:
                             f"a facet of a degree-{s} symbol is not in the starting complex"
                         )
                     tau, low = face
-                    col[tau] = one if sign > 0 else neg_one
+                    col[tau] = 1 if sign > 0 else neg_one
                     row = rows.get(tau)
                     if row is None:
                         rows[tau] = {sigma: None}
@@ -288,7 +285,6 @@ class FreeComplex:
 
     def copy(self) -> "FreeComplex":
         dup = object.__new__(FreeComplex)
-        dup.ideal = self.ideal
         dup.field = self.field
         dup.q = self.q
         dup.taylor = self.taylor

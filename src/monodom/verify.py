@@ -10,7 +10,7 @@ check is reported by name, never swallowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from math import comb
@@ -480,14 +480,7 @@ class FuzzSummary:
 
     def to_dict(self) -> dict:
         return {
-            "params": {
-                "n_max": self.params.n_max,
-                "q_max": self.params.q_max,
-                "exp_max": self.params.exp_max,
-                "trials": self.params.trials,
-                "seed": self.params.seed,
-                "exhaustive": self.params.exhaustive,
-            },
+            "params": asdict(self.params),
             "ideals": self.ideal_count,
             "checks": {
                 name: dict(sorted(tally.items()))
@@ -515,9 +508,8 @@ def fuzz(params: FuzzParams, field=RATIONAL) -> FuzzSummary:
     for origin, ideal in stream:
         report = check_report(ideal, field)
         for c in report.checks:
-            tally.setdefault(c.name, {})[c.status] = (
-                tally.setdefault(c.name, {}).get(c.status, 0) + 1
-            )
+            counts = tally.setdefault(c.name, {})
+            counts[c.status] = counts.get(c.status, 0) + 1
         gap = report.pd - report.odom
         gaps[gap] = gaps.get(gap, 0) + 1
         count += 1

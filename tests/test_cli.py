@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import monodom
 from monodom.cli import _dump, main
+from monodom.errors import MonodomError
 
 # Ideals whose `resolution --show-matrices` output is pinned byte for byte
 # in GOLDEN_TEXT and GOLDEN_JSON at the end of this file, over Q and F_3,
@@ -351,10 +353,77 @@ def assert_canonical(out):
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
+# each subcommand's options besides -h, grouped as `cli.build_parser` adds them
+IDEAL_INPUT = ("--ideal", "--vars")
+JSON = ("--json",)
+FIELD = ("--field", "--prime")
+SURFACE = {
+    "analyze": IDEAL_INPUT + JSON + FIELD,
+    "betti": IDEAL_INPUT + JSON + FIELD + ("--oracle",),
+    "resolution": IDEAL_INPUT + JSON + FIELD + ("--show-matrices",),
+    "nets": IDEAL_INPUT + JSON + ("--polarized",),
+    "odom": IDEAL_INPUT + JSON + ("--method",),
+    "scarf": IDEAL_INPUT + JSON + FIELD,
+    "polarize": IDEAL_INPUT + JSON,
+    "verify": JSON + FIELD + (
+        "--trials", "--seed", "--n-max", "--q-max", "--exp-max", "--exhaustive",
+    ),
+}
+
+
+class TestSurface:
+    def test_each_subcommand_takes_only_its_options(self):
+        import argparse
+
+        from monodom.cli import build_parser
+
+        (commands,) = [
+            action.choices
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        options = {
+            name: tuple(s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help"))
+            for name, sub in commands.items()
+        }
+        assert options == SURFACE
+        assert sum(map(len, options.values())) == 42
+
+    # the (command, option) pairs that no handler reads
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--trials", "3", "--ideal", "a*b"),
+            ("verify", "--trials", "3", "--vars", "a,b"),
+            ("nets", "--ideal", "a*b, b*c", "--field", "fp"),
+            ("nets", "--ideal", "a*b, b*c", "--prime", "3"),
+            ("odom", "--ideal", "a*b, b*c", "--field", "fp"),
+            ("odom", "--ideal", "a*b, b*c", "--prime", "1000000"),
+            ("polarize", "--ideal", "a*b, b*c", "--field", "fp"),
+            ("polarize", "--ideal", "a*b, b*c", "--prime", "3"),
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_unread_option_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+
+
+# the layouts over Q for every command, and over F_3 for those that take --field
+LAYOUT_CASES = [
+    (command, name, field)
+    for command, argv in JSON_COMMANDS.items()
+    for name in GOLDEN_IDEALS
+    for field in GOLDEN_FIELDS
+    if field == "Q" or "--field" in SURFACE[argv[0]]
+]
+
+
 class TestCanonicalJson:
-    @pytest.mark.parametrize("field", GOLDEN_FIELDS)
-    @pytest.mark.parametrize("name", GOLDEN_IDEALS)
-    @pytest.mark.parametrize("command", JSON_COMMANDS)
+    @pytest.mark.parametrize("command, name, field", LAYOUT_CASES)
     def test_subcommand_layout(self, capsys, command, name, field):
         code, out, err = run(
             capsys, *JSON_COMMANDS[command], "--json", "--ideal", GOLDEN_IDEALS[name],
@@ -403,6 +472,32 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_dump_matches_json_dumps(payload):
     assert _dump(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+# the error classes in monodom.__all__, the documented exit code of each,
+# and the constructor arguments of those that take more than a message
+ERRORS = [
+    name for name in monodom.__all__
+    if isinstance(getattr(monodom, name), type)
+    and issubclass(getattr(monodom, name), MonodomError)
+]
+EXIT_CODES = {
+    "MonodomError": 1,
+    "TableMismatchError": 1,
+    "InvalidIdealError": 1,
+    "UnknownVariableError": 1,
+    "IdealSyntaxError": 1,
+    "InvalidParameterError": 1,
+    "GuardExceeded": 2,
+    "TaylorTooLarge": 2,
+    "InternalInvariantError": 3,
+    "FuzzFailure": 3,
+}
+ERROR_ARGS = {
+    "IdealSyntaxError": ("forced", 0),
+    "TaylorTooLarge": (20, 14),
+    "FuzzFailure": ("forced", "a, b", "trial 0"),
+}
 
 
 class TestExitCodes:
@@ -554,6 +649,24 @@ class TestExitCodes:
         monkeypatch.setattr(cli_mod, "fuzz", boom)
         code, _, err = run(capsys, "verify", "--trials", "1")
         assert code == 3 and "trial 0" in err
+
+    @pytest.mark.parametrize("name", ERRORS)
+    def test_each_error_class_has_its_exit_code(self, capsys, monkeypatch, name):
+        import functools
+
+        import monodom.cli as cli_mod
+
+        exc = getattr(monodom, name)(*ERROR_ARGS.get(name, ("forced",)))
+
+        def handler(args):
+            raise exc
+
+        monkeypatch.setattr(cli_mod, "_cmd_polarize", handler)
+        monkeypatch.setattr(cli_mod, "_parser", functools.cache(cli_mod._parser.__wrapped__))
+        code, out, err = run(capsys, "polarize", "--ideal", "a")
+        assert (code, out) == (EXIT_CODES[name], "")
+        assert err == f"error: {exc}\n"
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
 
     def test_minimalization_warning_on_stderr(self, capsys):
         import warnings

@@ -520,7 +520,7 @@ def corrupt(cx, rng):
         free = [tau for tau in cx.strata[s - 1] if tau not in col]
         if not free:
             return None
-        col[rng.choice(free)] = cx.field.one
+        col[rng.choice(free)] = 1
         return kind
     if not col:
         return None

@@ -1,4 +1,5 @@
 import gc
+import warnings
 from itertools import combinations
 from itertools import product as iter_product
 
@@ -15,6 +16,7 @@ from monodom import (
     check_report,
     fuzz,
     minimalize,
+    monomials,
     polarize,
     random_ideal,
     verify,
@@ -34,6 +36,18 @@ from conftest import (
     reference_minimalize,
     rp2_ideal,
 )
+
+
+# generator text with duplicates (also after reordering factors or
+# summing a repeated one) and multiples, with and without --vars
+PARSED_NON_MINIMAL = [
+    ("a, a*b", None),
+    ("a, a", None),
+    ("a*b, b*a", None),
+    ("a^2, a*a, a*b", None),
+    ("x*y, y*x, x*y*z, z^2*x, z^3", None),
+    ("b*d, d*b, a*d, d^2, a*d^3", ["a", "b", "c", "d"]),
+]
 
 
 class TestSplitMix64:
@@ -126,20 +140,27 @@ class TestRandomIdeal:
         ]
 
     def test_row_path_equals_the_validating_path(self, monkeypatch):
-        # the fuzz_campaign draws and the README preset's: each ideal is the
-        # one the Monomial path builds from the same rows, and the
-        # validating constructor accepts its generators in the same order,
-        # as it does for every other ideal built without its checks
+        # the fuzz_campaign draws, the README preset's and parsed text with
+        # duplicate and multiple generators: each ideal is the one the
+        # Monomial path builds from the same rows, and the validating
+        # constructor accepts its generators in the same order, as it does
+        # for every other ideal built without its checks
         drawn = []
-        monkeypatch.setattr(
-            verify,
-            "_minimal_ideal",
-            lambda tbl, rows: drawn.append((tbl, rows)) or _minimal_ideal(tbl, rows),
-        )
+
+        def recorded(tbl, rows):
+            drawn.append((tbl, rows))
+            return _minimal_ideal(tbl, rows)
+
+        monkeypatch.setattr(verify, "_minimal_ideal", recorded)
         fuzz_campaign = FuzzParams(n_max=6, q_max=10, exp_max=3, trials=0, seed=1)
         readme = FuzzParams(n_max=4, q_max=5, exp_max=3, trials=0, seed=42)
         ideals = [random_ideal(fuzz_campaign, t) for t in range(4000)]
         ideals += [random_ideal(readme, t) for t in range(1000)]
+        monkeypatch.setattr(monomials, "_minimal_ideal", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # each text drops a generator
+            ideals += [I(text, names) for text, names in PARSED_NON_MINIMAL]
+        monkeypatch.undo()
         assert len(drawn) == len(ideals)
         dropped = 0
         for (tbl, rows), M in zip(drawn, ideals):
