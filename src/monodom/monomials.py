@@ -167,6 +167,20 @@ class Monomial:
         ) or "1"
 
 
+def _monomial(tbl: VariableTable, exponents: tuple[int, ...]) -> Monomial:
+    """The monomial with these exponents, built unchecked.
+
+    exponents: a tuple of tbl's length, none negative. For the exponents
+    the package makes itself, which are valid by construction: canonical
+    generator rows and decoded lattice codes.
+    """
+    mono = object.__new__(Monomial)
+    attrs = mono.__dict__
+    attrs["table"] = tbl
+    attrs["exponents"] = exponents
+    return mono
+
+
 def lcm_of(monomials: Iterable[Monomial]) -> Monomial:
     it = iter(monomials)
     try:
@@ -301,12 +315,13 @@ def _canonical_ideal(tbl: VariableTable, rows: Iterable[tuple]) -> MonomialIdeal
     rows: at least one exponent tuple of tbl's length, distinct, nonzero,
     none dividing another, in descending lexicographic order. Every
     check of the MonomialIdeal constructor then holds, so it is skipped;
-    only a Monomial per row is built. This is the package's one way past
-    the constructor, for rows its own code has made canonical.
+    only a Monomial per row is built, by `_monomial`. This is the
+    package's one way past the constructor, for rows its own code has
+    made canonical.
     """
     ideal = object.__new__(MonomialIdeal)
     object.__setattr__(ideal, "table", tbl)
-    object.__setattr__(ideal, "generators", tuple(Monomial(tbl, row) for row in rows))
+    object.__setattr__(ideal, "generators", tuple([_monomial(tbl, row) for row in rows]))
     return ideal
 
 

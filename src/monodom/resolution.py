@@ -22,8 +22,9 @@ characteristic `p` (0 over Q), `name`, `div` and `rank`: the Schur update
 and the checks use Python's operators on the stored scalars, reduced
 `% p` only over F_p, so the inner loop makes no method call. Rational
 scalars are Python ints; `RationalField.div` returns a Fraction only
-when the quotient is not integral, which keeps the common ±1 pivots on
-the int fast path. A scalar is zero when it is 0 over Q, or a multiple
+when the quotient is not integral. A unit pivot, ±1 over Q or 1 and
+p - 1 over F_p, is its own inverse, so `cancel` multiplies by it and
+calls `div` only for other pivots. A scalar is zero when it is 0 over Q, or a multiple
 of p over F_p, so an unreduced multiple of p stored in a column still
 reads as a stored zero.
 
@@ -32,13 +33,17 @@ Betti table is wanted, its Lyubeznik subcomplex, which resolves S/M
 from far fewer symbols. `FreeComplex` takes its faces per degree with
 their lcm codes: from the Lyubeznik walk, which never reads the 2^q
 table the oracle reads, or, for the Taylor start, from its own table.
-It builds its own matrices from `facets`, with the row index and the
-pivot queues in the same pass. The matrices are its only copy of the
-symbols: the surviving strata are their keys. Multidegrees are integer
-codes, so every comparison is an int operation: equal multidegrees have
-equal codes, and mdeg(tau) divides mdeg(sigma) iff
-`codes[tau] | codes[sigma] == codes[sigma]`. A code is decoded to a
-`Monomial` only for the Betti table and the printed symbols.
+It builds its own matrices in one pass over the faces, with the sign
+rule of `facets` inlined: each face gets its column, its row in the
+matrix above and, if it holds an invertible entry, its place in the
+pivot queue. The matrices are its only copy of the symbols: the
+surviving strata are their keys. Multidegrees are integer codes, so
+every comparison is an int operation: equal multidegrees have equal
+codes, and mdeg(tau) divides mdeg(sigma) iff
+`codes[tau] | codes[sigma] == codes[sigma]`. A Betti table holds its
+counts on codes; a code is decoded to a `Monomial` only when a table's
+graded or multigraded numbers, or a printed symbol, are first read, so
+`check_report` decodes nothing.
 
 Cancellation is local. Each matrix keeps a row index, the transpose of
 its columns, so cancelling (tau, sigma) touches only the columns in row
@@ -62,8 +67,8 @@ after every cancellation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import _kernels
@@ -160,15 +165,58 @@ class PrimeField:
 RATIONAL = RationalField()
 
 
-@dataclass
 class BettiTable:
-    """Total, graded and multigraded Betti numbers of a quotient."""
+    """Total, graded and multigraded Betti numbers of a quotient.
 
-    total: tuple[int, ...]
-    graded: dict[tuple[int, int], int]
-    multigraded: dict[tuple[int, Monomial], int]
-    pd: int
-    field_name: str = dc_field(compare=False, default="rational")
+    Held as `counts`, the numbers β_{h,b} keyed by (h, lcm code of b),
+    with the lattice the codes decode through. `total` and `pd` are read
+    off the counts when the table is built; `graded` and `multigraded`
+    decode each distinct code once, into the lattice's shared cache, on
+    first read, and the multigraded table keeps the order of `counts`.
+    Within one ideal's lattice the codes encode multidegrees exactly, so
+    two tables on it agree exactly when their counts do. Tables are
+    equal when their totals, graded and multigraded numbers are.
+    """
+
+    def __init__(
+        self,
+        counts: dict[tuple[int, int], int],
+        lattice: TaylorComplex,
+        field_name: str = "rational",
+    ):
+        self.counts = counts
+        self.lattice = lattice
+        self.field_name = field_name
+        self.pd = pd = max(h for h, _ in counts)
+        total = [0] * (pd + 1)
+        for (h, _), c in counts.items():
+            total[h] += c
+        self.total = tuple(total)
+
+    @cached_property
+    def multigraded(self) -> dict[tuple[int, Monomial], int]:
+        monomials = self.lattice.monomials(code for _, code in self.counts)
+        return {(h, monomials[code]): c for (h, code), c in self.counts.items()}
+
+    @cached_property
+    def graded(self) -> dict[tuple[int, int], int]:
+        graded: dict[tuple[int, int], int] = {}
+        for (h, m), c in self.multigraded.items():
+            key = (h, sum(m.exponents))
+            graded[key] = graded.get(key, 0) + c
+        return graded
+
+    def __eq__(self, other):
+        if not isinstance(other, BettiTable):
+            return NotImplemented
+        return (
+            self.total == other.total
+            and self.graded == other.graded
+            and self.multigraded == other.multigraded
+        )
+
+    def __repr__(self):
+        return f"BettiTable(total={self.total}, pd={self.pd}, field={self.field_name!r})"
 
     @property
     def sum(self) -> int:
@@ -186,28 +234,6 @@ def _taylor_strata(table: Sequence[int], q: int) -> list[dict[int, int]]:
     return strata
 
 
-def _table_from_codes(
-    taylor: TaylorComplex, counts: dict[tuple[int, int], int], field_name: str
-) -> BettiTable:
-    """The Betti table of the counts β_{h,b} keyed by (h, lcm code of b).
-
-    Each distinct code is decoded once, into the lattice's shared cache;
-    the multigraded table keeps the order of `counts`.
-    """
-    monomials = taylor.monomials(code for _, code in counts)
-    pd = max(h for h, _ in counts)
-    total = [0] * (pd + 1)
-    graded: dict[tuple[int, int], int] = {}
-    multigraded: dict[tuple[int, Monomial], int] = {}
-    for (h, code), c in counts.items():
-        m = monomials[code]
-        total[h] += c
-        key = (h, sum(m.exponents))
-        graded[key] = graded.get(key, 0) + c
-        multigraded[(h, m)] = c
-    return BettiTable(tuple(total), graded, multigraded, pd, field_name)
-
-
 class FreeComplex:
     """Mutable labeled complex over a field, with the Taylor differential.
 
@@ -218,7 +244,8 @@ class FreeComplex:
     mdeg_codes is the 2^q table, built here and kept by no one else.
     mats[s] maps each surviving degree-s symbol, ascending, to its column
     {row: scalar}; mats[0] holds the empty symbol. rows[s] is the
-    transpose of mats[s], {row: {column: None}}; queue[s] lists, in
+    transpose of mats[s], {row: {column: None}}, with a row, empty or
+    not, for each surviving face of degree s - 1; queue[s] lists, in
     descending order, the columns that may hold an equal-multidegree
     (invertible) entry. The shared Taylor lattice is left unchanged.
     """
@@ -234,48 +261,58 @@ class FreeComplex:
             codes = _kernels.subset_lcms(taylor.codes)
             strata = _taylor_strata(codes, ideal.q)
         else:
-            codes = {mask: code for stratum in strata for mask, code in stratum.items()}
+            codes = {}
+            for stratum in strata:
+                codes.update(stratum)
         self.field = field
         self.q = ideal.q
         self.taylor = taylor
         self.mdeg_codes = codes
         p = field.p
-        neg_one = p - 1 if p else -1
-        self.mats: list[dict[int, dict[int, object]]] = [{0: {}}]
-        self.rows: list[dict[int, dict[int, None]]] = [dict()]
-        self.queue: list[list[int]] = [[]]
-        for s in range(1, self.q + 1):
-            # each face one degree down: its one shared int object, its code
-            below = {tau: (tau, code) for tau, code in strata[s - 1].items()}
-            stratum = strata[s]
+        self.mats: list[dict[int, dict[int, object]]] = []
+        self.rows: list[dict[int, dict[int, None]]] = []
+        self.queue: list[list[int]] = []
+        # each face one degree down: its one shared int object, its code,
+        # and its row of the matrix being built
+        below: dict[int, tuple[int, int, dict[int, None]]] = {}
+        rows: dict[int, dict[int, None]] = {}
+        for s, stratum in enumerate(strata):
             mat: dict[int, dict[int, object]] = {}
-            rows: dict[int, dict[int, None]] = {}
             queue = []
-            for sigma, up in stratum.items():
-                col: dict[int, object] = {}
-                hit = False
-                for tau, sign in facets(sigma):
-                    face = below.get(tau)
-                    if face is None:
-                        raise InternalInvariantError(
-                            f"a facet of a degree-{s} symbol is not in the starting complex"
-                        )
-                    tau, low = face
-                    col[tau] = 1 if sign > 0 else neg_one
-                    row = rows.get(tau)
-                    if row is None:
-                        rows[tau] = {sigma: None}
-                    else:
+            above = {}
+            rows_above: dict[int, dict[int, None]] = {}
+            try:
+                for sigma, up in stratum.items():
+                    # the facets, members dropped in ascending order with
+                    # signs 1, -1, 1, ... as in `taylor.facets`; -1 is
+                    # p - 1 over F_p, so each sign is p minus the last
+                    # (p = 0 over Q)
+                    col: dict[int, object] = {}
+                    hit = False
+                    sign, rest = 1, sigma
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        tau, code, row = below[sigma ^ low]
+                        col[tau] = sign
                         row[sigma] = None
-                    if low == up:
-                        hit = True
-                mat[sigma] = col
-                if hit:
-                    queue.append(sigma)
+                        sign = p - sign
+                        if code == up:
+                            hit = True
+                    mat[sigma] = col
+                    if hit:
+                        queue.append(sigma)
+                    row = rows_above[sigma] = {}
+                    above[sigma] = (sigma, up, row)
+            except KeyError:  # from `below`: a facet is missing
+                raise InternalInvariantError(
+                    f"a facet of a degree-{s} symbol is not in the starting complex"
+                ) from None
             queue.reverse()  # strata are ascending
             self.mats.append(mat)
             self.rows.append(rows)
             self.queue.append(queue)
+            below, rows = above, rows_above
 
     @property
     def strata(self) -> list[list[int]]:
@@ -357,13 +394,17 @@ class FreeComplex:
         mat, rows = self.mats[s], self.rows[s]
         col_rest = mat.pop(sigma)
         a = col_rest.pop(tau)
+        # a unit pivot (1 or -1 over Q, 1 or p - 1 over F_p) is its own
+        # inverse, so the factor is a product and `div` is not called
+        inverse = a if a == 1 or a == (p - 1 if p else -1) else None
         for tau2 in col_rest:
             del rows[tau2][sigma]
         row_rest = rows.pop(tau)
         del row_rest[sigma]
         for sig2 in row_rest:
             col2 = mat[sig2]
-            factor = div(col2.pop(tau), a)
+            x = col2.pop(tau)
+            factor = div(x, a) if inverse is None else x * inverse
             for tau2, c in col_rest.items():
                 cur = col2.get(tau2)
                 new = -(c * factor) if cur is None else cur - c * factor
@@ -451,7 +492,7 @@ class FreeComplex:
             for mask in mat:
                 key = (h, codes[mask])
                 counts[key] = counts.get(key, 0) + 1
-        return _table_from_codes(self.taylor, counts, self.field.name)
+        return BettiTable(counts, self.taylor, self.field.name)
 
     def surviving_symbols(self):
         return [
@@ -562,7 +603,7 @@ def betti_oracle(ideal: MonomialIdeal, field=RATIONAL) -> BettiTable:
                 raise InternalInvariantError("negative strand homology rank")
             if beta:
                 counts[(h, b)] = beta
-    return _table_from_codes(cx, counts, field.name)
+    return BettiTable(counts, cx, field.name)
 
 
 def is_complete_intersection(ideal: MonomialIdeal) -> bool:

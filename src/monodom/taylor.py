@@ -18,10 +18,12 @@ field of its own: the support of a rank-compressed polarization
 (Miller–Sturmfels, Combinatorial Commutative Algebra, 2005). On codes,
 lcm is `a | b`, divisibility is `a | b == b` and equality is `==`; the
 width is the number of distinct nonzero (variable, exponent) pairs,
-never an exponent itself. A code becomes a `Monomial` only for output,
-once per distinct code. `lattice_codes` builds the codes; the dominance
-route reads them through `generator_codes`, which reuses a held lattice
-and is not bounded by the lattice's guard.
+never an exponent itself. A code becomes a `Monomial` only when output
+or a caller reads one, once per distinct code: `check_report` decodes
+nothing, and Betti tables and Scarf symbols decode on first read.
+`lattice_codes` builds the codes; the dominance route reads them
+through `generator_codes`, which reuses a held lattice and is not
+bounded by the lattice's guard.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
 from .errors import TaylorTooLarge
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, _monomial
 
 TAYLOR_GUARD = 14  # 2^q symbols; C(14,7) columns is still tens of MB
 
@@ -158,8 +160,9 @@ class TaylorComplex:
                 [levels[(code >> offset & bits).bit_count()] for code in new]
                 for offset, bits, levels in self._fields
             ]
+            tbl = self.table
             for code, exps in zip(new, zip(*columns)):
-                cache[code] = Monomial(self.table, exps)
+                cache[code] = _monomial(tbl, exps)
         return cache
 
     def monomial(self, code: int) -> Monomial:
@@ -289,24 +292,45 @@ def lyubeznik_strata(
     return tuple(dict(sorted(stratum)) for stratum in strata)
 
 
-@dataclass(frozen=True)
 class ScarfBasis:
-    """Symbols with a unique multidegree, with their per-degree ranks."""
+    """Symbols with a unique multidegree, with their per-degree ranks.
 
-    symbols: tuple[TaylorSymbol, ...]
-    ranks: tuple[int, ...]  # index = homological degree, trailing zeros trimmed
+    `ranks` is counted on lattice codes; `symbols`, which decode each
+    multidegree, are built on first read. Two bases are equal when their
+    symbols and ranks are.
+    """
+
+    def __init__(
+        self, lattice: TaylorComplex, masks: tuple[int, ...], ranks: tuple[int, ...]
+    ):
+        self.lattice = lattice
+        self.masks = masks
+        self.ranks = ranks  # index = homological degree, trailing zeros trimmed
+
+    @cached_property
+    def symbols(self) -> tuple[TaylorSymbol, ...]:
+        """By homological degree, then mask."""
+        order = sorted(self.masks, key=lambda mask: (mask.bit_count(), mask))
+        return tuple([self.lattice.symbol(mask) for mask in order])
+
+    def __eq__(self, other):
+        if not isinstance(other, ScarfBasis):
+            return NotImplemented
+        return self.ranks == other.ranks and self.symbols == other.symbols
+
+    def __hash__(self):
+        return hash((self.symbols, self.ranks))
 
 
 def scarf_basis(ideal: MonomialIdeal) -> ScarfBasis:
     cx = build_taylor(ideal)
-    symbols = []
+    masks = []
     counts = [0] * (cx.q + 1)
     for group in cx.mdeg_groups.values():
         if len(group) == 1:
             (mask,) = group
-            symbols.append(cx.symbol(mask))
+            masks.append(mask)
             counts[mask.bit_count()] += 1
-    symbols.sort(key=lambda sym: (sym.hdeg, sym.mask))
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
-    return ScarfBasis(tuple(symbols), tuple(counts))
+    return ScarfBasis(cx, tuple(masks), tuple(counts))

@@ -222,10 +222,13 @@ class Analysis:
     keeps the result, so a caller pays for, and trips the guards of, only
     the stages it reads. Every stage that reads the Taylor lattice touches
     `taylor` first: the lattice is then held for the object's lifetime,
-    and minimize, the oracle and the Scarf basis all decode through that
-    one lattice (`build_taylor` caches it weakly on the ideal). Only the
-    oracle and the Scarf basis read its 2^q table; minimize takes its
-    lcm codes from the Lyubeznik walk.
+    and minimize, the oracle and the Scarf basis all count on its codes
+    (`build_taylor` caches it weakly on the ideal). Only the oracle and
+    the Scarf basis read its 2^q table; minimize takes its lcm codes from
+    the Lyubeznik walk. The checks read only counts and ranks, so
+    `check_report` decodes nothing: the Betti tables' graded and
+    multigraded numbers and the Scarf symbols decode through the lattice
+    on first read, each distinct code once.
 
     When the polarization has the ideal's own exponent rows (every
     exponent is 0 or 1 and every variable occurs), it only renames x to
@@ -427,9 +430,11 @@ class Analysis:
                 odom == self.odom_polarized,
                 f"odom {odom}, odom of polarization {self.odom_polarized}",
             ),
+            # the two tables count on codes of one lattice, which encode
+            # multidegrees exactly
             _both(
                 "betti-engine-vs-oracle",
-                betti == self.betti_by_oracle,
+                betti.counts == self.betti_by_oracle.counts,
                 f"engine {total} vs oracle {self.betti_by_oracle.total}",
             ),
         ]
@@ -479,8 +484,11 @@ class FuzzSummary:
     gap_histogram: dict[int, int]  # pd - odom occurrences
 
     def to_dict(self) -> dict:
+        params = asdict(self.params)
+        if self.params.exhaustive:  # the walk reads neither
+            del params["trials"], params["seed"]
         return {
-            "params": asdict(self.params),
+            "params": params,
             "ideals": self.ideal_count,
             "checks": {
                 name: dict(sorted(tally.items()))
@@ -566,9 +574,9 @@ def check_lemma_hypotheses(ideal: MonomialIdeal, field=RATIONAL) -> list[LemmaIn
             f"lemma scan over 2^{ideal.q} subsets exceeds the q <= {DOMINANCE_GUARD} guard"
         )
     betti = betti_oracle(ideal, field)
-    by_degree: dict[int, list[tuple[int, ...]]] = {}
+    by_degree: dict[int, list[Monomial]] = {}
     for (h, m), _ in betti.multigraded.items():
-        by_degree.setdefault(h, []).append(m.exponents)
+        by_degree.setdefault(h, []).append(m)
 
     global_lcm = ideal.lcm().exponents
     codes, fields = generator_codes(ideal)
@@ -590,13 +598,14 @@ def check_lemma_hypotheses(ideal: MonomialIdeal, field=RATIONAL) -> list[LemmaIn
             satisfied = all(code & tops for code in codes)
             witness = None
             if satisfied:
-                for exps in by_degree.get(len(members), []):
+                for m in by_degree.get(len(members), []):
+                    exps = m.exponents
                     if all(exps[v] == e for v, e in powers.items()) and all(
                         exps[v] <= global_lcm[v]
                         for v in range(ideal.n)
                         if v not in powers
                     ):
-                        witness = Monomial(ideal.table, exps)
+                        witness = m
                         break
             out.append(LemmaInstance(members, assignment, satisfied, witness))
     return out

@@ -315,6 +315,29 @@ class TestParserReuse:
         assert len(parser_builds) == 1
 
 
+class TestDecoding:
+    def test_analyze_json_decodes_each_distinct_code_once(self, capsys, monkeypatch):
+        # only the engine's multigraded table is printed, so exactly its
+        # distinct multidegrees are decoded, each once
+        from monodom import taylor
+
+        decoded = []
+        real = taylor._monomial
+
+        def counted(tbl, exponents):
+            decoded.append(exponents)
+            return real(tbl, exponents)
+
+        monkeypatch.setattr(taylor, "_monomial", counted)
+        texts = [*GOLDEN_IDEALS.values(), ", ".join(f"x{i}*x{i + 1}" for i in range(1, 11))]
+        for text in texts:
+            decoded.clear()
+            code, out, _ = run(capsys, "analyze", "--json", "--ideal", text)
+            assert code == 0
+            printed = {m for _, m, _ in json.loads(out)["multigraded_betti"]}
+            assert len(decoded) == len(set(decoded)) == len(printed)
+
+
 class TestVerifyCommand:
     def test_exhaustive_small(self, capsys):
         code, out, _ = run(
@@ -331,6 +354,22 @@ class TestVerifyCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["ideals"] == 20
+        assert payload["params"] == {
+            "exhaustive": False, "exp_max": 3, "n_max": 4, "q_max": 5,
+            "seed": 5, "trials": 20,
+        }
+
+    def test_exhaustive_json_leaves_out_trials_and_seed(self, capsys):
+        # the walk reads neither, so its params do not echo them
+        argv = ("verify", "--exhaustive", "--n-max", "1", "--q-max", "1", "--exp-max", "2")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["params"] == {
+            "exhaustive": True, "exp_max": 2, "n_max": 1, "q_max": 1,
+        }
+        assert payload["ideals"] == 2
+        assert run(capsys, *argv, "--json", "--trials", "5", "--seed", "9") == (0, out, "")
 
 
 # every subcommand's --json form, as run on each GOLDEN_IDEALS entry

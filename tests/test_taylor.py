@@ -278,6 +278,13 @@ class TestScarf:
         }
         assert basis.ranks == (1, 3, 2)
 
+    def test_equality_compares_the_decoded_symbols(self):
+        # x^2 and x^3 have the same masks and ranks but other multidegrees
+        x2, x3 = scarf_basis(I("x^2")), scarf_basis(I("x^3"))
+        assert x2.ranks == x3.ranks and x2.masks == x3.masks
+        assert x2 != x3
+        assert x2 == scarf_basis(I("x^2")) and hash(x2) == hash(scarf_basis(I("x^2")))
+
     def test_single_generator(self):
         M = I("a")
         basis = scarf_basis(M)

@@ -11,6 +11,9 @@ from monodom import (
     GuardExceeded,
     Monomial,
     MonomialIdeal,
+    PrimeField,
+    RATIONAL,
+    TaylorComplex,
     TaylorTooLarge,
     check_lemma_hypotheses,
     check_report,
@@ -281,6 +284,21 @@ class TestCheckReport:
         assert r.odom == 4
         assert r.ok
 
+    def test_check_path_decodes_nothing(self, monkeypatch):
+        # the checks read only counts, totals and ranks: no lattice code
+        # is decoded to a Monomial and no Scarf symbol is built
+        def refuse(*args):
+            raise AssertionError("a report decoded a lattice code")
+
+        monkeypatch.setattr(TaylorComplex, "monomials", refuse)
+        monkeypatch.setattr(TaylorComplex, "symbol", refuse)
+        readme = FuzzParams(n_max=4, q_max=5, exp_max=3, trials=0, seed=42)
+        cases = [(random_ideal(readme, t), RATIONAL) for t in range(1000)]
+        cases += [(path_ideal(10), RATIONAL), (cycle_ideal(11), RATIONAL)]
+        cases += [(rp2_ideal(), RATIONAL), (rp2_ideal(), PrimeField(2))]
+        for M, field in cases:
+            assert check_report(M, field).ok
+
     def test_reports_leave_no_reference_cycles(self):
         # everything a report allocates is freed by reference counting, so
         # a long fuzz run does not lean on the cyclic collector
@@ -422,6 +440,29 @@ class TestCheckReport:
         text = ", ".join(map(str, M.generators))
         assert main(["analyze", "--ideal", text, "--vars", ",".join(M.table.names)]) == 3
         assert "betti-engine-vs-oracle" in capsys.readouterr().out
+
+    def test_moved_multidegree_fails_the_cross_check(self, monkeypatch):
+        # the oracle's table with its top entry moved to another lattice
+        # code: the totals still agree, the multigraded numbers do not
+        from monodom.resolution import BettiTable
+
+        real = verify.betti_oracle
+
+        def moved(ideal, field):
+            table = real(ideal, field)
+            counts = dict(table.counts)
+            (h, b), c = max(counts.items())
+            taken = {code for k, code in counts if k == h}
+            b2 = next(code for code in table.lattice.mdeg_codes if code not in taken)
+            del counts[(h, b)]
+            counts[(h, b2)] = c
+            return BettiTable(counts, table.lattice, table.field_name)
+
+        monkeypatch.setattr(verify, "betti_oracle", moved)
+        for M in (cycle_ideal(4), rp2_ideal(), I("a^2*b, a*b^2, a*c, b*c^2, c^3")):
+            report = check_report(M)
+            assert report.betti.total == report.betti_by_oracle.total
+            assert [c.name for c in report.failed_checks()] == ["betti-engine-vs-oracle"]
 
     def test_guard_raises(self):
         M = I(", ".join(f"x{i}" for i in range(1, 16)))
