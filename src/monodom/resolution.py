@@ -22,9 +22,9 @@ characteristic `p` (0 over Q), `name`, `div` and `rank`: the Schur update
 and the checks use Python's operators on the stored scalars, reduced
 `% p` only over F_p, so the inner loop makes no method call. Rational
 scalars are Python ints; `RationalField.div` returns a Fraction only
-when the quotient is not integral. A unit pivot, ±1 over Q or 1 and
-p - 1 over F_p, is its own inverse, so `cancel` multiplies by it and
-calls `div` only for other pivots. A scalar is zero when it is 0 over Q, or a multiple
+when the quotient is not integral, which keeps the common ±1 pivots on
+the int fast path; `cancel` calls it once per cancellation, for the
+pivot's inverse. A scalar is zero when it is 0 over Q, or a multiple
 of p over F_p, so an unreduced multiple of p stored in a column still
 reads as a stored zero.
 
@@ -393,18 +393,14 @@ class FreeComplex:
         div, p = self.field.div, self.field.p
         mat, rows = self.mats[s], self.rows[s]
         col_rest = mat.pop(sigma)
-        a = col_rest.pop(tau)
-        # a unit pivot (1 or -1 over Q, 1 or p - 1 over F_p) is its own
-        # inverse, so the factor is a product and `div` is not called
-        inverse = a if a == 1 or a == (p - 1 if p else -1) else None
+        inverse = div(1, col_rest.pop(tau))
         for tau2 in col_rest:
             del rows[tau2][sigma]
         row_rest = rows.pop(tau)
         del row_rest[sigma]
         for sig2 in row_rest:
             col2 = mat[sig2]
-            x = col2.pop(tau)
-            factor = div(x, a) if inverse is None else x * inverse
+            factor = col2.pop(tau) * inverse
             for tau2, c in col_rest.items():
                 cur = col2.get(tau2)
                 new = -(c * factor) if cur is None else cur - c * factor
