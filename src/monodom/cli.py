@@ -245,21 +245,19 @@ def _cmd_resolution(args) -> int:
 
 
 def _matrix_payload(cx, ideal):
+    """The entries of the differential, keyed by the degree of their column,
+    degrees ascending; the columns come in scan order."""
     out = {}
-    for s in range(1, cx.q + 1):
-        entries = []
-        for sigma, col in cx.mats[s].items():
-            for tau in sorted(col):
-                entries.append(
-                    [
-                        symbol_label(ideal, tau),
-                        symbol_label(ideal, sigma),
-                        str(col[tau]),
-                        str(cx.mdeg(sigma).quotient(cx.mdeg(tau))),
-                    ]
-                )
-        if entries:
-            out[str(s)] = entries
+    for sigma, col in cx.cols.items():
+        for tau in sorted(col):
+            out.setdefault(str(sigma.bit_count()), []).append(
+                [
+                    symbol_label(ideal, tau),
+                    symbol_label(ideal, sigma),
+                    str(col[tau]),
+                    str(cx.mdeg(sigma).quotient(cx.mdeg(tau))),
+                ]
+            )
     return out
 
 

@@ -33,31 +33,34 @@ Betti table is wanted, its Lyubeznik subcomplex, which resolves S/M
 from far fewer symbols. `FreeComplex` takes its faces per degree with
 their lcm codes: from the Lyubeznik walk, which never reads the 2^q
 table the oracle reads, or, for the Taylor start, from its own table.
-It builds its own matrices in one pass over the faces, with the sign
-rule of `facets` inlined: each face gets its column, its row in the
-matrix above and, if it holds an invertible entry, its place in the
-pivot queue. The matrices are its only copy of the symbols: the
-surviving strata are their keys. Multidegrees are integer codes, so
-every comparison is an int operation: equal multidegrees have equal
-codes, and mdeg(tau) divides mdeg(sigma) iff
+It builds its differential in one pass over the faces, with the sign
+rule of `facets` inlined: each face gets its column, its row and, if it
+holds an invertible entry, its place in the pivot queue. The columns
+are its only copy of the faces: the surviving strata are their keys,
+and a face's homological degree is its mask's popcount. Multidegrees
+are integer codes, so every comparison is an int operation: equal
+multidegrees have equal codes, and mdeg(tau) divides mdeg(sigma) iff
 `codes[tau] | codes[sigma] == codes[sigma]`. A Betti table holds its
 counts on codes; a code is decoded to a `Monomial` only when a table's
 graded or multigraded numbers, or a printed symbol, are first read, so
 `check_report` decodes nothing.
 
-Cancellation is local. Each matrix keeps a row index, the transpose of
-its columns, so cancelling (tau, sigma) touches only the columns in row
-tau, row sigma of the matrix above and column tau of the matrix below.
-Each degree keeps a pivot queue: the columns that held an invertible
-entry when the complex was built, smallest last. `find_invertible`
-drops stale columns from the end and returns the scan-order pivot
-(lowest degree, then smallest column, then smallest row) without
-rescanning. No column ever has to join a queue later: a Schur update
-creates (tau2, sig2) from the entries (tau2, sigma) and (tau, sig2), and
-mdeg(tau2) | mdeg(sigma) = mdeg(tau) | mdeg(sig2), so an
-equal-multidegree fill-in only lands in a column that already held the
-equal-multidegree entry (tau, sig2) and is therefore still queued.
-`check_index` verifies the row index and the queues, and
+Cancellation is local. The differential is one column per face, and
+its row index, the transpose, one row per face, so cancelling (tau,
+sigma) touches only the columns in row tau, the columns in row sigma
+(one degree up) and column tau (one degree down). One pivot queue
+lists the faces whose column held an invertible entry when the complex
+was built, in descending scan order; `find_invertible` drops stale
+faces from its end and returns the scan-order pivot (lowest degree,
+then smallest column, then smallest row) without rescanning. No face
+ever has to join the queue later, in whatever order the entries are
+cancelled: a Schur update creates (tau2, sig2) from the entries
+(tau2, sigma) and (tau, sig2), and mdeg(tau2) | mdeg(sigma) =
+mdeg(tau) | mdeg(sig2), so an equal-multidegree fill-in only lands in a
+column that already held the equal-multidegree entry (tau, sig2) and
+is therefore still queued. A face dropped from the queue thus never
+regains an invertible entry, and the scan needs no cursor.
+`check_index` verifies the row index and the queue, and
 `all_invertible` is the full scan that relies on neither.
 
 `validate` checks multihomogeneity and d∘d = 0 on every column, trusting
@@ -242,12 +245,13 @@ class FreeComplex:
     facets (`taylor.lyubeznik_strata` gives the Lyubeznik subcomplex),
     merged into the dict mdeg_codes. By default it is all of it, and
     mdeg_codes is the 2^q table, built here and kept by no one else.
-    mats[s] maps each surviving degree-s symbol, ascending, to its column
-    {row: scalar}; mats[0] holds the empty symbol. rows[s] is the
-    transpose of mats[s], {row: {column: None}}, with a row, empty or
-    not, for each surviving face of degree s - 1; queue[s] lists, in
-    descending order, the columns that may hold an equal-multidegree
-    (invertible) entry. The shared Taylor lattice is left unchanged.
+    cols maps each surviving face to its column {row: scalar}, in scan
+    order (degree, then mask ascending); the empty face has an empty
+    column. rows is the transpose of cols, {row: {column: None}}, with a
+    row, empty or not, for each surviving face. queue lists, in
+    descending scan order, the faces whose column may hold an
+    equal-multidegree (invertible) entry. A face's degree is its mask's
+    popcount. The shared Taylor lattice is left unchanged.
     """
 
     def __init__(
@@ -269,19 +273,14 @@ class FreeComplex:
         self.taylor = taylor
         self.mdeg_codes = codes
         p = field.p
-        self.mats: list[dict[int, dict[int, object]]] = []
-        self.rows: list[dict[int, dict[int, None]]] = []
-        self.queue: list[list[int]] = []
-        # each face one degree down: its one shared int object, its code,
-        # and its row of the matrix being built
-        below: dict[int, tuple[int, int, dict[int, None]]] = {}
+        cols: dict[int, dict[int, object]] = {}
         rows: dict[int, dict[int, None]] = {}
-        for s, stratum in enumerate(strata):
-            mat: dict[int, dict[int, object]] = {}
-            queue = []
-            above = {}
-            rows_above: dict[int, dict[int, None]] = {}
-            try:
+        queue: list[int] = []
+        # each face built so far: its one shared int object, its code and
+        # its row
+        faces: dict[int, tuple[int, int, dict[int, None]]] = {}
+        try:
+            for stratum in strata:
                 for sigma, up in stratum.items():
                     # the facets, members dropped in ascending order with
                     # signs 1, -1, 1, ... as in `taylor.facets`; -1 is
@@ -293,32 +292,33 @@ class FreeComplex:
                     while rest:
                         low = rest & -rest
                         rest ^= low
-                        tau, code, row = below[sigma ^ low]
+                        tau, code, row = faces[sigma ^ low]
                         col[tau] = sign
                         row[sigma] = None
                         sign = p - sign
                         if code == up:
                             hit = True
-                    mat[sigma] = col
+                    cols[sigma] = col
                     if hit:
                         queue.append(sigma)
-                    row = rows_above[sigma] = {}
-                    above[sigma] = (sigma, up, row)
-            except KeyError:  # from `below`: a facet is missing
-                raise InternalInvariantError(
-                    f"a facet of a degree-{s} symbol is not in the starting complex"
-                ) from None
-            queue.reverse()  # strata are ascending
-            self.mats.append(mat)
-            self.rows.append(rows)
-            self.queue.append(queue)
-            below, rows = above, rows_above
+                    row = rows[sigma] = {}
+                    faces[sigma] = (sigma, up, row)
+        except KeyError:  # from `faces`: a facet is missing
+            raise InternalInvariantError(
+                f"a facet of a degree-{sigma.bit_count()} symbol is not in the "
+                "starting complex"
+            ) from None
+        queue.reverse()  # the faces came in scan order
+        self.cols, self.rows, self.queue = cols, rows, queue
 
     @property
     def strata(self) -> list[list[int]]:
-        """The surviving symbols per degree, ascending: the keys of `mats`,
-        which are inserted in ascending order and only ever removed."""
-        return [list(mat) for mat in self.mats]
+        """The surviving faces per degree, ascending: the keys of `cols`,
+        which are inserted in scan order and only ever removed."""
+        strata: list[list[int]] = [[] for _ in range(self.q + 1)]
+        for mask in self.cols:
+            strata[mask.bit_count()].append(mask)
+        return strata
 
     def copy(self) -> "FreeComplex":
         dup = object.__new__(FreeComplex)
@@ -326,20 +326,16 @@ class FreeComplex:
         dup.q = self.q
         dup.taylor = self.taylor
         dup.mdeg_codes = self.mdeg_codes
-        dup.mats = [
-            {sigma: dict(col) for sigma, col in mat.items()} for mat in self.mats
-        ]
-        dup.rows = [
-            {tau: dict(row) for tau, row in rows.items()} for rows in self.rows
-        ]
-        dup.queue = [list(queue) for queue in self.queue]
+        dup.cols = {sigma: dict(col) for sigma, col in self.cols.items()}
+        dup.rows = {tau: dict(row) for tau, row in self.rows.items()}
+        dup.queue = list(self.queue)
         return dup
 
     def mdeg(self, mask: int) -> Monomial:
         return self.taylor.monomial(self.mdeg_codes[mask])
 
-    def is_invertible(self, s: int, tau: int, sigma: int) -> bool:
-        val = self.mats[s].get(sigma, {}).get(tau)
+    def is_invertible(self, tau: int, sigma: int) -> bool:
+        val = self.cols.get(sigma, {}).get(tau)
         p = self.field.p
         return (
             val is not None
@@ -347,59 +343,60 @@ class FreeComplex:
             and self.mdeg_codes[tau] == self.mdeg_codes[sigma]
         )
 
-    def find_invertible(self, start: int = 1):
-        """First invertible entry in scan order: degree, then column, then row.
+    def find_invertible(self):
+        """First invertible entry (tau, sigma) in scan order: degree, then
+        column, then row.
 
-        Reads the pivot queues, dropping columns that no longer hold an
+        Reads the pivot queue, dropping faces that no longer hold an
         invertible entry; `all_invertible` is the independent full scan.
         """
-        codes = self.mdeg_codes
-        for s in range(max(start, 1), self.q + 1):
-            mat, queue = self.mats[s], self.queue[s]
-            while queue:
-                sigma = queue[-1]
-                col = mat.get(sigma)
-                if col:
-                    up = codes[sigma]
-                    hits = [tau for tau in col if codes[tau] == up]
-                    if hits:
-                        return s, min(hits), sigma
-                queue.pop()
-        return None
-
-    def all_invertible(self):
-        """Every invertible entry in scan order, by a full scan of the matrices."""
-        codes = self.mdeg_codes
-        out = []
-        for s in range(1, self.q + 1):
-            for sigma, col in self.mats[s].items():
+        cols, codes, queue = self.cols, self.mdeg_codes, self.queue
+        while queue:
+            sigma = queue[-1]
+            col = cols.get(sigma)
+            if col:
                 up = codes[sigma]
                 hits = [tau for tau in col if codes[tau] == up]
                 if hits:
-                    out.extend((s, tau, sigma) for tau in sorted(hits))
+                    return min(hits), sigma
+            queue.pop()
+        return None
+
+    def all_invertible(self):
+        """Every invertible entry (tau, sigma) in scan order, by a full scan
+        of the columns."""
+        codes = self.mdeg_codes
+        out = []
+        for sigma, col in self.cols.items():
+            up = codes[sigma]
+            hits = [tau for tau in col if codes[tau] == up]
+            out.extend((tau, sigma) for tau in sorted(hits))
         return out
 
-    def cancel(self, s: int, tau: int, sigma: int) -> "FreeComplex":
-        """Cancel the invertible entry (tau, sigma) of matrix s, in place.
+    def cancel(self, tau: int, sigma: int) -> "FreeComplex":
+        """Cancel the invertible entry (tau, sigma), in place.
 
-        Only the columns in row tau change in matrix s; matrix s+1 loses
-        row sigma and matrix s-1 loses column tau, both found by index
-        (mats[0] holds the empty symbol, so s = 1 needs no special case).
+        Only the columns in row tau get a Schur update. Then sigma leaves
+        the columns one degree up that hold it, found by its row, and tau
+        leaves the rows of its column. The empty face has a column and
+        every face has a row, so neither degree 1 nor the top degree is a
+        special case.
         """
-        if not self.is_invertible(s, tau, sigma):
+        if not self.is_invertible(tau, sigma):
             raise ValueError(
-                f"entry at degree {s}, row {tau:#x}, column {sigma:#x} is not invertible"
+                f"entry at degree {sigma.bit_count()}, row {tau:#x}, "
+                f"column {sigma:#x} is not invertible"
             )
         div, p = self.field.div, self.field.p
-        mat, rows = self.mats[s], self.rows[s]
-        col_rest = mat.pop(sigma)
+        cols, rows = self.cols, self.rows
+        col_rest = cols.pop(sigma)
         inverse = div(1, col_rest.pop(tau))
         for tau2 in col_rest:
             del rows[tau2][sigma]
         row_rest = rows.pop(tau)
         del row_rest[sigma]
         for sig2 in row_rest:
-            col2 = mat[sig2]
+            col2 = cols[sig2]
             factor = col2.pop(tau) * inverse
             for tau2, c in col_rest.items():
                 cur = col2.get(tau2)
@@ -413,68 +410,57 @@ class FreeComplex:
                 elif cur is not None:
                     del col2[tau2]
                     del rows[tau2][sig2]
-        if s < self.q:
-            above = self.mats[s + 1]
-            for sig2 in self.rows[s + 1].pop(sigma, ()):
-                del above[sig2][sigma]
-        below = self.rows[s - 1]
-        for rho in self.mats[s - 1].pop(tau):
-            del below[rho][tau]
+        for sig2 in rows.pop(sigma):
+            del cols[sig2][sigma]
+        for rho in cols.pop(tau):
+            del rows[rho][tau]
         return self
 
     def check_index(self) -> None:
-        """rows must be the transpose of mats, and every column holding an
-        equal-multidegree entry must sit in its degree's pivot queue."""
-        codes = self.mdeg_codes
-        for s in range(1, self.q + 1):
-            mat, rows = self.mats[s], self.rows[s]
-            queued = set(self.queue[s])
-            entries = 0
-            for sigma, col in mat.items():
-                entries += len(col)
-                up = codes[sigma]
-                for tau in col:
-                    if sigma not in rows.get(tau, ()):
-                        raise InternalInvariantError(
-                            f"row index of matrix {s} is not the transpose of its columns"
-                        )
-                    if codes[tau] == up and sigma not in queued:
-                        raise InternalInvariantError(
-                            f"column {sigma:#x} of matrix {s} holds an invertible "
-                            "entry but is not queued"
-                        )
-            if entries != sum(map(len, rows.values())):
+        """rows must be the transpose of cols, with a row for each face,
+        and every column holding an equal-multidegree entry must sit in
+        the pivot queue."""
+        codes, cols = self.mdeg_codes, self.cols
+        transpose: dict[int, dict[int, None]] = {sigma: {} for sigma in cols}
+        for sigma, col in cols.items():
+            for tau in col:
+                transpose.setdefault(tau, {})[sigma] = None
+        if transpose != self.rows:
+            raise InternalInvariantError("row index is not the transpose of the columns")
+        queued = set(self.queue)
+        for sigma, col in cols.items():
+            up = codes[sigma]
+            if sigma not in queued and any(codes[tau] == up for tau in col):
                 raise InternalInvariantError(
-                    f"row index of matrix {s} is not the transpose of its columns"
+                    f"column {sigma:#x} of degree {sigma.bit_count()} holds "
+                    "an invertible entry but is not queued"
                 )
 
     def check_multihomogeneous(self) -> None:
         p, codes = self.field.p, self.mdeg_codes
-        for mat in self.mats[1:]:
-            for sigma, col in mat.items():
-                up = codes[sigma]
-                for tau, val in col.items():
-                    if (val % p if p else val) == 0:
-                        raise InternalInvariantError("stored zero entry")
-                    if codes[tau] | up != up:
-                        raise InternalInvariantError(
-                            "entry between incomparable multidegrees"
-                        )
+        for sigma, col in self.cols.items():
+            up = codes[sigma]
+            for tau, val in col.items():
+                if (val % p if p else val) == 0:
+                    raise InternalInvariantError("stored zero entry")
+                if codes[tau] | up != up:
+                    raise InternalInvariantError(
+                        "entry between incomparable multidegrees"
+                    )
 
     def check_d_squared(self) -> None:
-        p = self.field.p
-        for s in range(2, self.q + 1):
-            lower = self.mats[s - 1]
-            for sigma, col in self.mats[s].items():
-                acc: dict[int, object] = {}
-                for tau, val in col.items():
-                    for rho, val2 in lower.get(tau, {}).items():
-                        acc[rho] = acc.get(rho, 0) + val * val2
-                for total in acc.values():
-                    if (total % p if p else total) != 0:
-                        raise InternalInvariantError(
-                            f"d∘d != 0 between degrees {s} and {s - 2}"
-                        )
+        p, cols = self.field.p, self.cols
+        for sigma, col in cols.items():
+            acc: dict[int, object] = {}
+            for tau, val in col.items():
+                for rho, val2 in cols.get(tau, {}).items():
+                    acc[rho] = acc.get(rho, 0) + val * val2
+            for total in acc.values():
+                if (total % p if p else total) != 0:
+                    s = sigma.bit_count()
+                    raise InternalInvariantError(
+                        f"d∘d != 0 between degrees {s} and {s - 2}"
+                    )
 
     def validate(self) -> None:
         """Check multihomogeneity, then d∘d = 0, on every column."""
@@ -484,16 +470,15 @@ class FreeComplex:
     def betti_table(self) -> BettiTable:
         counts: dict[tuple[int, int], int] = {}
         codes = self.mdeg_codes
-        for h, mat in enumerate(self.mats):
-            for mask in mat:
-                key = (h, codes[mask])
-                counts[key] = counts.get(key, 0) + 1
+        for mask in self.cols:
+            key = (mask.bit_count(), codes[mask])
+            counts[key] = counts.get(key, 0) + 1
         return BettiTable(counts, self.taylor, self.field.name)
 
     def surviving_symbols(self):
         return [
-            [TaylorSymbol(mask, h, self.mdeg(mask)) for mask in mat]
-            for h, mat in enumerate(self.mats)
+            [TaylorSymbol(mask, h, self.mdeg(mask)) for mask in masks]
+            for h, masks in enumerate(self.strata)
         ]
 
 
@@ -509,7 +494,8 @@ def minimize(
     or "lyubeznik", its Lyubeznik subcomplex (`lyubeznik_strata`), which
     resolves S/M too and so gives the same Betti table from fewer
     symbols, but a different minimized complex. Pivots are taken in the
-    fixed scan order of `find_invertible`.
+    fixed scan order of `find_invertible`, so the loop walks the pivot
+    queue once: a face it passes never regains an invertible entry.
 
     For q <= VALIDATE_GUARD the start is validated, and so is the complex
     after every cancellation. The final complex then also gets
@@ -523,11 +509,8 @@ def minimize(
     validate = ideal.q <= VALIDATE_GUARD
     if validate:
         cx.validate()
-    cursor = 1
-    while (hit := cx.find_invertible(cursor)) is not None:
-        s, tau, sigma = hit
-        cx.cancel(s, tau, sigma)
-        cursor = s  # degrees below s were already clean and cannot regress
+    while (hit := cx.find_invertible()) is not None:
+        cx.cancel(*hit)
         if validate:
             cx.validate()
     if validate:

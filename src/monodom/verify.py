@@ -220,15 +220,15 @@ class Analysis:
 
     Each stage calls one public function the first time it is read and
     keeps the result, so a caller pays for, and trips the guards of, only
-    the stages it reads. Every stage that reads the Taylor lattice touches
-    `taylor` first: the lattice is then held for the object's lifetime,
-    and minimize, the oracle and the Scarf basis all count on its codes
-    (`build_taylor` caches it weakly on the ideal). Only the oracle and
-    the Scarf basis read its 2^q table; minimize takes its lcm codes from
-    the Lyubeznik walk. The checks read only counts and ranks, so
-    `check_report` decodes nothing: the Betti tables' graded and
-    multigraded numbers and the Scarf symbols decode through the lattice
-    on first read, each distinct code once.
+    the stages it reads. The stages that read the Taylor lattice share
+    one: `build_taylor` caches it weakly on the ideal, and the first
+    Betti table or Scarf basis kept here holds it for the object's
+    lifetime, so minimize, the oracle and the Scarf basis all count on
+    its codes. Only the oracle and the Scarf basis read its 2^q table;
+    minimize takes its lcm codes from the Lyubeznik walk. The checks
+    read only counts and ranks, so `check_report` decodes nothing: the
+    Betti tables' graded and multigraded numbers and the Scarf symbols
+    decode through the lattice on first read, each distinct code once.
 
     When the polarization has the ideal's own exponent rows (every
     exponent is 0 or 1 and every variable occurs), it only renames x to
@@ -273,17 +273,14 @@ class Analysis:
         # Cancels on the Lyubeznik subcomplex, which gives the same table
         # from fewer symbols; only the table is kept, since its minimized
         # complex is not the one `resolution` prints.
-        self.taylor
         return minimize(self.ideal, self.field, start="lyubeznik")[1]
 
     @cached_property
     def betti_by_oracle(self) -> BettiTable:
-        self.taylor
         return betti_oracle(self.ideal, self.field)
 
     @cached_property
     def scarf_basis(self) -> ScarfBasis:
-        self.taylor
         return scarf_basis(self.ideal)
 
     @cached_property
@@ -448,7 +445,8 @@ class Analysis:
 
 
 # The order check_report reads the stages in, so that of several guards an
-# ideal exceeds, the one reported is always the same.
+# ideal exceeds, the one reported is always the same. `taylor` comes first,
+# so its guard trips first and the dominance route reuses its codes.
 _REPORT_STAGES = (
     "taylor",
     "polarized",
@@ -536,7 +534,6 @@ def fuzz(params: FuzzParams, field=RATIONAL) -> FuzzSummary:
 # members carry the global top exponents of their assigned variables, and
 # whose top powers divide every generator, forces a surviving basis element
 # in homological degree k whose multidegree matches those exponents exactly
-# and is bounded by lcm(G) elsewhere
 
 
 @dataclass(frozen=True)
@@ -565,20 +562,23 @@ def check_lemma_hypotheses(ideal: MonomialIdeal, field=RATIONAL) -> list[LemmaIn
       (i) d_j is dominant in x_{i_j} within the subset and carries the
           full exponent a_{i_j};
       (ii) every generator is divisible by some x_{i_j}^{a_{i_j}}.
-    For every satisfied instance a multidegree m with beta_{k,m} >= 1,
-    m matching a_{i_j} exactly on assigned variables and bounded by a
-    elsewhere, is looked up in the oracle's multigraded table.
+    For every satisfied instance the witness is the first multidegree m
+    of the oracle's table with beta_{k,m} >= 1 and m matching a_{i_j}
+    exactly on the assigned variables. The lemma also bounds m by a
+    elsewhere, which every lattice multidegree is, as a divisor of
+    lcm(G). On lattice codes the match is `code & tops == tops`, tops
+    being the top bits of the assigned variables' fields; only the
+    witness's code is decoded.
     """
     if ideal.q > DOMINANCE_GUARD:
         raise GuardExceeded(
             f"lemma scan over 2^{ideal.q} subsets exceeds the q <= {DOMINANCE_GUARD} guard"
         )
     betti = betti_oracle(ideal, field)
-    by_degree: dict[int, list[Monomial]] = {}
-    for (h, m), _ in betti.multigraded.items():
-        by_degree.setdefault(h, []).append(m)
+    by_degree: dict[int, list[int]] = {}
+    for h, code in betti.counts:
+        by_degree.setdefault(h, []).append(code)
 
-    global_lcm = ideal.lcm().exponents
     codes, fields = generator_codes(ideal)
     variable, highs = bit_variables(fields)
     out: list[LemmaInstance] = []
@@ -594,18 +594,12 @@ def check_lemma_hypotheses(ideal: MonomialIdeal, field=RATIONAL) -> list[LemmaIn
             for t in picked:
                 tops |= 1 << t
             assignment = tuple(variable[t] for t in picked)
-            powers = {v: global_lcm[v] for v in assignment}
             satisfied = all(code & tops for code in codes)
             witness = None
             if satisfied:
-                for m in by_degree.get(len(members), []):
-                    exps = m.exponents
-                    if all(exps[v] == e for v, e in powers.items()) and all(
-                        exps[v] <= global_lcm[v]
-                        for v in range(ideal.n)
-                        if v not in powers
-                    ):
-                        witness = m
+                for code in by_degree.get(len(members), ()):
+                    if code & tops == tops:
+                        witness = betti.lattice.monomial(code)
                         break
             out.append(LemmaInstance(members, assignment, satisfied, witness))
     return out

@@ -59,8 +59,8 @@ class TestFindInvertible:
     def test_collision_entry_found(self):
         M = I("a^2, a*b, b^2")
         cx = FreeComplex(M)
-        s, tau, sigma = cx.find_invertible()
-        assert s == 3
+        tau, sigma = cx.find_invertible()
+        assert sigma.bit_count() == 3
         assert tau == mask_for(M, "a^2", "b^2")
         assert sigma == mask_for(M, "a^2", "a*b", "b^2")
 
@@ -73,8 +73,8 @@ class TestCancel:
     def test_single_step_trace(self):
         M = I("a^2, a*b, b^2")
         cx = FreeComplex(M)
-        s, tau, sigma = cx.find_invertible()
-        cx.cancel(s, tau, sigma)
+        tau, sigma = cx.find_invertible()
+        cx.cancel(tau, sigma)
         assert [len(st_) for st_ in cx.strata] == [1, 3, 2, 0]
         cx.validate()
 
@@ -109,7 +109,7 @@ class TestCancel:
         M = I("a^2, a*b, b^2")
         cx = FreeComplex(M)
         with pytest.raises(ValueError):
-            cx.cancel(1, 0, mask_for(M, "a^2"))
+            cx.cancel(0, mask_for(M, "a^2"))
 
     def test_schur_update_values(self):
         # cancelling the top pair of (a^2, ab, b^2) must leave an exact
@@ -117,10 +117,9 @@ class TestCancel:
         M = I("a^2, a*b, b^2")
         cx = FreeComplex(M)
         cx.cancel(*cx.find_invertible())
-        mat2 = cx.mats[2]
-        cols = sorted(mat2)
-        assert len(cols) == 2
-        for col in mat2.values():
+        faces = cx.strata[2]
+        assert len(faces) == 2
+        for col in map(cx.cols.get, faces):
             assert sorted(abs(v) for v in col.values()) == [1, 1]
 
 
@@ -131,27 +130,46 @@ class TestCancel:
         # was, so cancelling the scaled pivot gives the unscaled result
         M = I("a^2*b, a*b^2, a*c, b*c^2, c^3")
         cx = FreeComplex(M, field)
-        s, tau, sigma = next(
-            (s, tau, sigma)
-            for s, tau, sigma in cx.all_invertible()
-            if s < cx.q and len(cx.mats[s][sigma]) > 1 and len(cx.rows[s][tau]) > 1
+        tau, sigma = next(
+            (tau, sigma)
+            for tau, sigma in cx.all_invertible()
+            if sigma.bit_count() < cx.q and len(cx.cols[sigma]) > 1 and len(cx.rows[tau]) > 1
         )
-        reference = cx.copy().cancel(s, tau, sigma)
+        reference = cx.copy().cancel(tau, sigma)
         p = field.p
 
         def scaled(value, factor):
             return value * factor % p if p else value * factor
 
-        column = cx.mats[s][sigma]
+        column = cx.cols[sigma]
         for row in column:
             column[row] = scaled(column[row], 2)
-        for col in cx.mats[s + 1].values():
+        for col in cx.cols.values():
             if sigma in col:
                 col[sigma] = scaled(col[sigma], field.div(1, 2))
         cx.validate()
-        assert cx.mats[s][sigma][tau] not in (1, p - 1 if p else -1)
-        cx.cancel(s, tau, sigma)
-        assert cx.mats == reference.mats and cx.rows == reference.rows
+        assert cx.cols[sigma][tau] not in (1, p - 1 if p else -1)
+        cx.cancel(tau, sigma)
+        assert cx.cols == reference.cols and cx.rows == reference.rows
+
+    def test_rp2_takes_a_minus_two_pivot_over_q(self):
+        # minimizing RP^2 over Q from the Taylor start takes a -2 pivot in
+        # degree 4, with 14 other columns in its row, so the Schur update
+        # stores Fractions; they cancel away later
+        cx = FreeComplex(rp2_ideal())
+        non_unit = []
+        while (hit := cx.find_invertible()) is not None:
+            tau, sigma = hit
+            pivot = cx.cols[sigma][tau]
+            cx.cancel(tau, sigma)
+            if pivot not in (1, -1):
+                non_unit.append((sigma.bit_count(), pivot))
+                cx.validate()
+                assert any(
+                    type(val) is Fraction for col in cx.cols.values() for val in col.values()
+                )
+        assert non_unit == [(4, -2)]
+        assert cx.betti_table().total == (1, 10, 15, 6)
 
 
 class TestMinimize:
@@ -300,72 +318,61 @@ class TestPivotOrderIndependence:
 class TestValidation:
     def test_corrupted_scalar_is_detected(self):
         cx = FreeComplex(I("a^2, a*b, b^2"))
-        sigma = next(iter(cx.mats[2]))
-        tau = next(iter(cx.mats[2][sigma]))
-        cx.mats[2][sigma][tau] = Fraction(7)
+        sigma = cx.strata[2][0]
+        tau = next(iter(cx.cols[sigma]))
+        cx.cols[sigma][tau] = Fraction(7)
         with pytest.raises(Exception, match="d∘d"):
             cx.check_d_squared()
 
     def test_stored_zero_is_detected(self):
         cx = FreeComplex(I("a, b"))
-        sigma = next(iter(cx.mats[1]))
-        cx.mats[1][sigma][0] = Fraction(0)
+        sigma = cx.strata[1][0]
+        cx.cols[sigma][0] = Fraction(0)
         with pytest.raises(Exception, match="zero"):
             cx.check_multihomogeneous()
 
-    def test_scan_cursor_matches_full_rescan(self):
-        # cancelling at degree s cannot create invertible entries below s,
-        # so restarting the scan there must reproduce the naive sequence
-        from monodom import FuzzParams, random_ideal
-
+    def test_pivot_queue_matches_full_rescan(self):
+        # a face the queue has passed never regains an invertible entry,
+        # so the queue gives the scan-order pivot after every cancellation,
+        # whether the entries are cancelled in scan order or at random
         params = FuzzParams(n_max=4, q_max=6, exp_max=3, trials=60, seed=77)
+        rng = random.Random(77)
+        out_of_order = 0
         for t in range(params.trials):
             M = random_ideal(params, t)
-            naive = FreeComplex(M)
-            seq_naive = []
-            while True:
-                hit = naive.find_invertible(1)
-                assert hit == next(iter(naive.all_invertible()), None)
-                if hit is None:
-                    break
-                seq_naive.append(hit)
-                naive.cancel(*hit)
-                naive.check_index()
-            fast_cx = FreeComplex(M)
-            seq_fast = []
-            cursor = 1
-            while True:
-                hit = fast_cx.find_invertible(cursor)
-                assert hit == next(iter(fast_cx.all_invertible()), None)
-                if hit is None:
-                    break
-                seq_fast.append(hit)
-                fast_cx.cancel(*hit)
-                fast_cx.check_index()
-                cursor = hit[0]
-            assert seq_fast == seq_naive
-            assert fast_cx.strata == naive.strata
+            for at_random in (False, True):
+                cx = FreeComplex(M)
+                while True:
+                    pool = cx.all_invertible()
+                    assert cx.find_invertible() == next(iter(pool), None)
+                    if not pool:
+                        break
+                    hit = rng.choice(pool) if at_random else pool[0]
+                    out_of_order += hit != pool[0]
+                    cx.cancel(*hit)
+                    cx.check_index()
+        assert out_of_order >= 20
 
 
 class TestIndex:
     def test_missing_row_entry_is_detected(self):
         cx = FreeComplex(I("a^2, a*b, b^2"))
         cx.check_index()
-        row = next(iter(cx.rows[2].values()))
+        row = cx.rows[cx.strata[1][0]]
         del row[next(iter(row))]
         with pytest.raises(InternalInvariantError, match="transpose"):
             cx.check_index()
 
     def test_dropped_queue_entry_is_detected(self):
         cx = FreeComplex(I("a^2, a*b, b^2"))
-        s, _, sigma = cx.all_invertible()[0]
-        cx.queue[s].remove(sigma)
+        _, sigma = cx.all_invertible()[0]
+        cx.queue.remove(sigma)
         with pytest.raises(InternalInvariantError, match="not queued"):
             cx.check_index()
 
     def test_cancelling_in_a_copy_leaves_the_original(self):
         cx = FreeComplex(I("a^2*b, a*b^2, a*c, b*c^2, c^3"))
-        before = deepcopy((cx.mats, cx.rows, cx.queue, cx.strata))
+        before = deepcopy((cx.cols, cx.rows, cx.queue, cx.strata))
         dup = cx.copy()
         steps = 0
         while (hit := dup.find_invertible()) is not None:
@@ -373,7 +380,7 @@ class TestIndex:
             steps += 1
         dup.check_index()
         assert steps >= 2
-        assert (cx.mats, cx.rows, cx.queue, cx.strata) == before
+        assert (cx.cols, cx.rows, cx.queue, cx.strata) == before
         cx.check_index()
 
 
@@ -442,9 +449,8 @@ class TestLyubeznikStart:
         cx.check_index()
         assert sum(map(len, cx.strata)) < 2 ** cx.q
         # every row key is the int object that keys its face's column
-        for s in range(1, cx.q + 1):
-            faces = {id(tau) for tau in cx.mats[s - 1]}
-            assert all(id(tau) in faces for col in cx.mats[s].values() for tau in col)
+        faces = {id(tau) for tau in cx.cols}
+        assert all(id(tau) in faces for col in cx.cols.values() for tau in col)
 
     def test_random_pivots_give_the_same_table(self):
         for M in (NAMED["C7"], I("a^2*b, a*b^2, a*c, b*c^2, c^3")):
@@ -564,10 +570,11 @@ def outcome(check):
 def corrupt(cx, rng):
     """Apply one random corruption to a matrix column; name its kind."""
     s = rng.randrange(1, cx.q + 1)
-    if not cx.mats[s]:
+    faces = cx.strata[s]
+    if not faces:
         return None
-    sigma = rng.choice(sorted(cx.mats[s]))
-    col = cx.mats[s][sigma]
+    sigma = rng.choice(faces)
+    col = cx.cols[sigma]
     kind = rng.choice(("scalar", "delete", "zero", "extra"))
     if kind == "extra":
         free = [tau for tau in cx.strata[s - 1] if tau not in col]
@@ -628,25 +635,25 @@ class TestIncrementalValidation:
         cx = FreeComplex(I("x1*x2, x2*x3, x3*x4, x4*x5, x5*x6"))
         cx.cancel(*cx.find_invertible())
         cx.validate()
-        s, tau, sigma = cx.find_invertible()
-        victim = next(iter(cx.mats[1]))  # degree 1: far below the pivot
-        assert s >= 3
-        cx.cancel(s, tau, sigma)
-        cx.mats[1][victim][0] = 7
+        tau, sigma = cx.find_invertible()
+        victim = cx.strata[1][0]  # degree 1: far below the pivot
+        assert sigma.bit_count() >= 3
+        cx.cancel(tau, sigma)
+        cx.cols[victim][0] = 7
         assert outcome(cx.validate) == "d∘d != 0 between degrees 2 and 0"
 
     def test_deleted_column_rechecks_the_columns_above(self):
         cx = FreeComplex(I("a, b"))
         cx.validate()
-        del cx.mats[1][1]  # the top column [a, b] is unchanged but now wrong
+        del cx.cols[1]  # the top column [a, b] is unchanged but now wrong
         with pytest.raises(InternalInvariantError, match="d∘d != 0 between degrees 2"):
             cx.validate()
 
     def test_three_over_f3_is_a_stored_zero(self):
         # 3 is a scalar over Q but a stored zero over F_3
         cx = FreeComplex(I("a, b"))
-        cx.mats[1][1][0] = 3
-        cx.mats[2][3][2] = 3  # keeps d∘d = 0 over Q
+        cx.cols[1][0] = 3
+        cx.cols[3][2] = 3  # keeps d∘d = 0 over Q
         cx.validate()
         cx3 = cx.copy()  # the same lcm table and columns
         cx3.field = PrimeField(3)
@@ -738,19 +745,19 @@ class TestIncrementalValidation:
         real_cancel = FreeComplex.cancel
         steps = {"n": 0, "skipped": None}
 
-        def cancel(self, s, tau, sigma):
+        def cancel(self, tau, sigma):
             steps["n"] += 1
             victim = None
-            if steps["skipped"] is None and len(self.mats[s][sigma]) > 1:
-                others = [c for c in self.rows[s][tau] if c != sigma]
+            if steps["skipped"] is None and len(self.cols[sigma]) > 1:
+                others = [c for c in self.rows[tau] if c != sigma]
                 if others:
                     victim = others[0]
-                    kept = dict(self.mats[s][victim])
+                    kept = dict(self.cols[victim])
                     del kept[tau]
-            real_cancel(self, s, tau, sigma)
+            real_cancel(self, tau, sigma)
             if victim is not None:
                 steps["skipped"] = steps["n"]
-                self.mats[s][victim] = kept  # as if its update were skipped
+                self.cols[victim] = kept  # as if its update were skipped
             return self
 
         monkeypatch.setattr(FreeComplex, "cancel", cancel)
@@ -797,14 +804,11 @@ def in_class(cx, mask, powers):
 
 
 def class_pairs(cx, symbols):
-    for s in range(1, cx.q + 1):
-        for sigma in cx.strata[s]:
-            if sigma not in symbols:
-                continue
-            col = cx.mats[s].get(sigma, {})
+    for sigma, col in cx.cols.items():
+        if sigma in symbols:
             for tau in sorted(col):
                 if tau in symbols:
-                    yield s, tau, sigma
+                    yield tau, sigma
 
 
 def replay_matched(base, variables):
@@ -815,30 +819,28 @@ def replay_matched(base, variables):
     A = {mask for mask in range(1 << base.q) if in_class(cx_a, mask, powers)}
 
     def assert_matched():
-        for s, tau, sigma in class_pairs(cx_a, A):
-            lhs = cx_a.mats[s][sigma][tau]
-            fs = bin(mask_map[sigma]).count("1")
-            rhs = cx_b.mats[fs][mask_map[sigma]].get(mask_map[tau], Fraction(0))
-            assert lhs == rhs, (s, tau, sigma)
+        for tau, sigma in class_pairs(cx_a, A):
+            lhs = cx_a.cols[sigma][tau]
+            rhs = cx_b.cols[mask_map[sigma]].get(mask_map[tau], Fraction(0))
+            assert lhs == rhs, (tau, sigma)
 
     assert_matched()
     steps = 0
     while True:
         hit = next(
             (
-                (s, tau, sigma)
-                for s, tau, sigma in class_pairs(cx_a, A)
-                if cx_a.is_invertible(s, tau, sigma)
+                (tau, sigma)
+                for tau, sigma in class_pairs(cx_a, A)
+                if cx_a.is_invertible(tau, sigma)
             ),
             None,
         )
         if hit is None:
             break
-        s, tau, sigma = hit
-        cx_a.cancel(s, tau, sigma)
-        fs = bin(mask_map[sigma]).count("1")
-        assert cx_b.is_invertible(fs, mask_map[tau], mask_map[sigma])
-        cx_b.cancel(fs, mask_map[tau], mask_map[sigma])
+        tau, sigma = hit
+        cx_a.cancel(tau, sigma)
+        assert cx_b.is_invertible(mask_map[tau], mask_map[sigma])
+        cx_b.cancel(mask_map[tau], mask_map[sigma])
         cx_a.check_index()
         cx_b.check_index()
         assert_matched()

@@ -2,6 +2,7 @@ import gc
 import warnings
 from itertools import combinations
 from itertools import product as iter_product
+from operator import le
 
 import pytest
 
@@ -15,6 +16,7 @@ from monodom import (
     RATIONAL,
     TaylorComplex,
     TaylorTooLarge,
+    betti_oracle,
     check_lemma_hypotheses,
     check_report,
     fuzz,
@@ -511,11 +513,15 @@ class TestFuzz:
 
 
 def plain_lemma_scan(M):
-    """(members, variables, satisfied) of each lemma instance, from the
-    plain scan on exponent rows: every dominant subset, each member
-    assigned in turn each dominant variable where it carries the global
-    lcm exponent."""
+    """(members, variables, satisfied, witness) of each lemma instance,
+    from the plain scan on exponent rows: every dominant subset, each
+    member assigned in turn each dominant variable where it carries the
+    global lcm exponent. A satisfied instance's witness is the first
+    multidegree of the oracle's degree-k table that carries the global
+    lcm exponent on each assigned variable and is bounded by it on every
+    other one."""
     rows, top = M.exponent_rows, M.lcm().exponents
+    multidegrees = [(h, m.exponents, m) for h, m in betti_oracle(M).multigraded]
     out = []
     sizes = range(1, min(M.q, M.n) + 1)
     for members, masks in reference_dominant_subsets(rows, sizes):
@@ -525,7 +531,19 @@ def plain_lemma_scan(M):
         ]
         for assignment in iter_product(*choices):
             satisfied = all(any(row[v] >= top[v] for v in assignment) for row in rows)
-            out.append((members, assignment, satisfied))
+            witness = None
+            if satisfied:
+                witness = next(
+                    (
+                        m
+                        for h, exps, m in multidegrees
+                        if h == len(members)
+                        and all(exps[v] == top[v] for v in assignment)
+                        and all(map(le, exps, top))
+                    ),
+                    None,
+                )
+            out.append((members, assignment, satisfied, witness))
     return out
 
 
@@ -573,7 +591,10 @@ class TestLemma:
         params = FuzzParams(n_max=4, q_max=5, exp_max=3, trials=200, seed=42)
         ideals = acceptance_examples + [random_ideal(params, t) for t in range(200)]
         walked = [
-            [(i.members, i.variables, i.satisfied) for i in check_lemma_hypotheses(M)]
+            [
+                (i.members, i.variables, i.satisfied, i.witness_mdeg)
+                for i in check_lemma_hypotheses(M)
+            ]
             for M in ideals
         ]
         assert walked == [plain_lemma_scan(M) for M in ideals]
