@@ -376,73 +376,99 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("analyze", "betti", "resolution", "nets", "odom", "scarf", "polarize", "verify")
+
+
+# the option groups; each command takes only those it reads
+def _ideal_input(p) -> None:
+    p.add_argument("--ideal", help="generator list, e.g. 'a^2*e, b^3*f' ('-' reads stdin)")
+    p.add_argument("--vars", help="comma-separated variable list fixing the ambient ring")
+
+
+def _json_output(p) -> None:
+    p.add_argument("--json", action="store_true", help="emit JSON to stdout")
+
+
+def _field(p) -> None:
+    p.add_argument(
+        "--field", choices=["rational", "fp"], default="rational",
+        help="scalar field for the engine (default: rational)",
+    )
+    p.add_argument("--prime", type=int, default=32003, help="prime for --field fp")
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """A fresh parser for every command, or, with `only` one of COMMANDS,
+    for that command alone. The two print the same bytes for every
+    argument list whose first word is `only`: the one-command parser
+    lists all of COMMANDS in its usage, which "unrecognized arguments"
+    errors print."""
     parser = argparse.ArgumentParser(
         prog="monodom",
         description="Minimal resolutions and dominance invariants of monomial ideals.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a metavar on the full parser would also rename the argument in its
+    # "required" and "invalid choice" errors, so only the other one has it
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    with_field = (_ideal_input, _json_output, _field)
+    field_free = (_ideal_input, _json_output)
 
-    # the option groups; each subcommand takes only those it reads
-    ideal_input = argparse.ArgumentParser(add_help=False)
-    ideal_input.add_argument("--ideal", help="generator list, e.g. 'a^2*e, b^3*f' ('-' reads stdin)")
-    ideal_input.add_argument("--vars", help="comma-separated variable list fixing the ambient ring")
-    json_output = argparse.ArgumentParser(add_help=False)
-    json_output.add_argument("--json", action="store_true", help="emit JSON to stdout")
-    field = argparse.ArgumentParser(add_help=False)
-    field.add_argument(
-        "--field", choices=["rational", "fp"], default="rational",
-        help="scalar field for the engine (default: rational)",
-    )
-    field.add_argument("--prime", type=int, default=32003, help="prime for --field fp")
-    with_field = [ideal_input, json_output, field]
-    field_free = [ideal_input, json_output]
-
-    def command(name, handler, parents, summary):
-        p = sub.add_parser(name, parents=parents, help=summary)
+    def command(name, handler, groups, summary):
+        """The parser of command `name`, or None when it is not built."""
+        if only not in (None, name):
+            return None
+        p = sub.add_parser(name, help=summary)
+        for add in groups:
+            add(p)
         p.set_defaults(handler=handler)
         return p
 
     command("analyze", _cmd_analyze, with_field, "full invariant report with theorem checks")
 
-    p_betti = command("betti", _cmd_betti, with_field, "total/graded/multigraded Betti numbers")
-    p_betti.add_argument("--oracle", action="store_true", help="use the strand-homology oracle")
+    if p := command("betti", _cmd_betti, with_field, "total/graded/multigraded Betti numbers"):
+        p.add_argument("--oracle", action="store_true", help="use the strand-homology oracle")
 
-    p_res = command("resolution", _cmd_resolution, with_field, "minimized complex")
-    p_res.add_argument("--show-matrices", action="store_true")
+    if p := command("resolution", _cmd_resolution, with_field, "minimized complex"):
+        p.add_argument("--show-matrices", action="store_true")
 
-    p_nets = command("nets", _cmd_nets, field_free, "minimal net family")
-    p_nets.add_argument("--polarized", action="store_true", help="nets of the polarization")
+    if p := command("nets", _cmd_nets, field_free, "minimal net family"):
+        p.add_argument("--polarized", action="store_true", help="nets of the polarization")
 
-    p_odom = command("odom", _cmd_odom, field_free, "order of dominance")
-    p_odom.add_argument(
-        "--method", choices=["dominant-sets", "nets", "both"], default="both"
-    )
+    if p := command("odom", _cmd_odom, field_free, "order of dominance"):
+        p.add_argument("--method", choices=["dominant-sets", "nets", "both"], default="both")
 
     command("scarf", _cmd_scarf, with_field, "Scarf basis and Scarf-ness")
     command("polarize", _cmd_polarize, field_free, "print the polarization")
 
-    p_verify = command("verify", _cmd_verify, [json_output, field], "run the fuzzing suite")
-    p_verify.add_argument("--trials", type=int, default=100)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--n-max", type=int, default=4)
-    p_verify.add_argument("--q-max", type=int, default=5)
-    p_verify.add_argument("--exp-max", type=int, default=3)
-    p_verify.add_argument("--exhaustive", action="store_true")
+    if p := command("verify", _cmd_verify, (_json_output, _field), "run the fuzzing suite"):
+        p.add_argument("--trials", type=int, default=100)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--n-max", type=int, default=4)
+        p.add_argument("--q-max", type=int, default=5)
+        p.add_argument("--exp-max", type=int, default=3)
+        p.add_argument("--exhaustive", action="store_true")
 
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on first use so that importing this
-    module costs nothing; parsing leaves no state on it, so every `main`
-    call can share it."""
-    return build_parser()
+def _parser(only: str | None) -> argparse.ArgumentParser:
+    """The process's parser for command `only` (None: every command),
+    built on first use so that importing this module costs nothing and a
+    call pays only for its own command's options; parsing leaves no
+    state on a parser, so every `main` call can share it."""
+    return build_parser(only)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command line; its first word picks the parser, so that a
+    call builds only its own command's options. Any other first word
+    (none, an option, an unknown command) goes to the full parser, whose
+    usage and errors name every command."""
+    argv = sys.argv[1:] if argv is None else argv
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    args = _parser(only).parse_args(argv)
     try:
         code = args.handler(args)
         if sys.stdout is not None:  # None when started with stdout closed

@@ -18,10 +18,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
-from monodom.cli import main
+from monodom.cli import COMMANDS, main
 from monodom.verify import FuzzParams, random_ideal
 
 from conftest import complete_ideal, cycle_ideal, path_ideal, rp2_ideal
@@ -32,6 +34,7 @@ DRAWS = FuzzParams(n_max=6, q_max=10, exp_max=3, trials=200, seed=SEED)
 FIELDS = ([], ["--field", "fp", "--prime", "2"], ["--field", "fp", "--prime", "3"])
 PER_IDEAL = (
     ["analyze", "--json"],
+    ["analyze"],
     ["betti", "--oracle", "--json"],
     ["resolution", "--show-matrices"],
     ["resolution", "--show-matrices", "--json"],
@@ -42,10 +45,22 @@ OTHER = (
     ["verify", "--exhaustive", "--n-max", "2", "--exp-max", "2", "--q-max", "8", "--json"],
     ["verify", "--exhaustive", "--n-max", "4", "--exp-max", "1", "--q-max", "5", "--json"],
     # the guard and error paths: past TAYLOR_GUARD, a syntax error, an
-    # unknown variable and an argparse usage error
+    # unknown variable
     ["analyze", "--ideal", path_ideal(15).render()],
     ["analyze", "--ideal", "a^^2"],
     ["analyze", "--ideal", "a*z", "--vars", "a,b"],
+    # the argparse paths: no command, the help of the program and of each
+    # command, an unknown and a misspelled command, an unknown option,
+    # three ill-typed values and an option its command does not take
+    [],
+    ["-h"],
+    *([command, "-h"] for command in COMMANDS),
+    ["frobnicate"],
+    ["analyz"],
+    ["analyze", "--bogus"],
+    ["betti", "--field", "xx"],
+    ["odom", "--method", "neither"],
+    ["verify", "--trials", "x"],
     ["odom", "--field", "fp", "--ideal", "a"],
 )
 
@@ -69,9 +84,18 @@ def commands() -> list[list[str]]:
 
 
 def digest(argv: list[str]) -> str:
-    """SHA-256 of the JSON list [stdout, stderr, exit code] of one command."""
+    """SHA-256 of the JSON list [stdout, stderr, exit code] of one command.
+
+    argparse wraps its usage and help to the terminal's width, which it
+    reads from COLUMNS, so the command runs at 80 columns whatever the
+    terminal; COLUMNS is restored afterwards.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (
+        mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors

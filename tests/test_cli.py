@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import monodom
-from monodom.cli import _dump, main
+from monodom.cli import COMMANDS, _dump, build_parser, main
 from monodom.errors import MonodomError
 
 # Ideals whose `resolution --show-matrices` output is pinned byte for byte
@@ -260,7 +260,7 @@ class TestOtherCommands:
 
 
 class TestParserReuse:
-    """`main` parses with one parser per process; no call may see another's."""
+    """`main` builds one parser per command per process; no call may see another's."""
 
     @pytest.fixture
     def parser_builds(self, monkeypatch):
@@ -271,25 +271,29 @@ class TestParserReuse:
         calls = []
         real = cli_mod.build_parser
 
-        def counted():
-            calls.append(None)
-            return real()
+        def counted(only=None):
+            calls.append(only)
+            return real(only)
 
         monkeypatch.setattr(cli_mod, "build_parser", counted)
-        # a fresh cache, so that this test builds the parser itself
+        # a fresh cache, so that this test builds the parsers itself
         monkeypatch.setattr(cli_mod, "_parser", functools.cache(cli_mod._parser.__wrapped__))
         return calls
 
     def test_built_once_across_calls(self, capsys, parser_builds):
-        for command in (["polarize"], ["betti", "--json"], ["analyze"]):
+        for command in (["polarize"], ["betti", "--json"], ["analyze"], ["polarize", "--json"], ["betti"]):
             code, _, _ = run(capsys, *command, "--ideal", "a^2, a*b")
             assert code == 0
-        assert len(parser_builds) == 1
+        assert parser_builds == ["polarize", "betti", "analyze"]
+        # no command, or an unknown one: the full parser, also built once
+        for argv in ([], ["analyz"], []):
+            with pytest.raises(SystemExit):
+                main(argv)
+        assert parser_builds == ["polarize", "betti", "analyze", None]
 
     def test_build_parser_returns_a_fresh_parser(self):
-        from monodom.cli import build_parser
-
         assert build_parser() is not build_parser()
+        assert build_parser("odom") is not build_parser("odom")
 
     def test_valid_call_after_an_argparse_error(self, capsys, parser_builds):
         args = ("odom", "--json", "--ideal", "a*e, b*e, c*e, d*e, a*b, c*d")
@@ -301,7 +305,7 @@ class TestParserReuse:
         assert "invalid choice" in capsys.readouterr().err
         assert run(capsys, *args) == (0, before, "")
         assert json.loads(before)["nets"]["odom"] == 4
-        assert len(parser_builds) == 1
+        assert parser_builds == ["odom"]
 
     def test_no_option_leaks_into_the_next_call(self, capsys, parser_builds):
         args = ("analyze", "--json", "--ideal", GOLDEN_IDEALS["C4"])
@@ -312,7 +316,29 @@ class TestParserReuse:
         assert out == json.dumps(
             json.loads(GOLDEN_ANALYZE_JSON["C4", "Q"]), sort_keys=True, indent=2
         ) + "\n"
-        assert len(parser_builds) == 1
+        assert parser_builds == ["analyze"]
+
+
+def _subparsers(parser):
+    import argparse
+
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestOneCommandParser:
+    """`build_parser(c)` builds command c alone and prints what the full
+    parser prints for it: the top-level usage, which "unrecognized
+    arguments" errors print, and c's own help."""
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_usage_and_help_match_the_full_parser(self, monkeypatch, command, columns):
+        monkeypatch.setenv("COLUMNS", columns)  # argparse wraps to this width
+        full, one = build_parser(), build_parser(command)
+        assert list(_subparsers(one)) == [command]
+        assert one.format_usage() == full.format_usage()
+        assert _subparsers(one)[command].format_help() == _subparsers(full)[command].format_help()
 
 
 class TestDecoding:
