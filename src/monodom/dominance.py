@@ -151,7 +151,10 @@ def _extend_cover(choices, cover_of, suffix_union, need, picked, covered) -> boo
 
     Tries each position's choices in order, so the first success is the
     lexicographically least; `picked` is left at it, or as given on
-    failure. A module function rather than a closure that calls itself,
+    failure. A prefix is dropped as soon as what is still choosable
+    cannot cover the rest of `need`: without that, an outside divisor
+    that no choice covers costs the whole product of the choices. A
+    module function rather than a closure that calls itself,
     which would leave a reference cycle behind on every call.
     """
     i = len(picked)

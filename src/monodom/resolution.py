@@ -178,7 +178,8 @@ class BettiTable:
     first read, and the multigraded table keeps the order of `counts`.
     Within one ideal's lattice the codes encode multidegrees exactly, so
     two tables on it agree exactly when their counts do. Tables are
-    equal when their totals, graded and multigraded numbers are.
+    equal when their multigraded numbers are: the totals and graded
+    numbers are sums of those, so comparing them too would add nothing.
     """
 
     def __init__(
@@ -212,11 +213,7 @@ class BettiTable:
     def __eq__(self, other):
         if not isinstance(other, BettiTable):
             return NotImplemented
-        return (
-            self.total == other.total
-            and self.graded == other.graded
-            and self.multigraded == other.multigraded
-        )
+        return self.multigraded == other.multigraded
 
     def __repr__(self):
         return f"BettiTable(total={self.total}, pd={self.pd}, field={self.field_name!r})"

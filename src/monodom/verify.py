@@ -597,9 +597,8 @@ def check_lemma_hypotheses(ideal: MonomialIdeal, field=RATIONAL) -> list[LemmaIn
     for members, masks in _kernels.dominant_subsets(codes, sizes):
         # a member's dominant bits that are the top bit of their field: the
         # dominant variables in which it carries the global lcm exponent
+        # (a member with none leaves the product, and the subset, empty)
         choices = [members_of(mask & highs) for mask in masks]
-        if not all(choices):
-            continue
         for picked in iter_product(*choices):
             tops = 0
             for t in picked:

@@ -39,6 +39,8 @@ PER_IDEAL = (
     ["resolution", "--show-matrices"],
     ["resolution", "--show-matrices", "--json"],
 )
+# commands that take no --field, run once per ideal
+FIELD_FREE = (["odom"], ["odom", "--json"])
 NAMED = (path_ideal(8), path_ideal(10), cycle_ideal(4), rp2_ideal(), complete_ideal(5))
 OTHER = (
     ["verify", "--trials", "1000", "--seed", "42", "--json"],
@@ -67,8 +69,8 @@ OTHER = (
 
 def commands() -> list[list[str]]:
     """The seeded draws (distinct ones, in draw order), then the named
-    ideals, each under every command of PER_IDEAL over every field; then
-    the commands of OTHER."""
+    ideals, each under every command of PER_IDEAL over every field and
+    then under every command of FIELD_FREE; then the commands of OTHER."""
     ideals = {}
     for t in range(DRAWS.trials):
         M = random_ideal(DRAWS, t)
@@ -77,9 +79,12 @@ def commands() -> list[list[str]]:
         ideals.setdefault((M.render(), M.table.names), M)
     out = []
     for text, names in ideals:
+        given = ["--ideal", text, "--vars", ",".join(names)]
         for command in PER_IDEAL:
             for field in FIELDS:
-                out.append([*command, *field, "--ideal", text, "--vars", ",".join(names)])
+                out.append([*command, *field, *given])
+        for command in FIELD_FREE:
+            out.append([*command, *given])
     return out + [list(argv) for argv in OTHER]
 
 

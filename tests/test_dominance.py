@@ -18,6 +18,7 @@ from monodom import (
     random_ideal,
     table,
 )
+from monodom import dominance
 
 from conftest import (
     EXHAUSTIVE,
@@ -137,6 +138,44 @@ class TestOdom:
         M = I(", ".join(names))
         with pytest.raises(GuardExceeded):
             odom_by_dominance(M)
+
+    def test_covering_search_prunes_an_uncoverable_outsider(self, monkeypatch):
+        # a plain scan tries all 3^12 choice vectors of the 12-subset, and 3^11
+        # for each of nine 11-subsets; the pruned search rejects each at once
+        M = uncoverable_outsider_ideal()
+        assert (M.q, M.n) == (13, 39)
+        calls = []
+        extend = dominance._extend_cover
+
+        def counted(*args):
+            calls.append(None)
+            return extend(*args)
+
+        monkeypatch.setattr(dominance, "_extend_cover", counted)
+        value, witness = odom_by_dominance(M)
+        assert value == 11
+        assert witness.members == (0, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11)
+        assert (value, witness) == reference_odom_by_dominance(M)
+        assert len(calls) <= 100
+
+
+def uncoverable_outsider_ideal():
+    """12 members a_i = (product of their own three variables) * (two of s, t, r),
+    with s*r, s*t and t*r on a_1..a_3 and nothing on a_4..a_12, plus g = s*t*r.
+
+    All twelve a_i form the only dominant 12-subset. g divides its lcm, but
+    holds only variables that no member is dominant in, so no choice vector
+    covers it; the same holds for every 11-subset that keeps a_1..a_3.
+    """
+    own = [[f"y{3 * i + j}" for j in range(1, 4)] for i in range(12)]
+    tbl = table(*(v for vs in own for v in vs), "s", "t", "r")
+    shared = [("s", "r"), ("s", "t"), ("t", "r")] + [()] * 9
+
+    def mono(names):
+        return Monomial(tbl, tuple(int(v in names) for v in tbl.names))
+
+    gens = [mono(vs + list(extra)) for vs, extra in zip(own, shared)]
+    return minimalize(gens + [mono(["s", "t", "r"])])
 
 
 def seeded_ideals(trials, **limits):
