@@ -217,12 +217,12 @@ def _cmd_betti(args) -> int:
 def _cmd_resolution(args) -> int:
     ideal = _load_ideal(args)
     cx, table = minimize(ideal, _field_from_args(args))
-    strata = cx.surviving_symbols()
+    strata = cx.strata
     if args.json:
         payload = {
             "betti": list(table.total),
             "strata": [
-                [sym.label(ideal) for sym in syms] for syms in strata if syms
+                [symbol_label(ideal, mask) for mask in masks] for masks in strata if masks
             ],
         }
         if args.show_matrices:
@@ -230,12 +230,12 @@ def _cmd_resolution(args) -> int:
         print(_dump(payload))
         return 0
     print(f"minimal free resolution of the quotient; betti {list(table.total)}")
-    for h, syms in enumerate(strata):
-        if not syms:
+    for h, masks in enumerate(strata):
+        if not masks:
             continue
         print(f"degree {h}:")
-        for sym in syms:
-            print(f"  {sym.label(ideal)}   mdeg {sym.mdeg}")
+        for mask in masks:
+            print(f"  {symbol_label(ideal, mask)}   mdeg {cx.mdeg(mask)}")
     if args.show_matrices:
         for s, entries in _matrix_payload(cx, ideal).items():
             print(f"matrix f_{s}:")

@@ -30,10 +30,11 @@ reads as a stored zero.
 
 The complex cancelled is the full Taylor complex or, when only the
 Betti table is wanted, its Lyubeznik subcomplex, which resolves S/M
-from far fewer symbols. `FreeComplex` takes its faces per degree with
-their lcm codes: from the Lyubeznik walk, which never reads the 2^q
-table the oracle reads, or, for the Taylor start, from its own table.
-It builds its differential in one pass over the faces, with the sign
+from far fewer symbols. `FreeComplex` takes one face map, `{mask: lcm
+code}` in scan order, which `taylor` builds for either start:
+`lyubeznik_faces` from the Lyubeznik walk, which never reads the 2^q
+table the oracle reads, or `taylor_faces` from a table of its own. It
+builds its differential in one pass over the faces, with the sign
 rule of `facets` inlined: each face gets its column, its row and, if it
 holds an invertible entry, its place in the pivot queue. The columns
 are its only copy of the faces: the surviving strata are their keys,
@@ -72,17 +73,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import _kernels
 from .errors import InternalInvariantError, InvalidParameterError
 from .monomials import Monomial, MonomialIdeal
 from .taylor import (
     TaylorComplex,
-    TaylorSymbol,
     build_taylor,
     facets,
-    lyubeznik_strata,
+    lyubeznik_faces,
+    taylor_faces,
 )
 
 
@@ -226,81 +227,66 @@ class BettiTable:
         return self.total[i] if 0 <= i < len(self.total) else 0
 
 
-def _taylor_strata(table: Sequence[int], q: int) -> list[dict[int, int]]:
-    """The lattice table `table` in the shape of `lyubeznik_strata`."""
-    strata: list[dict[int, int]] = [{} for _ in range(q + 1)]
-    for mask, code in enumerate(table):
-        strata[mask.bit_count()][mask] = code
-    return strata
-
-
 class FreeComplex:
     """Mutable labeled complex over a field, with the Taylor differential.
 
-    It starts on `strata`, per degree the `{mask: lcm code}` dict, masks
-    ascending, of a subcomplex of the ideal's Taylor complex closed under
-    facets (`taylor.lyubeznik_strata` gives the Lyubeznik subcomplex),
-    merged into the dict mdeg_codes. By default it is all of it, and
-    mdeg_codes is the 2^q table, built here and kept by no one else.
+    It starts on `faces`, the `{mask: lcm code}` map of a subcomplex of
+    the ideal's Taylor complex closed under facets, keyed in scan order
+    (degree, then mask ascending). `taylor.lyubeznik_faces` gives the
+    Lyubeznik subcomplex; by default it is `taylor.taylor_faces`, all of
+    it. The map becomes mdeg_codes as given, and nothing changes it.
     cols maps each surviving face to its column {row: scalar}, in scan
-    order (degree, then mask ascending); the empty face has an empty
-    column. rows is the transpose of cols, {row: {column: None}}, with a
-    row, empty or not, for each surviving face. queue lists, in
-    descending scan order, the faces whose column may hold an
-    equal-multidegree (invertible) entry. A face's degree is its mask's
-    popcount. The shared Taylor lattice is left unchanged.
+    order; the empty face has an empty column. rows is the transpose of
+    cols, {row: {column: None}}, with a row, empty or not, for each
+    surviving face. queue lists, in descending scan order, the faces
+    whose column may hold an equal-multidegree (invertible) entry. A
+    face's degree is its mask's popcount. The shared Taylor lattice is
+    left unchanged.
     """
 
     def __init__(
         self,
         ideal: MonomialIdeal,
         field=RATIONAL,
-        strata: Sequence[Mapping[int, int]] | None = None,
+        faces: Mapping[int, int] | None = None,
     ):
-        taylor = build_taylor(ideal)
-        if strata is None:
-            codes = _kernels.subset_lcms(taylor.codes)
-            strata = _taylor_strata(codes, ideal.q)
-        else:
-            codes = {}
-            for stratum in strata:
-                codes.update(stratum)
+        taylor = build_taylor(ideal)  # held, so taylor_faces reuses it
+        if faces is None:
+            faces = taylor_faces(ideal)
         self.field = field
         self.q = ideal.q
         self.taylor = taylor
-        self.mdeg_codes = codes
+        self.mdeg_codes = faces
         p = field.p
         cols: dict[int, dict[int, object]] = {}
         rows: dict[int, dict[int, None]] = {}
         queue: list[int] = []
         # each face built so far: its one shared int object, its code and
         # its row
-        faces: dict[int, tuple[int, int, dict[int, None]]] = {}
+        built: dict[int, tuple[int, int, dict[int, None]]] = {}
         try:
-            for stratum in strata:
-                for sigma, up in stratum.items():
-                    # the facets, members dropped in ascending order with
-                    # signs 1, -1, 1, ... as in `taylor.facets`; -1 is
-                    # p - 1 over F_p, so each sign is p minus the last
-                    # (p = 0 over Q)
-                    col: dict[int, object] = {}
-                    hit = False
-                    sign, rest = 1, sigma
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        tau, code, row = faces[sigma ^ low]
-                        col[tau] = sign
-                        row[sigma] = None
-                        sign = p - sign
-                        if code == up:
-                            hit = True
-                    cols[sigma] = col
-                    if hit:
-                        queue.append(sigma)
-                    row = rows[sigma] = {}
-                    faces[sigma] = (sigma, up, row)
-        except KeyError:  # from `faces`: a facet is missing
+            for sigma, up in faces.items():
+                # the facets, members dropped in ascending order with
+                # signs 1, -1, 1, ... as in `taylor.facets`; -1 is p - 1
+                # over F_p, so each sign is p minus the last (p = 0 over Q)
+                col: dict[int, object] = {}
+                hit = False
+                sign, rest = 1, sigma
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    tau, code, row = built[sigma ^ low]
+                    col[tau] = sign
+                    row[sigma] = None
+                    sign = p - sign
+                    if code == up:
+                        hit = True
+                cols[sigma] = col
+                if hit:
+                    queue.append(sigma)
+                row = rows[sigma] = {}
+                built[sigma] = (sigma, up, row)
+        except KeyError:  # from `built`: a facet is missing
             raise InternalInvariantError(
                 f"a facet of a degree-{sigma.bit_count()} symbol is not in the "
                 "starting complex"
@@ -472,12 +458,6 @@ class FreeComplex:
             counts[key] = counts.get(key, 0) + 1
         return BettiTable(counts, self.taylor, self.field.name)
 
-    def surviving_symbols(self):
-        return [
-            [TaylorSymbol(mask, h, self.mdeg(mask)) for mask in masks]
-            for h, masks in enumerate(self.strata)
-        ]
-
 
 VALIDATE_GUARD = 8  # q up to which minimize validates every step
 
@@ -487,12 +467,14 @@ def minimize(
 ) -> tuple[FreeComplex, BettiTable]:
     """Cancel invertible entries to exhaustion; survivors give the Betti table.
 
-    `start` is the complex cancelled: "taylor", the full subset complex,
-    or "lyubeznik", its Lyubeznik subcomplex (`lyubeznik_strata`), which
-    resolves S/M too and so gives the same Betti table from fewer
-    symbols, but a different minimized complex. Pivots are taken in the
-    fixed scan order of `find_invertible`, so the loop walks the pivot
-    queue once: a face it passes never regains an invertible entry.
+    `start` is the complex cancelled: "taylor", the full subset complex
+    (`taylor_faces`), or "lyubeznik", its Lyubeznik subcomplex
+    (`lyubeznik_faces`), which resolves S/M too and so gives the same
+    Betti table from fewer symbols, but a different minimized complex.
+    Either way `FreeComplex` gets one face map in scan order. Pivots are
+    taken in the fixed scan order of `find_invertible`, so the loop walks
+    the pivot queue once: a face it passes never regains an invertible
+    entry.
 
     For q <= VALIDATE_GUARD the start is validated, and so is the complex
     after every cancellation. The final complex then also gets
@@ -501,7 +483,7 @@ def minimize(
     if start not in ("taylor", "lyubeznik"):
         raise InvalidParameterError(f"unknown start {start!r}")
     cx = FreeComplex(
-        ideal, field, lyubeznik_strata(ideal) if start == "lyubeznik" else None
+        ideal, field, lyubeznik_faces(ideal) if start == "lyubeznik" else None
     )
     validate = ideal.q <= VALIDATE_GUARD
     if validate:

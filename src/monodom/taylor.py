@@ -6,9 +6,14 @@ The differential of a symbol removes one member at a time with sign
 (-1)^(j+1), j being the member's 1-based position in the ascending index
 list; `facets` yields those pairs. The monomial part of every entry is
 the quotient of the two symbols' multidegrees, so only lcm codes are
-stored, and `build_taylor` shares one lattice per ideal, read-only. The
-Lyubeznik walk computes its faces' lcm codes itself, never reading the
-2^q table that the oracle and the Scarf basis read.
+stored, and `build_taylor` shares one lattice per ideal, read-only.
+
+The minimization engine starts from a face map, `{mask: lcm code}` keyed
+in scan order (degree, then mask ascending), and this module builds it
+for both starts: `taylor_faces` gives every subset, from a 2^q table of
+its own, and `lyubeznik_faces` the Lyubeznik subcomplex, whose walk
+computes its faces' lcm codes itself, never reading the 2^q table that
+the oracle and the Scarf basis read.
 
 Multidegrees are held as integer codes. The lcm lattice depends only on
 the order of each variable's exponents (Gasharov–Peeva–Welker, Math.
@@ -31,10 +36,11 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
-from .errors import TaylorTooLarge
+from .errors import InvalidParameterError, TaylorTooLarge
 from .monomials import Monomial, MonomialIdeal, _monomial
 
 TAYLOR_GUARD = 14  # 2^q symbols; C(14,7) columns is still tens of MB
@@ -249,19 +255,30 @@ def _lyubeznik_order(ideal: MonomialIdeal, codes: Sequence[int]) -> tuple[int, .
     return tuple(front + rest)
 
 
-def lyubeznik_strata(
+def taylor_faces(ideal: MonomialIdeal) -> dict[int, int]:
+    """Every subset of the generators with its lcm code, in scan order.
+
+    The full Taylor complex as a `{mask: lcm code}` dict, keyed in scan
+    order: by degree, then mask ascending. It reads a 2^q table of its
+    own, so the shared lattice never holds one for the engine.
+    """
+    table = _kernels.subset_lcms(build_taylor(ideal).codes)
+    return {mask: table[mask] for mask in sorted(range(len(table)), key=int.bit_count)}
+
+
+def lyubeznik_faces(
     ideal: MonomialIdeal, order: Sequence[int] | None = None
-) -> tuple[dict[int, int], ...]:
+) -> dict[int, int]:
     """The faces of the Lyubeznik complex with their lcm codes.
 
-    Per degree, a `{mask: lcm code}` dict with masks ascending. With the
-    generators in `order`, a subset is a face when, for each of its tails
-    in that order, no generator before the tail's first member divides
-    the tail's lcm (Lyubeznik, J. Pure Appl. Algebra 51, 1988). The faces
-    are closed under subsets and, with the Taylor differential restricted
-    to them, still resolve S/M. The default order keeps the complex
-    small: the path ideal with q = 14 has 4,352 faces, against 16,384 in
-    the natural order.
+    A `{mask: lcm code}` dict keyed in scan order, as `taylor_faces`.
+    With the generators in `order`, a permutation of range(q), a subset
+    is a face when, for each of its tails in that order, no generator
+    before the tail's first member divides the tail's lcm (Lyubeznik,
+    J. Pure Appl. Algebra 51, 1988). The faces are closed under subsets
+    and, with the Taylor differential restricted to them, still resolve
+    S/M. The default order keeps the complex small: the path ideal with
+    q = 14 has 4,352 faces, against 16,384 in the natural order.
 
     The walk adds a new first member i to a face tau and carries the
     lcm code of each face, the OR of its parent's and the new member's:
@@ -272,6 +289,8 @@ def lyubeznik_strata(
     q = cx.q
     if order is None:
         order = _lyubeznik_order(ideal, cx.codes)
+    elif sorted(order) != list(range(q)):
+        raise InvalidParameterError(f"order is not a permutation of range({q})")
     bits = [1 << k for k in order]
     codes = [cx.codes[k] for k in order]
     earlier = [codes[:i] for i in range(q)]  # the generators before position i
@@ -289,7 +308,7 @@ def lyubeznik_strata(
                 sigma = tau | bits[i]
                 strata[sigma.bit_count()].append((sigma, lcm))
                 stack.append((sigma, i, lcm))
-    return tuple(dict(sorted(stratum)) for stratum in strata)
+    return dict(chain.from_iterable(map(sorted, strata)))
 
 
 class ScarfBasis:

@@ -73,17 +73,26 @@ EXHAUSTIVE = [
 ]
 
 
-def minimize_randomly(ideal, rng, field=RATIONAL, strata=None):
+def minimize_randomly(ideal, rng, field=RATIONAL, faces=None):
     """The Betti table left by cancelling, to exhaustion, an entry drawn
     uniformly from all invertible ones; the complex is validated after
     every cancellation and its index checked at the end."""
-    cx = FreeComplex(ideal, field, strata)
+    cx = FreeComplex(ideal, field, faces)
     cx.validate()
     while pool := cx.all_invertible():
         cx.cancel(*pool[rng.randrange(len(pool))])
         cx.validate()
     cx.check_index()
     return cx.betti_table()
+
+
+def by_degree(faces, q):
+    """A face map grouped by degree: per degree 0..q, the `{mask: lcm
+    code}` dict of its faces, in the map's order."""
+    strata = tuple({} for _ in range(q + 1))
+    for mask, code in faces.items():
+        strata[mask.bit_count()][mask] = code
+    return strata
 
 
 @pytest.fixture

@@ -38,6 +38,9 @@ PER_IDEAL = (
     ["betti", "--oracle", "--json"],
     ["resolution", "--show-matrices"],
     ["resolution", "--show-matrices", "--json"],
+    ["betti"],
+    ["scarf"],
+    ["scarf", "--json"],
 )
 # commands that take no --field, run once per ideal
 FIELD_FREE = (["odom"], ["odom", "--json"])

@@ -54,6 +54,16 @@ def test_one_way_past_the_ideal_constructor():
     assert bypasses["monomials.py"] == 1
 
 
+def test_one_module_builds_the_lattice_table():
+    # the 2^q table is built in `taylor` alone: for the shared lattice the
+    # oracle and the Scarf basis read, and for the engine's Taylor start
+    builds = {}
+    for path in PACKAGE.glob("*.py"):
+        text = path.read_text()
+        builds[path.name] = text.count("subset_lcms(") - text.count("def subset_lcms(")
+    assert {name for name, count in builds.items() if count} == {"taylor.py"}
+
+
 def test_one_way_past_the_monomial_constructor():
     # generator rows and decoded lattice codes are valid by construction,
     # and `_monomial` is the one builder that skips Monomial's checks

@@ -28,8 +28,7 @@ from monodom import (
     table,
 )
 from monodom import _kernels
-from monodom.resolution import _taylor_strata
-from monodom.taylor import facets, lyubeznik_strata
+from monodom.taylor import facets, lyubeznik_faces, taylor_faces
 
 from conftest import (
     EXHAUSTIVE,
@@ -389,7 +388,7 @@ NAMED = {"P8": path_ideal(8), "P10": path_ideal(10), "C7": cycle_ideal(7), "RP2"
 
 
 def lyubeznik_complex(M, field=RATIONAL, order=None):
-    return FreeComplex(M, field, lyubeznik_strata(M, order))
+    return FreeComplex(M, field, lyubeznik_faces(M, order))
 
 
 def cancel_all(cx):
@@ -457,17 +456,16 @@ class TestLyubeznikStart:
             reference = minimize(M)[1]
             for seed in range(4):
                 rng = random.Random(seed)
-                assert minimize_randomly(M, rng, strata=lyubeznik_strata(M)) == reference
+                assert minimize_randomly(M, rng, faces=lyubeznik_faces(M)) == reference
 
     def test_start_missing_a_facet_is_rejected(self):
         M = I("a^2*b, a*b^2, a*c, b*c^2, c^3")
-        taylor = _taylor_strata(_kernels.subset_lcms(build_taylor(M).codes), M.q)
-        for start in (lyubeznik_strata(M), taylor):
-            strata = [dict(stratum) for stratum in start]
-            tau, _ = next(facets(min(strata[3])))
-            del strata[2][tau]  # a face of the walk's {mask: code} shape
+        for start in (lyubeznik_faces(M), taylor_faces(M)):
+            faces = dict(start)
+            tau, _ = next(facets(min(mask for mask in faces if mask.bit_count() == 3)))
+            del faces[tau]
             with pytest.raises(InternalInvariantError, match="facet of a degree-3"):
-                FreeComplex(M, RATIONAL, strata)
+                FreeComplex(M, RATIONAL, faces)
 
     def test_taylor_start_keeps_its_table_to_itself(self, lattice_builds):
         # the full start builds the 2^q table once, as its own mdeg_codes,
@@ -476,7 +474,7 @@ class TestLyubeznikStart:
         cx = FreeComplex(M)
         assert len(lattice_builds) == 1
         assert "mdeg_codes" not in vars(cx.taylor)
-        assert cx.mdeg_codes == _kernels.subset_lcms(cx.taylor.codes)
+        assert cx.mdeg_codes == dict(enumerate(_kernels.subset_lcms(cx.taylor.codes)))
 
     def test_unknown_start_is_rejected(self):
         with pytest.raises(InvalidParameterError, match="start"):
@@ -664,7 +662,7 @@ class TestIncrementalValidation:
         cx = FreeComplex(I("a, b"))
         cx.validate()
         other = cx.copy()  # the same columns
-        codes = list(cx.mdeg_codes)
+        codes = dict(cx.mdeg_codes)
         assert codes[0b11] == 0b11  # lcm([a, b]) = a*b
         codes[0b01] = 0b100  # [a] now holds a bit that [a, b] lacks
         other.mdeg_codes = codes
@@ -700,7 +698,7 @@ class TestIncrementalValidation:
         # the check of the start, so only that check can see the fault
         from monodom import resolution
 
-        real = resolution.lyubeznik_strata
+        real = resolution.lyubeznik_faces
         # the last variable's field is the top one: one bit per distinct
         # nonzero exponent of each variable, laid out in variable order
         rows = I(text).exponent_rows
@@ -709,13 +707,10 @@ class TestIncrementalValidation:
         keep = (1 << total - widths[-1]) - 1
 
         def lossy(ideal, order=None):
-            return tuple(
-                {
-                    mask: lcm if mask.bit_count() < 2 else lcm & keep
-                    for mask, lcm in stratum.items()
-                }
-                for stratum in real(ideal, order)
-            )
+            return {
+                mask: lcm if mask.bit_count() < 2 else lcm & keep
+                for mask, lcm in real(ideal, order).items()
+            }
 
         cancels = []
         real_cancel = resolution.FreeComplex.cancel
@@ -724,7 +719,7 @@ class TestIncrementalValidation:
             cancels.append(hit)
             return real_cancel(self, *hit)
 
-        monkeypatch.setattr(resolution, "lyubeznik_strata", lossy)
+        monkeypatch.setattr(resolution, "lyubeznik_faces", lossy)
         monkeypatch.setattr(resolution.FreeComplex, "cancel", counted_cancel)
         with pytest.raises(InternalInvariantError, match="incomparable multidegrees"):
             minimize(I(text), start="lyubeznik")

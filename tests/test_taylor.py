@@ -8,6 +8,7 @@ from monodom import (
     Analysis,
     FreeComplex,
     FuzzParams,
+    InvalidParameterError,
     Monomial,
     TaylorTooLarge,
     betti_oracle,
@@ -19,9 +20,24 @@ from monodom import (
     scarf_basis,
     table,
 )
-from monodom.taylor import _lyubeznik_order, facets, lyubeznik_strata, members_of
+from monodom import _kernels
+from monodom.taylor import (
+    _lyubeznik_order,
+    facets,
+    lyubeznik_faces,
+    members_of,
+    taylor_faces,
+)
 
-from conftest import EXHAUSTIVE, I, complete_ideal, cycle_ideal, path_ideal, rp2_ideal
+from conftest import (
+    EXHAUSTIVE,
+    I,
+    by_degree,
+    complete_ideal,
+    cycle_ideal,
+    path_ideal,
+    rp2_ideal,
+)
 
 
 def sym_by_members(ideal, *gen_texts):
@@ -44,8 +60,9 @@ class TestBuildTaylor:
         assert col[top ^ (1 << second)] == -1
         a, b = cx.codes
         # the walk gives every subset of two generators, each with its lcm code
-        assert lyubeznik_strata(M) == ({0: 0}, {0b01: a, 0b10: b}, {top: a | b})
-        for single in lyubeznik_strata(M)[1]:
+        strata = by_degree(lyubeznik_faces(M), M.q)
+        assert strata == ({0: 0}, {0b01: a, 0b10: b}, {top: a | b})
+        for single in strata[1]:
             assert dict(facets(single)) == {0: 1}
         # quotient monomials: mdeg([a,b]) / mdeg single = the other variable
         assert str(cx.mdeg(top)) == "a*b"
@@ -66,7 +83,7 @@ class TestBuildTaylor:
     def test_strata_sizes(self):
         # no generator divides the lcm of others: every subset is a face
         M = I("a, b, c, d")
-        assert [len(s) for s in lyubeznik_strata(M)] == [1, 4, 6, 4, 1]
+        assert [len(s) for s in by_degree(lyubeznik_faces(M), M.q)] == [1, 4, 6, 4, 1]
         assert [len(s) for s in FreeComplex(M).strata] == [1, 4, 6, 4, 1]
 
     def test_guard(self):
@@ -78,17 +95,17 @@ class TestBuildTaylor:
         M = I("a^2*b, a*b^2, a*c, b*c^2, c^3")
         cx = build_taylor(M)
         gens = cx.codes
-        strata = lyubeznik_strata(M)
+        faces = lyubeznik_faces(M)
         codes = list(cx.mdeg_codes)
         scarf = scarf_basis(M)
         engine = minimize(M)[1]
         assert build_taylor(M) is cx
         assert cx.codes == gens
-        assert lyubeznik_strata(M) == strata
+        assert list(lyubeznik_faces(M).items()) == list(faces.items())
         assert list(cx.mdeg_codes) == codes
         # the Taylor start builds the same table; the walk's codes agree with it
-        assert list(FreeComplex(M).mdeg_codes) == codes
-        assert all(codes[mask] == code for st in strata for mask, code in st.items())
+        assert FreeComplex(M).mdeg_codes == dict(enumerate(codes))
+        assert all(codes[mask] == code for mask, code in faces.items())
         assert betti_oracle(M) == engine
         assert scarf_basis(M) == scarf
         assert not hasattr(cx, "diff")
@@ -216,20 +233,53 @@ LYUBEZNIK_FACES = [
 ]
 
 
+def scan_order(mask):
+    return mask.bit_count(), mask
+
+
+class TestFaceMaps:
+    @pytest.mark.parametrize("make", [lambda: I("a^2*b, a*b^2, a*c, b*c^2, c^3"), rp2_ideal])
+    def test_both_maps_iterate_in_scan_order(self, make):
+        M = make()
+        for faces in (taylor_faces(M), lyubeznik_faces(M)):
+            assert list(faces) == sorted(faces, key=scan_order)
+
+    def test_taylor_faces_are_the_lattice_table(self):
+        M = cycle_ideal(7)
+        table = _kernels.subset_lcms(build_taylor(M).codes)
+        assert taylor_faces(M) == dict(enumerate(table))
+
+    def test_taylor_minimal_ideal_gives_both_starts_the_same_map(self):
+        # no generator divides the lcm of the others, so every subset is a
+        # Lyubeznik face, whatever the order
+        M = I("a^2*e, b^3*f, c*e^2, d^2*f^3")
+        assert is_taylor_minimal(M)
+        assert list(lyubeznik_faces(M).items()) == list(taylor_faces(M).items())
+
+
 class TestLyubeznik:
+    @pytest.mark.parametrize("order", [[0, 0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3, 4, 5]])
+    def test_order_must_be_a_permutation(self, order):
+        # a repeated index drops a generator from the walk, and the engine
+        # then gives (1, 4, 4, 1) where the table is (1, 5, 6, 2); a short
+        # or shifted order runs off the walk's lists
+        M = I("a^2*b, a*b^2, a*c, b*c^2, c^3")
+        with pytest.raises(InvalidParameterError, match="permutation of range"):
+            lyubeznik_faces(M, order)
+
     @pytest.mark.parametrize(
         "make,faces", LYUBEZNIK_FACES, ids=["P12", "C13", "P14", "RP2", "K5"]
     )
     def test_heuristic_face_counts(self, make, faces):
         M = make()
-        strata = lyubeznik_strata(M)
+        strata = by_degree(lyubeznik_faces(M), M.q)
         assert sum(map(len, strata)) == faces
         assert all(list(stratum) == sorted(stratum) for stratum in strata)
         assert all(mask.bit_count() == h for h, st in enumerate(strata) for mask in st)
 
     def test_natural_order_keeps_every_subset_of_the_path(self):
         M = path_ideal(14)
-        assert sum(map(len, lyubeznik_strata(M, range(M.q)))) == 2**14
+        assert len(lyubeznik_faces(M, range(M.q))) == 2**14
 
     @pytest.mark.parametrize(
         "text",
@@ -246,17 +296,17 @@ class TestLyubeznik:
         rng = random.Random(text)
         orders = [None, tuple(range(M.q))] + [rng.sample(range(M.q), M.q) for _ in range(4)]
         for order in orders:
-            strata = lyubeznik_strata(M, order)
-            faces = {mask for stratum in strata for mask in stratum}
+            faces = lyubeznik_faces(M, order)
             lcms = build_taylor(M).mdeg_codes
-            assert all(lcms[mask] == code for st in strata for mask, code in st.items())
+            assert all(lcms[mask] == code for mask, code in faces.items())
             if order is None:
                 order = _lyubeznik_order(M, build_taylor(M).codes)
-            assert faces == brute_lyubeznik_faces(M, list(order))
+            assert set(faces) == brute_lyubeznik_faces(M, list(order))
 
     @pytest.mark.parametrize("make", [lambda: cycle_ideal(9), rp2_ideal, lambda: complete_ideal(5)])
     def test_facets_of_faces_are_faces(self, make):
-        strata = lyubeznik_strata(make())
+        M = make()
+        strata = by_degree(lyubeznik_faces(M), M.q)
         for h in range(1, len(strata)):
             below = set(strata[h - 1])
             for sigma in strata[h]:

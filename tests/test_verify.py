@@ -266,7 +266,31 @@ class TestExhaustive:
         assert sum(1 for _ in exhaustive_ideals(p)) == 11106
 
 
+# one side of each split of x1..x6 into two triples, the side holding x1
+K33_SIDES = [side for side in combinations(range(1, 7), 3) if 1 in side]
+
+
+def k33_ideal(side):
+    """Edge ideal of K3,3 with the parts `side` and the rest of x1..x6."""
+    other = [b for b in range(1, 7) if b not in side]
+    return I(
+        ", ".join(f"x{a}*x{b}" for a in side for b in other),
+        [f"x{i}" for i in range(1, 7)],
+    )
+
+
 class TestCheckReport:
+    @pytest.mark.parametrize("field", [RATIONAL, PrimeField(2)], ids=["Q", "F2"])
+    @pytest.mark.parametrize("side", K33_SIDES, ids=str)
+    def test_k33_labelings_have_gap_two(self, side, field):
+        # on six vertices the ten labelings of K3,3 are the only graphs
+        # with pd - odom = 2, the largest gap there
+        r = check_report(k33_ideal(side), field)
+        assert (r.pd, r.odom, r.codim) == (5, 3, 3)
+        assert r.betti.total == (1, 9, 18, 15, 6, 1)
+        assert not r.scarf
+        assert r.ok
+
     def test_m3_report(self):
         r = check_report(I("a*d, b*d, c*d, d^2", ["a", "b", "c", "d"]))
         assert (r.codim, r.odom, r.pd) == (1, 4, 4)
