@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
+from itertools import chain, count, islice, repeat
 from itertools import product as iter_product
 from math import comb
 from operator import le
@@ -46,23 +47,28 @@ from .taylor import (
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_BLOCK = 512  # master outputs per memoized block
 
 
-class SplitMix64:
-    """The splitmix64 stream: state += gamma, output = mix(state)."""
-
-    def __init__(self, state: int):
-        self.state = state & _M64
-
-    def below(self, bound: int) -> int:
-        """The next output of the stream, reduced mod `bound`."""
-        z = self.state = (self.state + _GAMMA) & _M64
+def _splitmix64(state: int, length: int) -> list[int]:
+    """The first `length` outputs of the splitmix64 stream at `state`: the
+    stream adds gamma to its state, then outputs the new state's mix."""
+    out = []
+    for z in range(state + _GAMMA, state + (length + 1) * _GAMMA, _GAMMA):
+        z &= _M64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-        return (z ^ (z >> 31)) % bound
+        out.append(z ^ (z >> 31))
+    return out
 
-    def next_u64(self) -> int:
-        return self.below(1 << 64)
+
+@lru_cache(maxsize=8)  # a block holds _BLOCK ints, about 20 kB
+def _master_block(seed: int, block: int) -> list[int]:
+    """Outputs block * _BLOCK + 1 through (block + 1) * _BLOCK of the
+    master stream of `seed` (taken mod 2^64), which starts at state seed.
+    Trials read these blocks, so consecutive trials share their outputs
+    and a campaign mixes each output once."""
+    return _splitmix64((seed + block * _BLOCK * _GAMMA) & _M64, _BLOCK)
 
 
 @dataclass(frozen=True)
@@ -87,8 +93,10 @@ DRAW_GUARD = 10_000  # exponent entries, n_max * q_max, one random draw may buil
 def random_ideal(params: FuzzParams, trial_index: int) -> MonomialIdeal:
     """Deterministic ideal for (seed, trial_index).
 
-    The trial's stream starts at state seed + trial_index * gamma, i.e.
-    trial t reads the master splitmix64 sequence shifted by t steps.
+    The seed is taken mod 2^64. Trial t reads the seed's master
+    splitmix64 stream, which starts at state seed, from its output t + 1
+    on, as a stream started at state seed + t * gamma would; it reads the
+    outputs from `_master_block`'s memo, block t // _BLOCK first.
     Draws: n in [1, n_max], q' in [1, q_max], then q' exponent vectors
     uniform in [0, exp_max]^n; all-zero draws are retried a bounded
     number of times before one coordinate is forced positive. The result
@@ -103,19 +111,26 @@ def random_ideal(params: FuzzParams, trial_index: int) -> MonomialIdeal:
             f"random draw of up to {params.n_max} x {params.q_max} = {entries} "
             f"exponent entries exceeds the guard of {DRAW_GUARD}"
         )
-    below = SplitMix64((params.seed + trial_index * _GAMMA) & _M64).below
-    n = 1 + below(params.n_max)
-    qq = 1 + below(params.q_max)
+    seed = params.seed & _M64
+    block, offset = divmod(trial_index, _BLOCK)
+    stream = chain(
+        islice(_master_block(seed, block), offset, None),
+        chain.from_iterable(map(_master_block, repeat(seed), count(block + 1))),
+    )
+    draw = stream.__next__
+    n = 1 + draw() % params.n_max
+    qq = 1 + draw() % params.q_max
     rows = []
-    bound = params.exp_max + 1
+    reduce = (params.exp_max + 1).__rmod__
     for _ in range(qq):
         for _ in range(16):
-            row = tuple([below(bound) for _ in range(n)])
+            row = tuple(map(reduce, islice(stream, n)))
             if any(row):
                 break
         else:
             forced = [0] * n
-            forced[below(n)] = 1 + below(params.exp_max)
+            # the right side, the exponent, is drawn before the position
+            forced[draw() % n] = 1 + draw() % params.exp_max
             row = tuple(forced)
         rows.append(row)
     return _minimal_ideal(_draw_table(n), rows)

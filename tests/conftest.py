@@ -20,7 +20,7 @@ from monodom import (
     parse_ideal,
 )
 from monodom import _kernels
-from monodom.monomials import _check_pairwise_cost
+from monodom.monomials import VariableTable, _check_pairwise_cost, _minimal_ideal
 from monodom.taylor import lattice_codes, members_of
 from monodom.verify import exhaustive_ideals
 
@@ -571,3 +571,55 @@ def reference_minimalize(monomials):
     if any(m.is_unit for m in kept):
         raise InvalidIdealError("input generates the unit ideal")
     return MonomialIdeal(tbl, tuple(kept))
+
+
+# ---------------------------------------------------------------------------
+# random draws as they were before the master stream was memoized in
+# blocks: trial t runs its own splitmix64 stream from state seed + t * gamma
+
+M64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+class ReferenceSplitMix64:
+    """The splitmix64 stream: state += gamma, output = mix(state)."""
+
+    def __init__(self, state):
+        self.state = state & M64
+
+    def below(self, bound):
+        """The next output of the stream, reduced mod `bound`."""
+        z = self.state = (self.state + GAMMA) & M64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+        return (z ^ (z >> 31)) % bound
+
+    def next_u64(self):
+        return self.below(1 << 64)
+
+
+def reference_draw(params, t):
+    """The ambient n, the exponent rows trial t draws, and how many of
+    them had a coordinate forced after 16 all-zero draws."""
+    below = ReferenceSplitMix64(params.seed + t * GAMMA).below
+    n = 1 + below(params.n_max)
+    qq = 1 + below(params.q_max)
+    rows = []
+    forced = 0
+    for _ in range(qq):
+        for _ in range(16):
+            row = tuple(below(params.exp_max + 1) for _ in range(n))
+            if any(row):
+                break
+        else:
+            exps = [0] * n
+            exps[below(n)] = 1 + below(params.exp_max)
+            row = tuple(exps)
+            forced += 1
+        rows.append(row)
+    return n, rows, forced
+
+
+def reference_random_ideal(params, t):
+    n, rows, _ = reference_draw(params, t)
+    return _minimal_ideal(VariableTable(tuple(f"x{i}" for i in range(1, n + 1))), rows)

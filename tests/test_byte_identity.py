@@ -47,6 +47,8 @@ FIELD_FREE = (["odom"], ["odom", "--json"])
 NAMED = (path_ideal(8), path_ideal(10), cycle_ideal(4), rp2_ideal(), complete_ideal(5))
 OTHER = (
     ["verify", "--trials", "1000", "--seed", "42", "--json"],
+    # a negative seed, whose 600 trials cross a block of the master stream
+    ["verify", "--trials", "600", "--seed", "-1", "--json"],
     ["verify", "--exhaustive", "--n-max", "2", "--exp-max", "2", "--q-max", "8", "--json"],
     ["verify", "--exhaustive", "--n-max", "4", "--exp-max", "1", "--q-max", "5", "--json"],
     # the guard and error paths: past TAYLOR_GUARD, a syntax error, an

@@ -64,6 +64,16 @@ def test_one_module_builds_the_lattice_table():
     assert {name for name, count in builds.items() if count} == {"taylor.py"}
 
 
+def test_one_definition_of_the_mix():
+    # the splitmix64 mix is written once, in the stream function the
+    # master blocks call, and no stream class is left beside it
+    sources = [path.read_text().upper() for path in PACKAGE.parent.rglob("*.py")]
+    for multiplier in ("0xBF58476D1CE4E5B9", "0x94D049BB133111EB"):
+        assert sum(text.count(multiplier.upper()) for text in sources) == 1
+    assert not any("CLASS SPLITMIX64" in text for text in sources)
+    assert "SplitMix64" not in monodom.__all__
+
+
 def test_one_way_past_the_monomial_constructor():
     # generator rows and decoded lattice codes are valid by construction,
     # and `_monomial` is the one builder that skips Monomial's checks

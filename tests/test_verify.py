@@ -28,7 +28,7 @@ from monodom import (
 )
 from monodom.monomials import _minimal_ideal
 from monodom.taylor import lattice_codes
-from monodom.verify import _GAMMA, _M64, SplitMix64, exhaustive_ideals
+from monodom.verify import _splitmix64, exhaustive_ideals
 
 from conftest import (
     EXHAUSTIVE,
@@ -36,9 +36,13 @@ from conftest import (
     complete_ideal,
     cycle_ideal,
     path_ideal,
+    GAMMA,
+    ReferenceSplitMix64,
     pure_power_extension,
     reference_dominant_subsets,
+    reference_draw,
     reference_minimalize,
+    reference_random_ideal,
     rp2_ideal,
 )
 
@@ -56,39 +60,41 @@ PARSED_NON_MINIMAL = [
 
 
 class TestSplitMix64:
+    # the pinned values hold for the module's stream function and for the
+    # per-trial stream in conftest that random_ideal once ran
     def test_known_answer_seed_zero(self):
-        sm = SplitMix64(0)
-        assert [sm.next_u64() for _ in range(3)] == [
-            0xE220A8397B1DCDAF,
-            0x6E789E6AA1B965F4,
-            0x06C45D188009454F,
-        ]
+        expected = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert _splitmix64(0, 3) == expected
+        sm = ReferenceSplitMix64(0)
+        assert [sm.next_u64() for _ in range(3)] == expected
 
     def test_known_answer_arbitrary_seed(self):
-        sm = SplitMix64(1234567)
-        first = sm.next_u64()
-        sm2 = SplitMix64(1234567)
-        assert sm2.next_u64() == first
-        assert sm2.next_u64() != first
+        first, second = _splitmix64(1234567, 2)
+        assert _splitmix64(1234567, 1) == [first]
+        assert second != first
+        sm = ReferenceSplitMix64(1234567)
+        assert [sm.next_u64(), sm.next_u64()] == [first, second]
 
     BOUNDS = [1, 2, 4, 6, 10] * 4
 
     def test_below_known_answer_seed_zero(self):
-        below = SplitMix64(0).below
-        assert [below(b) for b in self.BOUNDS] == [
-            0, 0, 3, 4, 7, 0, 1, 0, 5, 0, 0, 0, 3, 3, 7, 0, 1, 2, 0, 4
-        ]
+        expected = [0, 0, 3, 4, 7, 0, 1, 0, 5, 0, 0, 0, 3, 3, 7, 0, 1, 2, 0, 4]
+        drawn = [z % b for z, b in zip(_splitmix64(0, 20), self.BOUNDS)]
+        assert drawn == expected
+        below = ReferenceSplitMix64(0).below
+        assert [below(b) for b in self.BOUNDS] == expected
 
     def test_below_known_answer_from_a_trial_offset(self):
-        # trial 17 of seed 42 starts where random_ideal starts it, and
-        # reads seed 42's stream from its 18th output on
-        below = SplitMix64((42 + 17 * _GAMMA) & _M64).below
-        drawn = [below(b) for b in self.BOUNDS]
-        assert drawn == [0, 1, 0, 0, 1, 0, 1, 0, 3, 7, 0, 1, 3, 1, 2, 0, 0, 1, 1, 3]
-        master = SplitMix64(42)
-        for _ in range(17):
-            master.next_u64()
-        assert [master.below(b) for b in self.BOUNDS] == drawn
+        # trial 17 of seed 42 reads seed 42's stream from its 18th output
+        # on, in the per-trial stream and in the master block random_ideal
+        # reads it from
+        expected = [0, 1, 0, 0, 1, 0, 1, 0, 3, 7, 0, 1, 3, 1, 2, 0, 0, 1, 1, 3]
+        below = ReferenceSplitMix64(42 + 17 * GAMMA).below
+        assert [below(b) for b in self.BOUNDS] == expected
+        master = _splitmix64(42, 37)[17:]
+        assert [z % b for z, b in zip(master, self.BOUNDS)] == expected
+        block = verify._master_block(42, 0)[17:37]
+        assert [z % b for z, b in zip(block, self.BOUNDS)] == expected
 
 
 class TestRandomIdeal:
@@ -190,6 +196,66 @@ class TestRandomIdeal:
         for M in ideals:
             again = MonomialIdeal(M.table, M.generators)
             assert again == M and again.generators == M.generators
+
+    # the draw limits of fuzz_campaign and of the README preset, a
+    # squarefree case and a one-variable case
+    LIMITS = [(6, 10, 3), (4, 5, 3), (3, 8, 1), (1, 3, 1)]
+
+    @pytest.mark.parametrize("limits", LIMITS)
+    def test_draws_equal_the_per_trial_streams(self, limits):
+        # in order, then in descending order from a warm memo, then far
+        # out: each trial reads from the master blocks the outputs its own
+        # stream gave it
+        trials = [*range(3000), *range(2999, -1, -1), 10**12]
+        for seed in (0, 42, -1, 2**64 + 42):
+            p = FuzzParams(*limits, trials=0, seed=seed)
+            expected = {t: reference_random_ideal(p, t) for t in set(trials)}
+            verify._master_block.cache_clear()
+            for t in trials:
+                M, ref = random_ideal(p, t), expected[t]
+                assert (M.exponent_rows, M.table) == (ref.exponent_rows, ref.table)
+
+    # (limits, seed, trial) pins, found by a scan of the reference, whose
+    # trial draws 16 all-zero rows in a row and forces a coordinate; in the
+    # second, the forced exponent is 2 and the position draw after it would
+    # have made it 1
+    FORCED = [((1, 3, 1), 42, 11328), ((1, 3, 2), 0, 38781686)]
+
+    @pytest.mark.parametrize("limits,seed,trial", FORCED)
+    def test_forced_coordinate_draws(self, monkeypatch, limits, seed, trial):
+        # the rows of the trial, and of the trials around it, are the
+        # reference's: the forcing reads two outputs, and the rows after
+        # it read on past them
+        p = FuzzParams(*limits, trials=0, seed=seed)
+        assert reference_draw(p, trial)[2] == 1
+        trials = range(trial - 8, trial + 8)
+        drawn = []
+        monkeypatch.setattr(verify, "_minimal_ideal", lambda tbl, rows: drawn.append(rows))
+        for t in trials:
+            random_ideal(p, t)
+        assert drawn == [reference_draw(p, t)[1] for t in trials]
+
+    def test_seeds_are_taken_mod_2_to_the_64(self):
+        a, b = (FuzzParams(4, 5, 3, 0, seed=s) for s in (-1, 2**64 - 1))
+        verify._master_block.cache_clear()
+        drawn = [random_ideal(a, t).exponent_rows for t in range(50)]
+        built = verify._master_block.cache_info().misses
+        assert [random_ideal(b, t).exponent_rows for t in range(50)] == drawn
+        # and they share their blocks
+        assert verify._master_block.cache_info().misses == built
+
+    def test_the_block_memo_stays_bounded(self):
+        p = FuzzParams(6, 10, 3, 0, seed=3)
+        memo = verify._master_block
+        memo.cache_clear()
+        for t in range(20_000):
+            random_ideal(p, t)
+        info = memo.cache_info()
+        assert info.misses <= 20_000 / verify._BLOCK + 2
+        assert info.currsize <= info.maxsize
+        memo.cache_clear()
+        random_ideal(p, 10**12)
+        assert memo.cache_info().misses <= 2
 
     def test_draw_guard_bounds_n_max_times_q_max(self):
         assert random_ideal(FuzzParams(100, 100, 1, 1), 0).n <= 100
