@@ -43,21 +43,12 @@ def _load_ideal(args) -> MonomialIdeal:
     return ideal
 
 
-def _multigraded_entries(table: BettiTable):
-    """(i, exponents, monomial, count) by homological degree, then exponent
-    vector; no two entries share (i, exponents), so monomials are never
-    compared."""
-    return sorted((i, m.exponents, m, c) for (i, m), c in table.multigraded.items())
-
-
 def _betti_json(table: BettiTable) -> dict:
     """The total, graded and multigraded Betti numbers as JSON fields."""
     return {
         "betti": list(table.total),
         "graded_betti": [[i, j, c] for (i, j), c in sorted(table.graded.items())],
-        "multigraded_betti": [
-            [i, str(m), c] for i, _, m, c in _multigraded_entries(table)
-        ],
+        "multigraded_betti": table.multigraded_text(),
     }
 
 
@@ -209,7 +200,7 @@ def _cmd_betti(args) -> int:
     for (i, j), c in sorted(table.graded.items()):
         print(f"  ({i}, {j}) -> {c}")
     print("multigraded (i, monomial -> count):")
-    for i, _, m, c in _multigraded_entries(table):
+    for i, m, c in table.multigraded_text():
         print(f"  ({i}, {m}) -> {c}")
     return 0
 
@@ -235,7 +226,8 @@ def _cmd_resolution(args) -> int:
             continue
         print(f"degree {h}:")
         for mask in masks:
-            print(f"  {symbol_label(ideal, mask)}   mdeg {cx.mdeg(mask)}")
+            mdeg = cx.taylor.text(cx.mdeg_codes[mask])
+            print(f"  {symbol_label(ideal, mask)}   mdeg {mdeg}")
     if args.show_matrices:
         for s, entries in _matrix_payload(cx, ideal).items():
             print(f"matrix f_{s}:")
@@ -332,7 +324,7 @@ def _cmd_scarf(args) -> int:
         print(
             _dump(
                 {
-                    "scarf_basis": [sym.label(ideal) for sym in basis.symbols],
+                    "scarf_basis": [symbol_label(ideal, mask) for mask in basis.masks],
                     "ranks": list(basis.ranks),
                     "betti": list(betti.total),
                     "is_scarf": verdict,
@@ -341,8 +333,10 @@ def _cmd_scarf(args) -> int:
         )
         return 0
     print(f"scarf ranks: {list(basis.ranks)}   betti: {list(betti.total)}   is_scarf: {verdict}")
-    for sym in basis.symbols:
-        print(f"  {sym.label(ideal)}   mdeg {sym.mdeg}")
+    lattice = basis.lattice
+    for mask in basis.masks:
+        mdeg = lattice.text(lattice.mdeg_codes[mask])
+        print(f"  {symbol_label(ideal, mask)}   mdeg {mdeg}")
     return 0
 
 

@@ -42,9 +42,10 @@ and a face's homological degree is its mask's popcount. Multidegrees
 are integer codes, so every comparison is an int operation: equal
 multidegrees have equal codes, and mdeg(tau) divides mdeg(sigma) iff
 `codes[tau] | codes[sigma] == codes[sigma]`. A Betti table holds its
-counts on codes; a code is decoded to a `Monomial` only when a table's
-graded or multigraded numbers, or a printed symbol, are first read, so
-`check_report` decodes nothing.
+counts on codes. Its graded numbers and its printed multigraded ones
+are read off the lattice's spelling of each code, so printing decodes
+nothing; a code is decoded to a `Monomial` only when the library reads
+`multigraded` or an `mdeg`, and `check_report` does neither.
 
 Cancellation is local. The differential is one column per face, and
 its row index, the transpose, one row per face, so cancelling (tau,
@@ -173,10 +174,12 @@ class BettiTable:
     """Total, graded and multigraded Betti numbers of a quotient.
 
     Held as `counts`, the numbers β_{h,b} keyed by (h, lcm code of b),
-    with the lattice the codes decode through. `total` and `pd` are read
-    off the counts when the table is built; `graded` and `multigraded`
-    decode each distinct code once, into the lattice's shared cache, on
-    first read, and the multigraded table keeps the order of `counts`.
+    with the lattice the codes are spelled and decoded through. `total`
+    and `pd` are read off the counts when the table is built. `graded`
+    sums spelled degrees and `multigraded_text` sorts spelled keys, each
+    distinct code spelled once into the lattice's shared cache;
+    `multigraded` decodes each distinct code once, on first read, and
+    keeps the order of `counts`.
     Within one ideal's lattice the codes encode multidegrees exactly, so
     two tables on it agree exactly when their counts do. Tables are
     equal when their multigraded numbers are: the totals and graded
@@ -205,11 +208,25 @@ class BettiTable:
 
     @cached_property
     def graded(self) -> dict[tuple[int, int], int]:
+        spelled = self.lattice.spellings(code for _, code in self.counts)
         graded: dict[tuple[int, int], int] = {}
-        for (h, m), c in self.multigraded.items():
-            key = (h, sum(m.exponents))
+        for (h, code), c in self.counts.items():
+            key = (h, spelled[code][1])
             graded[key] = graded.get(key, 0) + c
         return graded
+
+    def multigraded_text(self) -> list[list]:
+        """[h, multidegree text, count] by h, then exponent vector.
+
+        Read off the spelled codes; no two entries share (h, code), so
+        the sort never compares past the order key.
+        """
+        spelled = self.lattice.spellings(code for _, code in self.counts)
+        entries = sorted(
+            (h, spelled[code][2], spelled[code][0], c)
+            for (h, code), c in self.counts.items()
+        )
+        return [[h, text, c] for h, _, text, c in entries]
 
     def __eq__(self, other):
         if not isinstance(other, BettiTable):

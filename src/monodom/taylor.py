@@ -23,9 +23,12 @@ field of its own: the support of a rank-compressed polarization
 (Miller–Sturmfels, Combinatorial Commutative Algebra, 2005). On codes,
 lcm is `a | b`, divisibility is `a | b == b` and equality is `==`; the
 width is the number of distinct nonzero (variable, exponent) pairs,
-never an exponent itself. A code becomes a `Monomial` only when output
-or a caller reads one, once per distinct code: `check_report` decodes
-nothing, and Betti tables and Scarf symbols decode on first read.
+never an exponent itself. Printing one never decodes it: the top set bit
+of each field's run names its variable's exponent, so a code's text,
+total degree and sort key are read off those end bits, a byte window at
+a time, and each distinct code is spelled once per lattice. A code
+becomes a `Monomial` only when a caller reads one as a value, once per
+distinct code; `check_report` neither decodes nor spells.
 `lattice_codes` builds the codes; the dominance route reads them
 through `generator_codes`, which reuses a held lattice and is not
 bounded by the lattice's guard.
@@ -137,7 +140,9 @@ class TaylorComplex:
 
     Building it costs O(q·n): codes[k] is the code of generator k, and
     `monomial` decodes a code, returning one shared `Monomial` per
-    distinct code. mdeg_codes[mask], the code of the lcm of the subset
+    distinct code, while `spellings` gives each distinct code's text,
+    degree and order key without decoding it, for printing.
+    mdeg_codes[mask], the code of the lcm of the subset
     `mask`, is the 2^q table, built on first read. The differential is
     never stored: `facets` gives each column.
     """
@@ -147,6 +152,7 @@ class TaylorComplex:
         self.q = ideal.q
         self.codes, self._fields = lattice_codes(ideal.exponent_rows)
         self._monomials: dict[int, Monomial] = {}
+        self._spellings: dict[int, tuple[str, int, int]] = {}
 
     @cached_property
     def mdeg_codes(self) -> tuple[int, ...]:
@@ -178,6 +184,82 @@ class TaylorComplex:
 
     def mdeg(self, mask: int) -> Monomial:
         return self.monomial(self.mdeg_codes[mask])
+
+    @cached_property
+    def _spelling(self) -> tuple[list[tuple[str, int, int]], int, list[dict]]:
+        """What `_spell` reads, built once from the fields.
+
+        For each code bit, the (factor text, exponent, order weight) of
+        the run that ends there: bit offset + r - 1 of variable v's field
+        ends rank r, so its factor is v's name to the power levels[r] and
+        its weight r * R_v, where R_v is the product of width + 1 over the
+        variables after v (variable 0 is the most significant digit).
+        Then `inner`, the bits that are not the top of their field, and
+        one empty memo per byte window of end bits.
+        """
+        fields = self._fields
+        radix = [1] * len(fields)  # R_v; each field has width + 1 levels
+        for v in range(len(fields) - 1, 0, -1):
+            radix[v - 1] = radix[v] * len(fields[v][2])
+        bits: list[tuple[str, int, int]] = []
+        inner = 0
+        for (offset, field, levels), name, unit in zip(fields, self.table.names, radix):
+            inner |= field >> 1 << offset
+            bits += [
+                (name if e == 1 else f"{name}^{e}", e, r * unit)
+                for r, e in enumerate(levels)
+                if r
+            ]
+        return bits, inner, [{} for _ in range(0, len(bits), 8)]
+
+    def _spell(self, code: int) -> tuple[str, int, int]:
+        """(text, total degree, order key) of a code, read off its end bits.
+
+        A field's end bit is the top bit of its run, so a code's end bits,
+        `code & ~(code >> 1 & inner)`, are one per variable it holds. The
+        text joins their factors in bit order, which is variable order;
+        the degree and the key sum their exponents and weights. End bits
+        are read a byte window at a time, each (window, byte) spelled once.
+        """
+        bits, inner, windows = self._spelling
+        ends = code & ~(code >> 1 & inner)
+        texts, degree, key = [], 0, 0
+        for i, byte in enumerate(ends.to_bytes(len(windows), "little")):
+            if byte:
+                memo = windows[i]
+                entry = memo.get(byte)
+                if entry is None:
+                    factors, part_degree, part_key, rest = [], 0, 0, byte
+                    while rest:
+                        low = rest & -rest
+                        factor, e, w = bits[8 * i + low.bit_length() - 1]
+                        factors.append(factor)
+                        part_degree += e
+                        part_key += w
+                        rest ^= low
+                    entry = memo[byte] = ("*".join(factors), part_degree, part_key)
+                texts.append(entry[0])
+                degree += entry[1]
+                key += entry[2]
+        return "*".join(texts) or "1", degree, key
+
+    def spellings(self, codes: Iterable[int]) -> dict[int, tuple[str, int, int]]:
+        """The shared cache of spelled codes, holding every code of `codes`.
+
+        A code's spelling is its monomial's text (`str`), total degree and
+        order key, where sorting codes by key sorts their exponent
+        tuples, all read without decoding it; each distinct code is
+        spelled once.
+        """
+        cache = self._spellings
+        for code in codes:
+            if code not in cache:
+                cache[code] = self._spell(code)
+        return cache
+
+    def text(self, code: int) -> str:
+        """The monomial text of a code, `str` of its decoded monomial."""
+        return self.spellings((code,))[code][0]
 
     def symbol(self, mask: int) -> TaylorSymbol:
         return TaylorSymbol(mask, mask.bit_count(), self.mdeg(mask))
@@ -314,9 +396,10 @@ def lyubeznik_faces(
 class ScarfBasis:
     """Symbols with a unique multidegree, with their per-degree ranks.
 
-    `ranks` is counted on lattice codes; `symbols`, which decode each
-    multidegree, are built on first read. Two bases are equal when their
-    symbols and ranks are.
+    `masks` are by homological degree, then mask, and `ranks` is counted
+    on lattice codes; `symbols`, which decode each multidegree, are built
+    on first read, while printing spells them through the lattice. Two
+    bases are equal when their symbols and ranks are.
     """
 
     def __init__(
@@ -328,9 +411,8 @@ class ScarfBasis:
 
     @cached_property
     def symbols(self) -> tuple[TaylorSymbol, ...]:
-        """By homological degree, then mask."""
-        order = sorted(self.masks, key=lambda mask: (mask.bit_count(), mask))
-        return tuple([self.lattice.symbol(mask) for mask in order])
+        """In the order of `masks`."""
+        return tuple([self.lattice.symbol(mask) for mask in self.masks])
 
     def __eq__(self, other):
         if not isinstance(other, ScarfBasis):
@@ -352,4 +434,5 @@ def scarf_basis(ideal: MonomialIdeal) -> ScarfBasis:
             counts[mask.bit_count()] += 1
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
+    masks.sort(key=lambda mask: (mask.bit_count(), mask))
     return ScarfBasis(cx, tuple(masks), tuple(counts))

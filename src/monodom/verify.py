@@ -252,9 +252,11 @@ class Analysis:
     lifetime, so minimize, the oracle and the Scarf basis all count on
     its codes. Only the oracle and the Scarf basis read its 2^q table;
     minimize takes its lcm codes from the Lyubeznik walk. The checks
-    read only counts and ranks, so `check_report` decodes nothing: the
-    Betti tables' graded and multigraded numbers and the Scarf symbols
-    decode through the lattice on first read, each distinct code once.
+    read only counts and ranks, so `check_report` neither spells nor
+    decodes a code. Printing a table's graded and multigraded numbers or
+    a Scarf symbol's multidegree spells its codes through the lattice,
+    each distinct code once; only the library values `multigraded` and
+    `mdeg` decode one to a `Monomial`.
 
     When the polarization has the ideal's own exponent rows (every
     exponent is 0 or 1 and every variable occurs), it only renames x to

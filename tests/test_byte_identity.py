@@ -26,7 +26,7 @@ from unittest import mock
 from monodom.cli import COMMANDS, main
 from monodom.verify import FuzzParams, random_ideal
 
-from conftest import complete_ideal, cycle_ideal, path_ideal, rp2_ideal
+from conftest import I, complete_ideal, cycle_ideal, path_ideal, rp2_ideal
 
 MANIFEST = Path(__file__).with_name("byte_identity.json")
 SEED = 26
@@ -43,8 +43,28 @@ PER_IDEAL = (
     ["scarf", "--json"],
 )
 # commands that take no --field, run once per ideal
-FIELD_FREE = (["odom"], ["odom", "--json"])
-NAMED = (path_ideal(8), path_ideal(10), cycle_ideal(4), rp2_ideal(), complete_ideal(5))
+FIELD_FREE = (
+    ["odom"],
+    ["odom", "--json"],
+    ["nets"],
+    ["nets", "--json"],
+    ["nets", "--polarized"],
+    ["nets", "--polarized", "--json"],
+    ["polarize"],
+    ["polarize", "--json"],
+)
+NAMED = (
+    path_ideal(8),
+    path_ideal(10),
+    cycle_ideal(4),
+    rp2_ideal(),
+    complete_ideal(5),
+    # x's and y's exponents 1..11 take fields of 11 code bits, which
+    # straddle the byte windows multidegrees are spelled in
+    I(", ".join(f"x^{e}*y^{12 - e}" for e in range(11, 0, -1))),
+    # two-digit exponents on three variables
+    I("x^12*y^10, x^10*z^11, y^11*z^13, x^11*y^11*z^10, x^13*z^10"),
+)
 OTHER = (
     ["verify", "--trials", "1000", "--seed", "42", "--json"],
     # a negative seed, whose 600 trials cross a block of the master stream

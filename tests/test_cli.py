@@ -342,26 +342,55 @@ class TestOneCommandParser:
 
 
 class TestDecoding:
-    def test_analyze_json_decodes_each_distinct_code_once(self, capsys, monkeypatch):
-        # only the engine's multigraded table is printed, so exactly its
-        # distinct multidegrees are decoded, each once
+    def test_analyze_json_decodes_nothing_and_spells_each_printed_code_once(
+        self, capsys, monkeypatch
+    ):
+        # the printed multidegrees are spelled off their lattice codes: no
+        # code becomes a Monomial, and each printed one is spelled once
         from monodom import taylor
 
-        decoded = []
-        real = taylor._monomial
+        decoded, spelled = [], []
+        real_decode, real_spell = taylor._monomial, taylor.TaylorComplex._spell
 
-        def counted(tbl, exponents):
+        def counted_decode(tbl, exponents):
             decoded.append(exponents)
-            return real(tbl, exponents)
+            return real_decode(tbl, exponents)
 
-        monkeypatch.setattr(taylor, "_monomial", counted)
+        def counted_spell(lattice, code):
+            spelling = real_spell(lattice, code)
+            spelled.append(spelling[0])
+            return spelling
+
+        monkeypatch.setattr(taylor, "_monomial", counted_decode)
+        monkeypatch.setattr(taylor.TaylorComplex, "_spell", counted_spell)
         texts = [*GOLDEN_IDEALS.values(), ", ".join(f"x{i}*x{i + 1}" for i in range(1, 11))]
         for text in texts:
             decoded.clear()
+            spelled.clear()
             code, out, _ = run(capsys, "analyze", "--json", "--ideal", text)
             assert code == 0
+            assert decoded == []
             printed = {m for _, m, _ in json.loads(out)["multigraded_betti"]}
-            assert len(decoded) == len(set(decoded)) == len(printed)
+            assert len(spelled) == len(set(spelled)) and set(spelled) == printed
+
+    def test_printing_commands_never_decode(self, capsys, monkeypatch):
+        from monodom import taylor
+
+        def refuse(lattice, codes):
+            raise AssertionError("a lattice code was decoded")
+
+        monkeypatch.setattr(taylor.TaylorComplex, "monomials", refuse)
+        commands = [
+            ["analyze"], ["analyze", "--json"],
+            ["betti"], ["betti", "--json"],
+            ["betti", "--oracle"], ["betti", "--oracle", "--json"],
+            ["scarf"], ["scarf", "--json"],
+            ["resolution"], ["resolution", "--json"],
+        ]
+        for text in GOLDEN_IDEALS.values():
+            for argv in commands:
+                code, out, _ = run(capsys, *argv, "--ideal", text)
+                assert code == 0 and out, argv
 
 
 class TestVerifyCommand:

@@ -10,6 +10,7 @@ from monodom import (
     FuzzParams,
     InvalidParameterError,
     Monomial,
+    PrimeField,
     TaylorTooLarge,
     betti_oracle,
     build_taylor,
@@ -203,6 +204,63 @@ class TestCodes:
         M = I("a^2*c, c^3", ["a", "b", "c", "d"])
         check_codes_against_exponents(M)
         assert build_taylor(M).codes == (0b011, 0b110)
+
+
+def assert_spelled_as_decoded(lattice, codes):
+    """Each code's spelling is its monomial's text and total degree, and
+    sorting by the spelled keys sorts the exponent tuples."""
+    codes = list(dict.fromkeys(codes))
+    spelled = lattice.spellings(codes)
+    decoded = lattice.monomials(codes)
+    for code in codes:
+        text, degree, _ = spelled[code]
+        assert text == str(decoded[code])
+        assert degree == sum(decoded[code].exponents)
+    by_key = sorted(codes, key=lambda code: spelled[code][2])
+    assert by_key == sorted(codes, key=lambda code: decoded[code].exponents)
+
+
+def printed_codes(analysis):
+    """The codes of the engine's table, the oracle's table and the Scarf basis."""
+    lattice = analysis.scarf_basis.lattice
+    yield from (code for _, code in analysis.betti.counts)
+    yield from (code for _, code in analysis.betti_by_oracle.counts)
+    yield from (lattice.mdeg_codes[mask] for mask in analysis.scarf_basis.masks)
+
+
+class TestSpelling:
+    # two-digit exponents, and codes over several byte windows
+    DRAWS = FuzzParams(n_max=8, q_max=10, exp_max=12, trials=200, seed=32)
+
+    def test_draws_spell_as_they_decode(self):
+        wide = two_digit = 0
+        for t in range(self.DRAWS.trials):
+            analysis = Analysis(random_ideal(self.DRAWS, t))
+            lattice = analysis.scarf_basis.lattice
+            assert_spelled_as_decoded(lattice, printed_codes(analysis))
+            wide += lattice.mdeg_codes[-1].bit_length() > 8
+            two_digit += max(map(max, analysis.ideal.exponent_rows)) >= 10
+        assert wide > 50 and two_digit > 50
+
+    @pytest.mark.parametrize("make", [
+        # fields of 11 bits, each straddling a byte window
+        lambda: I(", ".join(f"x^{e}*y^{12 - e}" for e in range(11, 0, -1))),
+        lambda: I("x^12*y^10, x^10*z^11, y^11*z^13, x^11*y^11*z^10, x^13*z^10"),
+        lambda: I("a^3000000000*b, a^2999999999*b^2, a*b^3000000000"),
+        lambda: I("a^2*c, c^3", ["a", "b", "c", "d"]),
+    ], ids=["two-window-fields", "two-digit", "huge", "unused-variables"])
+    def test_named_ideals_spell_as_they_decode(self, make):
+        analysis = Analysis(make())
+        assert_spelled_as_decoded(analysis.scarf_basis.lattice, printed_codes(analysis))
+
+    def test_rp2_over_f2(self):
+        analysis = Analysis(rp2_ideal(), PrimeField(2))
+        assert analysis.betti.total != Analysis(rp2_ideal()).betti.total
+        assert_spelled_as_decoded(analysis.scarf_basis.lattice, printed_codes(analysis))
+
+    def test_the_unit_code_spells_one(self):
+        lattice = build_taylor(I("x^3*y, y^2*z"))
+        assert lattice.spellings([0])[0] == ("1", 0, 0)
 
 
 def brute_lyubeznik_faces(ideal, order):
