@@ -13,7 +13,9 @@ J. reine angew. Math. 543, 2002; Jöllenbeck–Welker, Mem. AMS 923, 2009)
 that pairs sigma with sigma plus a generator k dividing the rest of the
 strand's top face. The unpaired cells all contain k, so the Morse
 differential is the Taylor differential restricted to them, and only
-their ranks are taken.
+their ranks are taken. Each strand's top face and k come from the
+lattice's strand map, which the Scarf basis reads too; a strand of one
+cell, a Scarf face, or of one unpaired cell needs no matrix.
 
 All arithmetic is exact: rationals by default, or F_p on request.
 Scalars are stored bare; the monomial part of an entry is always the
@@ -82,6 +84,7 @@ from .monomials import Monomial, MonomialIdeal
 from .taylor import (
     TaylorComplex,
     build_taylor,
+    facet_sign,
     facets,
     lyubeznik_faces,
     taylor_faces,
@@ -527,50 +530,76 @@ def betti_oracle(ideal: MonomialIdeal, field=RATIONAL) -> BettiTable:
     Each strand is first shrunk by a one-generator acyclic matching, the
     discrete Morse theory of the Taylor complex (Batzies–Welker, J. reine
     angew. Math. 543, 2002; Jöllenbeck–Welker, Mem. AMS 923, 2009). The
-    top face of G, the union of its members, is its largest mask. Take
-    the first generator k of the top face that divides the lcm of the
-    rest of it; then m_k divides b, so sigma and sigma | k share their
-    lcm for every sigma in G without k, and pairing the two matches
-    with a ±1 incidence and no cycles. The critical (unpaired) cells are
-    the members of G that contain k and whose facet without k has a
-    smaller lcm. Every other facet of a critical cell still contains k,
-    so it is critical or paired with a cell below it: no zigzag path
-    leaves a critical cell, and the Morse differential is the Taylor
-    differential restricted to the critical cells. When no such k
-    exists, every member of G contains the whole top face, so G is that
-    one cell and is critical. The ranks of the restricted differential
-    are computed by exact elimination.
+    lattice's strand map (`TaylorComplex.strands`) gives G's top face,
+    the union of its members, and its pairing bit: the first generator k
+    of the top face that divides the lcm of the rest of it. Then m_k
+    divides b, so sigma and sigma | k share their lcm for every sigma in
+    G without k, and pairing the two matches with a ±1 incidence and no
+    cycles. The critical (unpaired) cells are the members of G that
+    contain k and whose facet without k has a smaller lcm. Every other
+    facet of a critical cell still contains k, so it is critical or
+    paired with a cell below it: no zigzag path leaves a critical cell,
+    and the Morse differential is the Taylor differential restricted to
+    the critical cells.
+
+    So a strand with no pairing bit is its top face alone, a Scarf face,
+    and counts β = 1 in that face's degree. Every critical cell of the
+    other strands is found in one pass over the 2^q table. A strand with
+    no critical cell has no homology, and one with a single critical
+    cell has β = 1 in its degree. Otherwise the ranks of the restricted
+    differential are taken level by level, by exact elimination. A level
+    with one row or one column has rank 1 exactly when some row is a
+    facet of some column, every entry being ±1, and needs no matrix.
+    Any other matrix is built by testing each row for containment in
+    each column, signed by `facet_sign`, when the rows are fewer than a
+    column's facets, and from `facets` when they are not.
     """
     cx = build_taylor(ideal)
     lcms = cx.mdeg_codes
+    strands = cx.strands
+    pairing = {b: k for b, (_, k) in strands.items()}
+    critical: dict[int, list[int]] = {}
+    for sigma in [
+        sigma
+        for sigma, b in enumerate(lcms)
+        if sigma & (k := pairing[b]) and lcms[sigma ^ k] != b
+    ]:
+        critical.setdefault(lcms[sigma], []).append(sigma)
     counts: dict[tuple[int, int], int] = {}
-    for b, group in cx.mdeg_groups.items():
-        top = group[-1]  # every member of G is a subset of the top face
-        rest = top
-        while rest:
-            k = rest & -rest
-            if lcms[top ^ k] == b:
-                critical = [
-                    sigma for sigma in group if sigma & k and lcms[sigma ^ k] != b
-                ]
-                break
-            rest ^= k
-        else:
-            critical = group
+    for b, (top, k) in strands.items():
+        if not k:  # the strand is its top face alone
+            counts[(top.bit_count(), b)] = 1
+            continue
+        cells = critical.get(b)
+        if cells is None:  # the matching pairs every cell
+            continue
+        if len(cells) == 1:
+            counts[(cells[0].bit_count(), b)] = 1
+            continue
         levels: dict[int, list[int]] = {}
-        for mask in critical:
+        for mask in cells:
             levels.setdefault(mask.bit_count(), []).append(mask)
         ranks: dict[int, int] = {}
         for h, columns in levels.items():
-            if h == 0 or h - 1 not in levels:
+            below = levels.get(h - 1)
+            if below is None:
                 continue
-            row_index = {m: i for i, m in enumerate(levels[h - 1])}
-            rows = [{} for _ in row_index]
-            for ci, sigma in enumerate(columns):
-                for tau, sign in facets(sigma):
-                    ri = row_index.get(tau)
-                    if ri is not None:
-                        rows[ri][ci] = sign
+            if len(below) == 1 or len(columns) == 1:  # rank 1 iff any ±1 entry
+                ranks[h] = any(tau & sigma == tau for tau in below for sigma in columns)
+                continue
+            rows: list[dict[int, int]] = [{} for _ in below]
+            if len(below) < h:  # fewer rows than facets: test each for containment
+                for ci, sigma in enumerate(columns):
+                    for row, tau in zip(rows, below):
+                        if tau & sigma == tau:
+                            row[ci] = facet_sign(sigma, sigma ^ tau)
+            else:
+                row_index = {m: i for i, m in enumerate(below)}
+                for ci, sigma in enumerate(columns):
+                    for tau, sign in facets(sigma):
+                        ri = row_index.get(tau)
+                        if ri is not None:
+                            rows[ri][ci] = sign
             ranks[h] = field.rank(rows)
         for h, masks in levels.items():
             beta = len(masks) - ranks.get(h, 0) - ranks.get(h + 1, 0)

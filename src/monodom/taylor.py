@@ -15,6 +15,14 @@ its own, and `lyubeznik_faces` the Lyubeznik subcomplex, whose walk
 computes its faces' lcm codes itself, never reading the 2^q table that
 the oracle and the Scarf basis read.
 
+Those two read the table through one strand map per lattice,
+`TaylorComplex.strands`: for each lcm code, its top face, the largest
+subset with that lcm and also the union of all of them, and its pairing
+bit, the first member of the top face whose removal keeps the lcm. The
+bit is 0 exactly when the top face is the only subset with its lcm, so
+the Scarf faces are the top faces with no pairing bit, and the oracle
+matches each strand's other cells along that bit.
+
 Multidegrees are held as integer codes. The lcm lattice depends only on
 the order of each variable's exponents (Gasharov–Peeva–Welker, Math.
 Res. Lett. 6, 1999), so exponent e of variable v is coded by its rank r
@@ -68,6 +76,14 @@ def facets(sigma: int) -> Iterator[tuple[int, int]]:
         low = rest & -rest
         yield sigma ^ low, sign
         sign, rest = -sign, rest ^ low
+
+
+def facet_sign(sigma: int, dropped: int) -> int:
+    """The sign `facets` gives the facet of sigma without member bit `dropped`.
+
+    It is (-1)^j, j being the number of members of sigma below `dropped`.
+    """
+    return -1 if (sigma & (dropped - 1)).bit_count() & 1 else 1
 
 
 def symbol_label(ideal: MonomialIdeal, mask: int) -> str:
@@ -143,8 +159,9 @@ class TaylorComplex:
     distinct code, while `spellings` gives each distinct code's text,
     degree and order key without decoding it, for printing.
     mdeg_codes[mask], the code of the lcm of the subset
-    `mask`, is the 2^q table, built on first read. The differential is
-    never stored: `facets` gives each column.
+    `mask`, is the 2^q table, and `strands` its strand map, each built
+    on first read. The differential is never stored: `facets` gives
+    each column.
     """
 
     def __init__(self, ideal: MonomialIdeal):
@@ -265,12 +282,27 @@ class TaylorComplex:
         return TaylorSymbol(mask, mask.bit_count(), self.mdeg(mask))
 
     @cached_property
-    def mdeg_groups(self) -> dict[int, tuple[int, ...]]:
-        """Symbols sharing one multidegree, keyed by its code, masks ascending."""
-        groups: dict[int, list[int]] = {}
-        for mask, code in enumerate(self.mdeg_codes):
-            groups.setdefault(code, []).append(mask)
-        return {code: tuple(group) for code, group in groups.items()}
+    def strands(self) -> dict[int, tuple[int, int]]:
+        """The strand map of the 2^q table: `{code: (top face, pairing bit)}`.
+
+        A code's strand is the set of subsets whose lcm it is. Its top
+        face is the union of its members, so also the largest of them,
+        which `dict(zip(...))` keeps as each code's last mask. The
+        pairing bit is the first member k of the top face whose removal
+        keeps the code, and 0 when there is none: any other member of the
+        strand misses some k of the top face, and top minus k lies
+        between the two, so the bit is 0 exactly when the top face is the
+        strand's one cell. Codes are keyed in order of their first mask,
+        the order the oracle's counts, and so the lemma scan, read them in.
+        """
+        lcms = self.mdeg_codes
+        strands = {}
+        for code, top in dict(zip(lcms, range(len(lcms)))).items():
+            rest = top  # the members not tried yet
+            while rest and lcms[top ^ (rest & -rest)] != code:
+                rest &= rest - 1
+            strands[code] = (top, rest & -rest)
+        return strands
 
 
 def _held_lattice(ideal: MonomialIdeal) -> TaylorComplex | None:
@@ -424,15 +456,13 @@ class ScarfBasis:
 
 
 def scarf_basis(ideal: MonomialIdeal) -> ScarfBasis:
+    """The symbols alone in their strand: the top faces with no pairing bit."""
     cx = build_taylor(ideal)
-    masks = []
+    masks = sorted(top for top, k in cx.strands.values() if not k)
+    masks.sort(key=int.bit_count)  # stable: by degree, then mask
     counts = [0] * (cx.q + 1)
-    for group in cx.mdeg_groups.values():
-        if len(group) == 1:
-            (mask,) = group
-            masks.append(mask)
-            counts[mask.bit_count()] += 1
+    for mask in masks:
+        counts[mask.bit_count()] += 1
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
-    masks.sort(key=lambda mask: (mask.bit_count(), mask))
     return ScarfBasis(cx, tuple(masks), tuple(counts))

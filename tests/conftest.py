@@ -18,6 +18,7 @@ from monodom import (
     is_dominant_set,
     is_net,
     parse_ideal,
+    random_ideal,
 )
 from monodom import _kernels
 from monodom.monomials import VariableTable, _check_pairwise_cost, _minimal_ideal
@@ -66,10 +67,36 @@ def rp2_ideal():
     return I(", ".join(gens), [f"x{i}" for i in range(1, 7)])
 
 
+# one side of each split of x1..x6 into two triples, the side holding x1
+K33_SIDES = [side for side in combinations(range(1, 7), 3) if 1 in side]
+
+
+def k33_ideal(side):
+    """Edge ideal of K3,3 with the parts `side` and the rest of x1..x6."""
+    other = [b for b in range(1, 7) if b not in side]
+    return I(
+        ", ".join(f"x{a}*x{b}" for a in side for b in other),
+        [f"x{i}" for i in range(1, 7)],
+    )
+
+
 # the two exhaustive presets of acceptance criterion 9: 20 + 188 ideals
 EXHAUSTIVE = [
     *exhaustive_ideals(FuzzParams(n_max=2, q_max=8, exp_max=2, trials=0, exhaustive=True)),
     *exhaustive_ideals(FuzzParams(n_max=4, q_max=5, exp_max=1, trials=0, exhaustive=True)),
+]
+
+# 400 draws of each of four presets with up to 12 generators, with
+# (variables, exponent bound) = (8, 2), (6, 3), (8, 1) and the README's (4, 3)
+RANDOM_DRAWS = [
+    random_ideal(params, t)
+    for params in (
+        FuzzParams(n_max=8, q_max=12, exp_max=2, trials=0, seed=11),
+        FuzzParams(n_max=6, q_max=12, exp_max=3, trials=0, seed=12),
+        FuzzParams(n_max=8, q_max=12, exp_max=1, trials=0, seed=13),
+        FuzzParams(n_max=4, q_max=5, exp_max=3, trials=0, seed=42),
+    )
+    for t in range(400)
 ]
 
 
@@ -111,9 +138,65 @@ def lattice_builds(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def strand_map_builds(monkeypatch):
+    """A list that gains one entry per strand map built, i.e. per
+    `TaylorComplex.strands` computed."""
+    from functools import cached_property
+
+    from monodom.taylor import TaylorComplex
+
+    calls = []
+    build = TaylorComplex.strands.func
+
+    def counted(lattice):
+        calls.append(lattice)
+        return build(lattice)
+
+    prop = cached_property(counted)
+    prop.__set_name__(TaylorComplex, "strands")
+    monkeypatch.setattr(TaylorComplex, "strands", prop)
+    return calls
+
+
+def reference_groups(cx):
+    """The subsets sharing each lcm code, read off the lattice's 2^q
+    table: `{code: masks ascending}`, codes in order of their first mask."""
+    groups = {}
+    for mask, code in enumerate(cx.mdeg_codes):
+        groups.setdefault(code, []).append(mask)
+    return {code: tuple(group) for code, group in groups.items()}
+
+
 # ---------------------------------------------------------------------------
 # independent brute-force oracles, written directly from the definitions and
 # kept free of the package's enumeration code
+
+
+def brute_scarf_masks(ideal):
+    """(masks, ranks) of the Scarf complex, by definition.
+
+    The subsets whose lcm no other subset has, with lcms taken on the
+    exponent rows, ordered by size, then mask; ranks counts them per
+    size, up to the largest.
+    """
+    rows, q = ideal.exponent_rows, ideal.q
+    lcms = [tuple(0 for _ in range(ideal.n))]
+    for mask in range(1, 1 << q):
+        low = mask & -mask
+        row = rows[low.bit_length() - 1]
+        lcms.append(tuple(map(max, lcms[mask ^ low], row)))
+    seen = {}
+    for lcm in lcms:
+        seen[lcm] = seen.get(lcm, 0) + 1
+    masks = sorted(
+        (mask for mask, lcm in enumerate(lcms) if seen[lcm] == 1),
+        key=lambda mask: (mask.bit_count(), mask),
+    )
+    ranks = [0] * (max(mask.bit_count() for mask in masks) + 1)
+    for mask in masks:
+        ranks[mask.bit_count()] += 1
+    return tuple(masks), tuple(ranks)
 
 
 def brute_minimal_nets(ideal):

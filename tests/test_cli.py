@@ -174,6 +174,17 @@ class TestOtherCommands:
         assert json.loads(out)["betti"] == [1, 5, 6, 2]
         assert len(lattice_builds) == 1
 
+    @pytest.mark.parametrize(
+        "command", [["analyze"], ["scarf"], ["betti", "--oracle"]], ids=lambda c: "-".join(c)
+    )
+    def test_p12_builds_one_table_and_one_strand_map(
+        self, capsys, lattice_builds, strand_map_builds, command
+    ):
+        p12 = ", ".join(f"x{i}*x{i + 1}" for i in range(1, 13))
+        code, _, _ = run(capsys, *command, "--ideal", p12, "--json")
+        assert code == 0
+        assert len(lattice_builds) == len(strand_map_builds) == 1
+
     def test_betti_builds_no_lattice(self, capsys, lattice_builds):
         # the engine takes its lcm codes from the Lyubeznik walk
         code, out, _ = run(

@@ -33,6 +33,7 @@ from monodom.taylor import facets, lyubeznik_faces, taylor_faces
 from conftest import (
     EXHAUSTIVE,
     I,
+    RANDOM_DRAWS,
     brute_strand_betti,
     cycle_ideal,
     minimize_randomly,
@@ -504,20 +505,6 @@ def oracle_matches_brute_force(M, field):
     return bt
 
 
-# 400 draws of each of four presets with up to 12 generators, with
-# (variables, exponent bound) = (8, 2), (6, 3), (8, 1) and the README's (4, 3)
-RANDOM_DRAWS = [
-    random_ideal(params, t)
-    for params in (
-        FuzzParams(n_max=8, q_max=12, exp_max=2, trials=0, seed=11),
-        FuzzParams(n_max=6, q_max=12, exp_max=3, trials=0, seed=12),
-        FuzzParams(n_max=8, q_max=12, exp_max=1, trials=0, seed=13),
-        FuzzParams(n_max=4, q_max=5, exp_max=3, trials=0, seed=42),
-    )
-    for t in range(400)
-]
-
-
 class TestOracleAgainstBruteForce:
     """The Morse-reduced strands give the Betti numbers of the full ones."""
 
@@ -536,6 +523,29 @@ class TestOracleAgainstBruteForce:
         bt = oracle_matches_brute_force(rp2_ideal(), PrimeField(2))
         assert bt.total == (1, 10, 15, 7, 1)
         assert oracle_matches_brute_force(rp2_ideal(), RATIONAL).total == (1, 10, 15, 6)
+
+    @pytest.mark.parametrize("field", [RATIONAL, PrimeField(2)], ids=["Q", "F2"])
+    @pytest.mark.parametrize("make", [lambda: path_ideal(12), rp2_ideal], ids=["P12", "RP2"])
+    def test_both_row_builders_run(self, monkeypatch, make, field):
+        # a level with fewer rows than a column's facets tests each row for
+        # containment, signed by facet_sign; a larger one reads facets
+        from monodom import resolution
+
+        calls = {"facets": 0, "facet_sign": 0}
+
+        def counted(name):
+            function = getattr(resolution, name)
+
+            def call(*args):
+                calls[name] += 1
+                return function(*args)
+
+            monkeypatch.setattr(resolution, name, call)
+
+        counted("facets")
+        counted("facet_sign")
+        oracle_matches_brute_force(make(), field)
+        assert calls["facets"] > 0 and calls["facet_sign"] > 0
 
     def test_strand_with_no_redundant_generator(self):
         # abcd is reached only by all three generators, and dropping any

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from monodom import (
     Analysis,
+    check_report,
     FreeComplex,
     FuzzParams,
     InvalidParameterError,
@@ -24,6 +25,7 @@ from monodom import (
 from monodom import _kernels
 from monodom.taylor import (
     _lyubeznik_order,
+    facet_sign,
     facets,
     lyubeznik_faces,
     members_of,
@@ -32,11 +34,16 @@ from monodom.taylor import (
 
 from conftest import (
     EXHAUSTIVE,
+    K33_SIDES,
+    RANDOM_DRAWS,
     I,
+    brute_scarf_masks,
     by_degree,
     complete_ideal,
     cycle_ideal,
+    k33_ideal,
     path_ideal,
+    reference_groups,
     rp2_ideal,
 )
 
@@ -436,8 +443,8 @@ class TestScarf:
 
 
 def groups_by_monomial(cx):
-    """`mdeg_groups` keyed by the decoded multidegree's exponent tuple."""
-    return {cx.monomial(code).exponents: group for code, group in cx.mdeg_groups.items()}
+    """`reference_groups` keyed by the decoded multidegree's exponent tuple."""
+    return {cx.monomial(code).exponents: group for code, group in reference_groups(cx).items()}
 
 
 class TestMdegMultiplicity:
@@ -447,7 +454,7 @@ class TestMdegMultiplicity:
         assert [mask.bit_count() for mask in groups[(2, 2)]] == [2, 3]
 
     def test_unique_everywhere_for_two_gens(self):
-        groups = build_taylor(I("a, b")).mdeg_groups
+        groups = reference_groups(build_taylor(I("a, b")))
         assert all(len(group) == 1 for group in groups.values())
 
     def test_m3_all_multidegrees_distinct(self):
@@ -460,6 +467,79 @@ class TestMdegMultiplicity:
         assert all(len(group) == 1 for group in groups.values())
         assert [mask.bit_count() for mask in groups[(1, 1, 1, 1)]] == [3]
         assert [mask.bit_count() for mask in groups[(1, 1, 1, 2)]] == [4]
+
+
+# 300 draws with the benchmark's fuzz limits: up to 6 variables, 10
+# generators and exponent 3
+STRAND_DRAWS = [
+    random_ideal(FuzzParams(n_max=6, q_max=10, exp_max=3, trials=0, seed=3301), t)
+    for t in range(300)
+]
+
+
+class TestStrandMap:
+    """`TaylorComplex.strands` against the groups of the 2^q table."""
+
+    @pytest.mark.parametrize(
+        "ideals",
+        [
+            pytest.param(lambda: STRAND_DRAWS, id="draws"),
+            pytest.param(lambda: [path_ideal(12), cycle_ideal(13)], id="P12-C13"),
+            pytest.param(lambda: [k33_ideal(side) for side in K33_SIDES], id="K33"),
+        ],
+    )
+    def test_top_face_and_pairing_bit(self, ideals):
+        for M in ideals():
+            cx = build_taylor(M)
+            groups = reference_groups(cx)
+            assert list(cx.strands) == list(groups)
+            for code, group in groups.items():
+                top, k = cx.strands[code]
+                union = 0
+                for mask in group:
+                    union |= mask
+                assert top == max(group) == union
+                members = set(group)
+                first = next((1 << j for j in members_of(top) if top ^ 1 << j in members), 0)
+                assert k == first
+                assert (k == 0) == (len(group) == 1)
+
+    def test_draws_reach_every_kind_of_strand(self):
+        assert max(M.q for M in STRAND_DRAWS) == 9
+        kinds = {k == 0 for M in STRAND_DRAWS for _, k in build_taylor(M).strands.values()}
+        assert kinds == {True, False}
+
+    def test_facet_sign_is_the_sign_of_facets(self):
+        for sigma in range(1 << 10):
+            for tau, sign in facets(sigma):
+                assert facet_sign(sigma, sigma ^ tau) == sign
+
+    def test_one_table_and_one_strand_map_per_lattice(self, lattice_builds, strand_map_builds):
+        assert check_report(path_ideal(12)).ok
+        assert len(lattice_builds) == len(strand_map_builds) == 1
+        analysis = Analysis(path_ideal(12))
+        assert analysis.scarf_basis.ranks == brute_scarf_masks(analysis.ideal)[1]
+        assert analysis.betti_by_oracle == analysis.betti
+        assert len(lattice_builds) == len(strand_map_builds) == 2
+
+
+class TestScarfAgainstBruteForce:
+    """`scarf_basis` against the subsets whose lcm, on exponent rows, no
+    other subset has."""
+
+    def assert_brute_force(self, ideals):
+        for M in ideals:
+            basis = scarf_basis(M)
+            assert (basis.masks, basis.ranks) == brute_scarf_masks(M)
+
+    def test_exhaustive_families(self):
+        self.assert_brute_force(EXHAUSTIVE)
+
+    def test_random_draws(self):
+        self.assert_brute_force(RANDOM_DRAWS)
+
+    def test_rp2(self):
+        self.assert_brute_force([rp2_ideal()])
 
 
 @given(st.data())

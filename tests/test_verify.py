@@ -37,7 +37,9 @@ from conftest import (
     cycle_ideal,
     path_ideal,
     GAMMA,
+    K33_SIDES,
     ReferenceSplitMix64,
+    k33_ideal,
     pure_power_extension,
     reference_dominant_subsets,
     reference_draw,
@@ -330,19 +332,6 @@ class TestExhaustive:
         # one ideal per nonzero exponent vector: sum of 10^n - 1 over n <= 4
         p = FuzzParams(n_max=4, q_max=1, exp_max=9, trials=0, exhaustive=True)
         assert sum(1 for _ in exhaustive_ideals(p)) == 11106
-
-
-# one side of each split of x1..x6 into two triples, the side holding x1
-K33_SIDES = [side for side in combinations(range(1, 7), 3) if 1 in side]
-
-
-def k33_ideal(side):
-    """Edge ideal of K3,3 with the parts `side` and the rest of x1..x6."""
-    other = [b for b in range(1, 7) if b not in side]
-    return I(
-        ", ".join(f"x{a}*x{b}" for a in side for b in other),
-        [f"x{i}" for i in range(1, 7)],
-    )
 
 
 class TestCheckReport:
