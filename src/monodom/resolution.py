@@ -84,7 +84,6 @@ from .monomials import Monomial, MonomialIdeal
 from .taylor import (
     TaylorComplex,
     build_taylor,
-    facet_sign,
     facets,
     lyubeznik_faces,
     taylor_faces,
@@ -550,9 +549,7 @@ def betti_oracle(ideal: MonomialIdeal, field=RATIONAL) -> BettiTable:
     differential are taken level by level, by exact elimination. A level
     with one row or one column has rank 1 exactly when some row is a
     facet of some column, every entry being ±1, and needs no matrix.
-    Any other matrix is built by testing each row for containment in
-    each column, signed by `facet_sign`, when the rows are fewer than a
-    column's facets, and from `facets` when they are not.
+    Any other matrix is built from each column's `facets`.
     """
     cx = build_taylor(ideal)
     lcms = cx.mdeg_codes
@@ -588,18 +585,12 @@ def betti_oracle(ideal: MonomialIdeal, field=RATIONAL) -> BettiTable:
                 ranks[h] = any(tau & sigma == tau for tau in below for sigma in columns)
                 continue
             rows: list[dict[int, int]] = [{} for _ in below]
-            if len(below) < h:  # fewer rows than facets: test each for containment
-                for ci, sigma in enumerate(columns):
-                    for row, tau in zip(rows, below):
-                        if tau & sigma == tau:
-                            row[ci] = facet_sign(sigma, sigma ^ tau)
-            else:
-                row_index = {m: i for i, m in enumerate(below)}
-                for ci, sigma in enumerate(columns):
-                    for tau, sign in facets(sigma):
-                        ri = row_index.get(tau)
-                        if ri is not None:
-                            rows[ri][ci] = sign
+            row_index = {m: i for i, m in enumerate(below)}
+            for ci, sigma in enumerate(columns):
+                for tau, sign in facets(sigma):
+                    ri = row_index.get(tau)
+                    if ri is not None:
+                        rows[ri][ci] = sign
             ranks[h] = field.rank(rows)
         for h, masks in levels.items():
             beta = len(masks) - ranks.get(h, 0) - ranks.get(h + 1, 0)

@@ -78,14 +78,6 @@ def facets(sigma: int) -> Iterator[tuple[int, int]]:
         sign, rest = -sign, rest ^ low
 
 
-def facet_sign(sigma: int, dropped: int) -> int:
-    """The sign `facets` gives the facet of sigma without member bit `dropped`.
-
-    It is (-1)^j, j being the number of members of sigma below `dropped`.
-    """
-    return -1 if (sigma & (dropped - 1)).bit_count() & 1 else 1
-
-
 def symbol_label(ideal: MonomialIdeal, mask: int) -> str:
     """The symbol's generators, e.g. ``[a^2, a*b]``; the empty symbol is ``[0]``."""
     if mask == 0:

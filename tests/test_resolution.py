@@ -524,29 +524,6 @@ class TestOracleAgainstBruteForce:
         assert bt.total == (1, 10, 15, 7, 1)
         assert oracle_matches_brute_force(rp2_ideal(), RATIONAL).total == (1, 10, 15, 6)
 
-    @pytest.mark.parametrize("field", [RATIONAL, PrimeField(2)], ids=["Q", "F2"])
-    @pytest.mark.parametrize("make", [lambda: path_ideal(12), rp2_ideal], ids=["P12", "RP2"])
-    def test_both_row_builders_run(self, monkeypatch, make, field):
-        # a level with fewer rows than a column's facets tests each row for
-        # containment, signed by facet_sign; a larger one reads facets
-        from monodom import resolution
-
-        calls = {"facets": 0, "facet_sign": 0}
-
-        def counted(name):
-            function = getattr(resolution, name)
-
-            def call(*args):
-                calls[name] += 1
-                return function(*args)
-
-            monkeypatch.setattr(resolution, name, call)
-
-        counted("facets")
-        counted("facet_sign")
-        oracle_matches_brute_force(make(), field)
-        assert calls["facets"] > 0 and calls["facet_sign"] > 0
-
     def test_strand_with_no_redundant_generator(self):
         # abcd is reached only by all three generators, and dropping any
         # one loses a variable: nothing can be paired, the cell is critical

@@ -25,7 +25,6 @@ from monodom import (
 from monodom import _kernels
 from monodom.taylor import (
     _lyubeznik_order,
-    facet_sign,
     facets,
     lyubeznik_faces,
     members_of,
@@ -508,11 +507,6 @@ class TestStrandMap:
         assert max(M.q for M in STRAND_DRAWS) == 9
         kinds = {k == 0 for M in STRAND_DRAWS for _, k in build_taylor(M).strands.values()}
         assert kinds == {True, False}
-
-    def test_facet_sign_is_the_sign_of_facets(self):
-        for sigma in range(1 << 10):
-            for tau, sign in facets(sigma):
-                assert facet_sign(sigma, sigma ^ tau) == sign
 
     def test_one_table_and_one_strand_map_per_lattice(self, lattice_builds, strand_map_builds):
         assert check_report(path_ideal(12)).ok
