@@ -14,12 +14,11 @@ are built only when the family is first iterated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from . import _kernels
 from .errors import UnknownVariableError
-from .monomials import MonomialIdeal, polarize
+from .monomials import MonomialIdeal, memo, polarize
 from .taylor import members_of
 
 NET_FAMILY_GUARD = 100_000
@@ -51,20 +50,20 @@ class MinimalNetFamily:
 
     masks: frozenset[int]
 
-    @cached_property
+    @memo
     def nets(self) -> tuple[Net, ...]:
         variables = sorted(map(members_of, self.masks), key=lambda vs: (len(vs), vs))
         return tuple(map(Net, variables))
 
-    @cached_property
+    @memo
     def min_card(self) -> int:
         return min(map(int.bit_count, self.masks))
 
-    @cached_property
+    @memo
     def max_card(self) -> int:
         return max(map(int.bit_count, self.masks))
 
-    @cached_property
+    @memo
     def widest(self) -> Net:
         """The lexicographically least net of the largest cardinality.
 

@@ -75,12 +75,11 @@ after every cancellation.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping
 
 from . import _kernels
 from .errors import InternalInvariantError, InvalidParameterError
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, memo
 from .taylor import (
     TaylorComplex,
     build_taylor,
@@ -203,12 +202,12 @@ class BettiTable:
             total[h] += c
         self.total = tuple(total)
 
-    @cached_property
+    @memo
     def multigraded(self) -> dict[tuple[int, Monomial], int]:
         monomials = self.lattice.monomials(code for _, code in self.counts)
         return {(h, monomials[code]): c for (h, code), c in self.counts.items()}
 
-    @cached_property
+    @memo
     def graded(self) -> dict[tuple[int, int], int]:
         spelled = self.lattice.spellings(code for _, code in self.counts)
         graded: dict[tuple[int, int], int] = {}

@@ -46,13 +46,12 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
 from .errors import InvalidParameterError, TaylorTooLarge
-from .monomials import Monomial, MonomialIdeal, _monomial
+from .monomials import Monomial, MonomialIdeal, _monomial, memo
 
 TAYLOR_GUARD = 14  # 2^q symbols; C(14,7) columns is still tens of MB
 
@@ -104,7 +103,12 @@ def lattice_codes(
         if levels[0]:
             levels.insert(0, 0)
         width = len(levels) - 1
-        if width:
+        if width == 1:  # one nonzero level, as in every polarization
+            bit = 1 << offset
+            for k, e in enumerate(column):
+                if e:
+                    codes[k] |= bit
+        elif width:
             thermometer = {}
             for r, e in enumerate(levels):
                 thermometer[e] = ((1 << r) - 1) << offset
@@ -163,7 +167,7 @@ class TaylorComplex:
         self._monomials: dict[int, Monomial] = {}
         self._spellings: dict[int, tuple[str, int, int]] = {}
 
-    @cached_property
+    @memo
     def mdeg_codes(self) -> tuple[int, ...]:
         """The lcm code of every subset, indexed by mask: the 2^q table."""
         return tuple(_kernels.subset_lcms(self.codes))
@@ -194,7 +198,7 @@ class TaylorComplex:
     def mdeg(self, mask: int) -> Monomial:
         return self.monomial(self.mdeg_codes[mask])
 
-    @cached_property
+    @memo
     def _spelling(self) -> tuple[list[tuple[str, int, int]], int, list[dict]]:
         """What `_spell` reads, built once from the fields.
 
@@ -235,8 +239,8 @@ class TaylorComplex:
         texts, degree, key = [], 0, 0
         for i, byte in enumerate(ends.to_bytes(len(windows), "little")):
             if byte:
-                memo = windows[i]
-                entry = memo.get(byte)
+                window = windows[i]
+                entry = window.get(byte)
                 if entry is None:
                     factors, part_degree, part_key, rest = [], 0, 0, byte
                     while rest:
@@ -246,7 +250,7 @@ class TaylorComplex:
                         part_degree += e
                         part_key += w
                         rest ^= low
-                    entry = memo[byte] = ("*".join(factors), part_degree, part_key)
+                    entry = window[byte] = ("*".join(factors), part_degree, part_key)
                 texts.append(entry[0])
                 degree += entry[1]
                 key += entry[2]
@@ -273,7 +277,7 @@ class TaylorComplex:
     def symbol(self, mask: int) -> TaylorSymbol:
         return TaylorSymbol(mask, mask.bit_count(), self.mdeg(mask))
 
-    @cached_property
+    @memo
     def strands(self) -> dict[int, tuple[int, int]]:
         """The strand map of the 2^q table: `{code: (top face, pairing bit)}`.
 
@@ -433,7 +437,7 @@ class ScarfBasis:
         self.masks = masks
         self.ranks = ranks  # index = homological degree, trailing zeros trimmed
 
-    @cached_property
+    @memo
     def symbols(self) -> tuple[TaylorSymbol, ...]:
         """In the order of `masks`."""
         return tuple([self.lattice.symbol(mask) for mask in self.masks])

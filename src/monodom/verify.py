@@ -11,7 +11,7 @@ check is reported by name, never swallowed.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, count, islice, repeat
 from itertools import product as iter_product
 from math import comb
@@ -22,7 +22,7 @@ from . import _kernels
 from .dominance import DOMINANCE_GUARD, DominanceWitness, odom_by_dominance
 from .errors import FuzzFailure, GuardExceeded, InvalidParameterError
 from .monomials import Monomial, MonomialIdeal, VariableTable, polarize
-from .monomials import _canonical_ideal, _minimal_ideal
+from .monomials import _canonical_ideal, _minimal_ideal, memo
 from .nets import MinimalNetFamily, Net, minimal_nets
 from .resolution import (
     RATIONAL,
@@ -229,16 +229,19 @@ class CheckResult(NamedTuple):
         return self.template.format(*self.values)
 
 
+# Both build their record with `tuple.__new__`, every field given, which
+# skips the NamedTuple's Python-level `__new__`.
 def _both(name: str, ok: bool, template: str, *values) -> CheckResult:
-    return CheckResult(name, "pass" if ok else "fail", template, values)
+    return tuple.__new__(CheckResult, (name, "pass" if ok else "fail", template, values))
 
 
 def _implication(
     name: str, antecedent: bool, consequent: bool, template: str, *values
 ) -> CheckResult:
     if not antecedent:
-        return CheckResult(name, "vacuous", template, values)
-    return CheckResult(name, "pass" if consequent else "fail", template, values)
+        return tuple.__new__(CheckResult, (name, "vacuous", template, values))
+    status = "pass" if consequent else "fail"
+    return tuple.__new__(CheckResult, (name, status, template, values))
 
 
 class Analysis:
@@ -273,49 +276,49 @@ class Analysis:
 
     # -- stages
 
-    @cached_property
+    @memo
     def taylor(self) -> TaylorComplex:
         return build_taylor(self.ideal)
 
-    @cached_property
+    @memo
     def polarized(self) -> MonomialIdeal:
         return polarize(self.ideal)
 
-    @cached_property
+    @memo
     def dominance(self) -> tuple[int, DominanceWitness]:
         return odom_by_dominance(self.ideal)
 
-    @cached_property
+    @memo
     def nets_base(self) -> MinimalNetFamily:
         return minimal_nets(self.ideal)
 
-    @cached_property
+    @memo
     def nets_polarized(self) -> MinimalNetFamily:
         pol = self.polarized  # first, so that POLARIZE_GUARD trips first
         if pol.exponent_rows == self.ideal.exponent_rows:
             return self.nets_base
         return minimal_nets(pol)
 
-    @cached_property
+    @memo
     def betti(self) -> BettiTable:
         # Cancels on the Lyubeznik subcomplex, which gives the same table
         # from fewer symbols; only the table is kept, since its minimized
         # complex is not the one `resolution` prints.
         return minimize(self.ideal, self.field, start="lyubeznik")[1]
 
-    @cached_property
+    @memo
     def betti_by_oracle(self) -> BettiTable:
         return betti_oracle(self.ideal, self.field)
 
-    @cached_property
+    @memo
     def scarf_basis(self) -> ScarfBasis:
         return scarf_basis(self.ideal)
 
-    @cached_property
+    @memo
     def complete_intersection(self) -> bool:
         return is_complete_intersection(self.ideal)
 
-    @cached_property
+    @memo
     def odom_polarized(self) -> int:
         pol = self.polarized
         if pol.exponent_rows == self.ideal.exponent_rows:
@@ -365,7 +368,7 @@ class Analysis:
 
     # -- theorem checks
 
-    @cached_property
+    @memo
     def checks(self) -> list[CheckResult]:
         n, q = self.n, self.q
         cod, odom, pd, betti = self.codim, self.odom, self.pd, self.betti
