@@ -370,16 +370,19 @@ class Analysis:
 
     @memo
     def checks(self) -> list[CheckResult]:
+        # each invariant is read once, into a local
         n, q = self.n, self.q
         cod, odom, pd, betti = self.codim, self.odom, self.pd, self.betti
         total, bsum = betti.total, betti.sum
+        odom_nets, odom_pol, oracle = self.odom_nets, self.odom_polarized, self.betti_by_oracle
+        scarf, taylor_minimal, cm = self.scarf, self.taylor_minimal, self.cohen_macaulay
         pol_cards = self.nets_polarized.cardinalities()
         same_card = min(pol_cards) == max(pol_cards)
         return [
             _both(
                 "odom-routes-agree",
-                self.odom_dominance == self.odom_nets,
-                "dominance {} vs nets {}", self.odom_dominance, self.odom_nets,
+                odom == odom_nets,
+                "dominance {} vs nets {}", odom, odom_nets,
             ),
             _both(
                 "codim-le-odom-le-pd",
@@ -410,23 +413,23 @@ class Analysis:
             ),
             _implication(
                 "scarf-forces-pd-eq-odom",
-                self.scarf,
+                scarf,
                 pd == odom,
                 "pd {}, odom {}", pd, odom,
             ),
             _both(
                 "taylor-minimal-iff-odom-q",
-                self.taylor_minimal == (odom == q),
-                "taylor_minimal {}, odom {}, q {}", self.taylor_minimal, odom, q,
+                taylor_minimal == (odom == q),
+                "taylor_minimal {}, odom {}, q {}", taylor_minimal, odom, q,
             ),
             _both(
                 "betti-binomial-odom",
-                all(betti.beta(r) >= comb(odom, r) for r in range(pd + 1)),
+                all(b >= comb(odom, r) for r, b in enumerate(total)),
                 "betti {} vs C({}, r)", total, odom,
             ),
             _both(
                 "betti-binomial-pd",
-                all(betti.beta(r) >= comb(pd, r) for r in range(pd + 1)),
+                all(b >= comb(pd, r) for r, b in enumerate(total)),
                 "betti {} vs C({}, r)", total, pd,
             ),
             _implication(
@@ -444,26 +447,26 @@ class Analysis:
             _implication(
                 "three-variables",
                 n == 3,
-                pd == odom and self.cohen_macaulay == same_card,
-                "pd {}, odom {}, CM {}, net cards {}", pd, odom, self.cohen_macaulay, pol_cards,
+                pd == odom and cm == same_card,
+                "pd {}, odom {}, CM {}, net cards {}", pd, odom, cm, pol_cards,
             ),
             _implication(
                 "scarf-cm-iff-equal-net-cards",
-                self.scarf,
-                self.cohen_macaulay == same_card,
-                "CM {}, net cards {}", self.cohen_macaulay, pol_cards,
+                scarf,
+                cm == same_card,
+                "CM {}, net cards {}", cm, pol_cards,
             ),
             _both(
                 "odom-polarization-invariant",
-                odom == self.odom_polarized,
-                "odom {}, odom of polarization {}", odom, self.odom_polarized,
+                odom == odom_pol,
+                "odom {}, odom of polarization {}", odom, odom_pol,
             ),
             # the two tables count on codes of one lattice, which encode
             # multidegrees exactly
             _both(
                 "betti-engine-vs-oracle",
-                betti.counts == self.betti_by_oracle.counts,
-                "engine {} vs oracle {}", total, self.betti_by_oracle.total,
+                betti.counts == oracle.counts,
+                "engine {} vs oracle {}", total, oracle.total,
             ),
         ]
 
