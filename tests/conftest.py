@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd
 
@@ -18,6 +19,7 @@ from monodom import (
     is_dominant_set,
     is_net,
     parse_ideal,
+    polarize,
     random_ideal,
 )
 from monodom import _kernels
@@ -99,6 +101,38 @@ RANDOM_DRAWS = [
     for t in range(400)
 ]
 
+# 1000 draws with the limits of the benchmark's fuzz_campaign workload
+CAMPAIGN_DRAWS = [
+    random_ideal(FuzzParams(n_max=6, q_max=10, exp_max=3, trials=0, seed=3401), t)
+    for t in range(1000)
+]
+
+
+@lru_cache(maxsize=None)
+def row_ideals():
+    """The ideals whose row-derived values are checked: both exhaustive
+    presets, RANDOM_DRAWS, CAMPAIGN_DRAWS and a parsed ideal, then the
+    polarization of each, in that order."""
+    bases = [*EXHAUSTIVE, *RANDOM_DRAWS, *CAMPAIGN_DRAWS, I("a^2*e, d^2*f^3, b*c*e, c^3")]
+    return tuple(bases + [polarize(M) for M in bases])
+
+
+def reference_lattice_codes(rows):
+    """`lattice_codes` with a thermometer for every column: variable v's
+    field has one bit per distinct nonzero exponent, and exponent level
+    r sets the field's r low bits."""
+    codes = [0] * len(rows)
+    fields = []
+    offset = 0
+    for column in zip(*rows):
+        levels = [0] + sorted(set(column) - {0})
+        for k, e in enumerate(column):
+            codes[k] |= ((1 << levels.index(e)) - 1) << offset
+        width = len(levels) - 1
+        fields.append((offset, (1 << width) - 1, levels))
+        offset += width
+    return tuple(codes), fields
+
 
 def minimize_randomly(ideal, rng, field=RATIONAL, faces=None):
     """The Betti table left by cancelling, to exhaustion, an entry drawn
@@ -142,8 +176,7 @@ def lattice_builds(monkeypatch):
 def strand_map_builds(monkeypatch):
     """A list that gains one entry per strand map built, i.e. per
     `TaylorComplex.strands` computed."""
-    from functools import cached_property
-
+    from monodom.monomials import memo
     from monodom.taylor import TaylorComplex
 
     calls = []
@@ -153,7 +186,7 @@ def strand_map_builds(monkeypatch):
         calls.append(lattice)
         return build(lattice)
 
-    prop = cached_property(counted)
+    prop = memo(counted)
     prop.__set_name__(TaylorComplex, "strands")
     monkeypatch.setattr(TaylorComplex, "strands", prop)
     return calls

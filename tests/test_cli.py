@@ -21,6 +21,32 @@ GOLDEN_IDEALS = {
 }
 GOLDEN_FIELDS = {"Q": (), "F3": ("--field", "fp", "--prime", "3")}
 
+# `nets --polarized --json` where base names x_1 and x_1_1 are also names
+# of copies' shape: each of the five polarized names stays distinct
+NETS_OF_COPY_NAMES = """{
+  "max_card": 1,
+  "min_card": 1,
+  "minimal_nets": [
+    [
+      "x_1"
+    ],
+    [
+      "x_2"
+    ],
+    [
+      "x_1_1"
+    ],
+    [
+      "x_1_2"
+    ],
+    [
+      "x_1_1_1"
+    ]
+  ],
+  "polarized": true
+}
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -184,6 +210,14 @@ class TestOtherCommands:
         code, _, _ = run(capsys, *command, "--ideal", p12, "--json")
         assert code == 0
         assert len(lattice_builds) == len(strand_map_builds) == 1
+
+    def test_polarized_names_of_base_names_that_look_like_copies(self, capsys):
+        code, out, _ = run(
+            capsys, "nets", "--polarized", "--json", "--vars", "x,x_1,x_1_1",
+            "--ideal", "x^2*x_1^2*x_1_1",
+        )
+        assert code == 0
+        assert out == NETS_OF_COPY_NAMES
 
     def test_betti_builds_no_lattice(self, capsys, lattice_builds):
         # the engine takes its lcm codes from the Lyubeznik walk

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,9 @@ from monodom import (
     table,
 )
 
-from conftest import I, reference_minimalize
+from monodom.monomials import _canonical_ideal, memo
+
+from conftest import I, reference_minimalize, row_ideals
 
 ABC = table("a", "b", "c")
 
@@ -178,6 +182,77 @@ class TestPolarize:
             polarize(I(f"a^{POLARIZE_GUARD}*b"))
         with pytest.raises(GuardExceeded):
             polarize(I("a^3000000000*b, b^2"))
+
+
+class TestUncheckedPolarizationTable:
+    def test_the_checked_constructor_gives_an_equal_table(self):
+        for P in row_ideals()[len(row_ideals()) // 2:]:
+            t = P.table
+            assert VariableTable(t.names, t.origins) == t
+
+    def test_base_names_that_look_like_copies(self):
+        # each polarized name split at its last "_" gives back its origin
+        P = polarize(I("x^2*x_1^2*x_1_1", ["x", "x_1", "x_1_1"]))
+        assert P.table.names == ("x_1", "x_2", "x_1_1", "x_1_2", "x_1_1_1")
+        assert len(set(P.table.names)) == 5
+        assert P.table.origins == (("x", 1), ("x", 2), ("x_1", 1), ("x_1", 2), ("x_1_1", 1))
+        assert VariableTable(P.table.names, P.table.origins) == P.table
+
+
+class TestRowsDerived:
+    def test_support_masks_are_the_generators_supports(self):
+        for M in row_ideals():
+            assert M.support_masks == tuple(g.support_mask() for g in M.generators)
+
+    def test_exponent_rows_are_the_generators_exponents(self):
+        for M in row_ideals():
+            assert M.exponent_rows == tuple(g.exponents for g in M.generators)
+
+    def test_canonical_ideal_keeps_the_rows_it_was_given(self):
+        rows = [(2, 1, 0), (0, 1, 3)]
+        M = _canonical_ideal(ABC, rows)
+        assert vars(M)["exponent_rows"] == tuple(rows)
+        assert M == MonomialIdeal(ABC, (m(ABC, 0, 1, 3), m(ABC, 2, 1, 0)))
+
+
+class TestMemo:
+    def test_class_access_returns_the_descriptor(self):
+        prop = MonomialIdeal.support_masks
+        assert isinstance(prop, memo)
+        assert prop.func.__name__ == "support_masks"
+        assert prop.attrname == "support_masks"
+
+    def test_first_read_stores_the_value_and_later_reads_do_not_call(self):
+        calls = []
+
+        class Box:
+            @memo
+            def value(self):
+                """The docstring."""
+                calls.append(self)
+                return [len(calls)]
+
+            alias = memo(value.func)  # __set_name__ names the slot
+
+        assert Box.value.__doc__ == "The docstring."
+        box = Box()
+        assert "value" not in vars(box)
+        first = box.value
+        assert vars(box)["value"] is first
+        assert box.value is first and box.value is first
+        assert calls == [box]
+        assert box.alias == [2] and vars(box)["alias"] == [2]
+        assert calls == [box, box]
+
+    def test_on_a_frozen_ideal(self):
+        M = I("a^2*b, b*c")
+        assert "support_masks" not in vars(M)
+        masks = M.support_masks
+        assert masks == (0b011, 0b110)
+        assert vars(M)["support_masks"] is masks
+        assert M.support_masks is masks
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            M.support_masks = ()
 
 
 class TestCanonicalOrder:

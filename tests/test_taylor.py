@@ -26,6 +26,7 @@ from monodom import _kernels
 from monodom.taylor import (
     _lyubeznik_order,
     facets,
+    lattice_codes,
     lyubeznik_faces,
     members_of,
     taylor_faces,
@@ -43,6 +44,8 @@ from conftest import (
     k33_ideal,
     path_ideal,
     reference_groups,
+    reference_lattice_codes,
+    row_ideals,
     rp2_ideal,
 )
 
@@ -205,6 +208,24 @@ class TestCodes:
         M = I(text)
         check_codes_against_exponents(M)
         assert build_taylor(M).mdeg_codes[-1].bit_length() <= M.q * M.n
+
+    def test_codes_match_the_thermometer_reference(self):
+        # a column with one nonzero level, as in every polarization, gets
+        # one bit without a thermometer
+        for M in row_ideals():
+            rows = M.exponent_rows
+            assert lattice_codes(rows) == reference_lattice_codes(rows)
+
+    @pytest.mark.parametrize("text, names, codes", [
+        ("x^3*y, x^3*z", None, (0b011, 0b101)),
+        ("x^2*y^3, z^2", None, (0b011, 0b100)),
+        ("a^2*c, c^3", ["a", "b", "c", "d"], (0b011, 0b110)),
+        ("b^3*d^2", ["a", "b", "c", "d"], (0b11,)),
+    ])
+    def test_single_levels_of_two_or_three_and_absent_columns(self, text, names, codes):
+        rows = I(text, names).exponent_rows
+        assert lattice_codes(rows) == reference_lattice_codes(rows)
+        assert lattice_codes(rows)[0] == codes
 
     def test_unused_variables_take_no_bits(self):
         M = I("a^2*c, c^3", ["a", "b", "c", "d"])

@@ -334,7 +334,37 @@ class TestExhaustive:
         assert sum(1 for _ in exhaustive_ideals(p)) == 11106
 
 
+# the stage functions as `verify` imports them
+STAGE_FUNCTIONS = (
+    "polarize", "odom_by_dominance", "minimal_nets", "minimize", "betti_oracle", "scarf_basis",
+)
+
+
 class TestCheckReport:
+    @pytest.mark.parametrize("text, twice", [
+        # not squarefree: odom and the nets also run on the polarization
+        ("a^2*b, a*b^2, a*c, b*c^2, c^3", {"odom_by_dominance", "minimal_nets"}),
+        # squarefree on every variable: the polarized stages are read off the base
+        ("x1*x2, x2*x3", set()),
+    ])
+    def test_each_stage_runs_once(self, monkeypatch, text, twice):
+        from monodom.cli import emit_json
+
+        calls = []
+
+        def counted(name, func):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+            return call
+
+        for name in STAGE_FUNCTIONS:
+            monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+        r = check_report(I(text))
+        emit_json(r)
+        assert r.ok
+        assert sorted(calls) == sorted([*STAGE_FUNCTIONS, *twice])
+
     @pytest.mark.parametrize("field", [RATIONAL, PrimeField(2)], ids=["Q", "F2"])
     @pytest.mark.parametrize("side", K33_SIDES, ids=str)
     def test_k33_labelings_have_gap_two(self, side, field):
