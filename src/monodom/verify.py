@@ -370,7 +370,6 @@ class Analysis:
 
     @memo
     def checks(self) -> list[CheckResult]:
-        # each invariant is read once, into a local
         n, q = self.n, self.q
         cod, odom, pd, betti = self.codim, self.odom, self.pd, self.betti
         total, bsum = betti.total, betti.sum
