@@ -65,6 +65,23 @@ NAMED = (
     # two-digit exponents on three variables
     I("x^12*y^10, x^10*z^11, y^11*z^13, x^11*y^11*z^10, x^13*z^10"),
 )
+# past TAYLOR_GUARD: the path ideals P15 and P21, and a q = 15 ideal whose
+# polarization is past POLARIZE_GUARD, under each command that reads a stage
+PAST_GUARD = (
+    path_ideal(15),
+    path_ideal(21),
+    I(", ".join(f"x{i}^90*y{i}^90" for i in range(1, 16))),
+)
+PAST_GUARD_COMMANDS = (
+    ["analyze"],
+    ["analyze", "--json"],
+    ["betti"],
+    ["betti", "--oracle"],
+    ["scarf"],
+    ["resolution"],
+    ["odom"],
+    ["polarize"],
+)
 OTHER = (
     ["verify", "--trials", "1000", "--seed", "42", "--json"],
     # a negative seed, whose 600 trials cross a block of the master stream
@@ -74,6 +91,12 @@ OTHER = (
     # the guard and error paths: past TAYLOR_GUARD, a syntax error, an
     # unknown variable
     ["analyze", "--ideal", path_ideal(15).render()],
+    *(
+        [*command, "--ideal", M.render()]
+        for M in PAST_GUARD
+        for command in PAST_GUARD_COMMANDS
+        if (M, command) != (PAST_GUARD[0], ["analyze"])  # the line above
+    ),
     ["analyze", "--ideal", "a^^2"],
     ["analyze", "--ideal", "a*z", "--vars", "a,b"],
     # the argparse paths: no command, the help of the program and of each
