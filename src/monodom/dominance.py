@@ -8,13 +8,14 @@ covers, via the top powers of its dominant variables, every generator
 dividing its lcm.
 
 Dominance and covering compare only the order of each variable's
-exponents, so the scan runs on the generators' lattice codes
-(`taylor.lattice_codes`), in which exponent e of variable v is the r
-low bits of v's field, r the rank of e. A member's dominant bits in a
-set are the bits of its code that no other member's code has; the top
-bit of its v-field is among them exactly when v is dominant for it, and
-the generators holding that bit are those whose v-exponent reaches the
-member's. Variables are read off the bits only for witnesses.
+exponents, so the scan runs on the generators' lattice codes, read off
+`build_taylor` (`taylor.lattice_codes`), in which exponent e of variable
+v is the r low bits of v's field, r the rank of e. A member's dominant
+bits in a set are the bits of its code that no other member's code has;
+the top bit of its v-field is among them exactly when v is dominant for
+it, and the generators holding that bit are those whose v-exponent
+reaches the member's. Variables are read off the bits only for
+witnesses.
 
 The scan for odom visits dominant subsets only. A member's dominant
 variable strictly beats every other member, so it still does once some
@@ -33,7 +34,7 @@ from typing import Iterable
 from . import _kernels
 from .errors import GuardExceeded
 from .monomials import Monomial, MonomialIdeal
-from .taylor import bit_variables, generator_codes, members_of
+from .taylor import bit_variables, build_taylor, members_of
 
 DOMINANCE_GUARD = 20  # 2^q subset enumeration; fail loudly past this
 
@@ -85,11 +86,11 @@ def is_dominant_set(
     members = tuple(sorted(set(subset)))
     if not members:
         raise ValueError("a dominant set must be nonempty")
-    codes, fields = generator_codes(ideal)
-    masks = _kernels.dominance_masks(codes, members)
+    lattice = build_taylor(ideal)
+    masks = _kernels.dominance_masks(lattice.codes, members)
     if masks is None:
         return False, None
-    variable = bit_variables(fields)[0]
+    variable = bit_variables(lattice.fields)[0]
     least = tuple(variable[(m & -m).bit_length() - 1] for m in masks)
     return True, DominanceWitness(members, least)
 
@@ -185,10 +186,11 @@ def odom_by_dominance(ideal: MonomialIdeal) -> tuple[int, DominanceWitness]:
             f"odom enumeration over 2^{ideal.q} subsets exceeds the "
             f"q <= {DOMINANCE_GUARD} guard"
         )
-    codes, fields = generator_codes(ideal)
-    variable, highs = bit_variables(fields)
-    cap = min(ideal.q, len(ideal.appearing_variables()))
-    sizes = range(cap, 0, -1)
+    lattice = build_taylor(ideal)
+    codes = lattice.codes
+    variable, highs = bit_variables(lattice.fields)
+    # highs holds one bit per variable that occurs
+    sizes = range(min(ideal.q, highs.bit_count()), 0, -1)
     for members, masks in _kernels.dominant_subsets(codes, sizes):
         picked = _covering_assignment(codes, highs, members, masks)
         if picked is not None:

@@ -289,12 +289,6 @@ class MonomialIdeal:
     def lcm(self) -> Monomial:
         return lcm_of(self.generators)
 
-    def appearing_variables(self) -> tuple[int, ...]:
-        used = 0
-        for m in self.support_masks:
-            used |= m
-        return tuple(i for i in range(self.n) if used >> i & 1)
-
     def render(self) -> str:
         return ", ".join(str(g) for g in self.generators)
 

@@ -607,4 +607,7 @@ def is_complete_intersection(ideal: MonomialIdeal) -> bool:
     support sizes add up to the number of variables that occur at all.
     """
     masks = ideal.support_masks
-    return sum(map(int.bit_count, masks)) == len(ideal.appearing_variables())
+    used = 0
+    for mask in masks:
+        used |= mask
+    return sum(map(int.bit_count, masks)) == used.bit_count()

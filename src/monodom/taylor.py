@@ -7,6 +7,9 @@ The differential of a symbol removes one member at a time with sign
 list; `facets` yields those pairs. The monomial part of every entry is
 the quotient of the two symbols' multidegrees, so only lcm codes are
 stored, and `build_taylor` shares one lattice per ideal, read-only.
+Building one costs O(q·n) for any q: `TAYLOR_GUARD` bounds only what
+grows as 2^q, the 2^q table (`_lcm_table`, which `mdeg_codes` and
+`taylor_faces` read) and the Lyubeznik walk (`lyubeznik_faces`).
 
 The minimization engine starts from a face map, `{mask: lcm code}` keyed
 in scan order (degree, then mask ascending), and this module builds it
@@ -37,9 +40,8 @@ total degree and sort key are read off those end bits, a byte window at
 a time, and each distinct code is spelled once per lattice. A code
 becomes a `Monomial` only when a caller reads one as a value, once per
 distinct code; `check_report` neither decodes nor spells.
-`lattice_codes` builds the codes; the dominance route reads them
-through `generator_codes`, which reuses a held lattice and is not
-bounded by the lattice's guard.
+`lattice_codes` builds the codes and fields, which the dominance route
+reads off the lattice too, bounded by its own guard alone.
 """
 
 from __future__ import annotations
@@ -54,6 +56,17 @@ from .errors import InvalidParameterError, TaylorTooLarge
 from .monomials import Monomial, MonomialIdeal, _monomial, memo
 
 TAYLOR_GUARD = 14  # 2^q symbols; C(14,7) columns is still tens of MB
+
+
+def _lcm_table(codes: Sequence[int]) -> list[int]:
+    """The lcm code of every subset of `codes`, indexed by mask.
+
+    The table has 2^q entries, so past TAYLOR_GUARD codes it raises
+    TaylorTooLarge instead.
+    """
+    if len(codes) > TAYLOR_GUARD:
+        raise TaylorTooLarge(len(codes), TAYLOR_GUARD)
+    return _kernels.subset_lcms(codes)
 
 
 def members_of(mask: int) -> tuple[int, ...]:
@@ -93,7 +106,7 @@ def lattice_codes(
     distinct nonzero exponents; levels[r] is the exponent of rank r,
     coded as the r low bits of the field. Returns the codes and one
     (offset, field bits, levels) triple per variable. O(q·n), with no
-    guard: the lattice and the dominance route both start here.
+    guard.
     """
     codes = [0] * len(rows)
     fields = []
@@ -150,27 +163,28 @@ class TaylorSymbol:
 class TaylorComplex:
     """The lcm lattice of generator subsets, read-only once built.
 
-    Building it costs O(q·n): codes[k] is the code of generator k, and
-    `monomial` decodes a code, returning one shared `Monomial` per
+    Building it costs O(q·n) for any q: codes[k] is the code of
+    generator k and `fields` the per-variable fields of `lattice_codes`,
+    and `monomial` decodes a code, returning one shared `Monomial` per
     distinct code, while `spellings` gives each distinct code's text,
     degree and order key without decoding it, for printing.
-    mdeg_codes[mask], the code of the lcm of the subset
-    `mask`, is the 2^q table, and `strands` its strand map, each built
-    on first read. The differential is never stored: `facets` gives
-    each column.
+    mdeg_codes[mask], the code of the lcm of the subset `mask`, is the
+    2^q table, and `strands` its strand map, each built on first read;
+    past TAYLOR_GUARD, reading either raises TaylorTooLarge. The
+    differential is never stored: `facets` gives each column.
     """
 
     def __init__(self, ideal: MonomialIdeal):
         self.table = ideal.table
         self.q = ideal.q
-        self.codes, self._fields = lattice_codes(ideal.exponent_rows)
+        self.codes, self.fields = lattice_codes(ideal.exponent_rows)
         self._monomials: dict[int, Monomial] = {}
         self._spellings: dict[int, tuple[str, int, int]] = {}
 
     @memo
     def mdeg_codes(self) -> tuple[int, ...]:
         """The lcm code of every subset, indexed by mask: the 2^q table."""
-        return tuple(_kernels.subset_lcms(self.codes))
+        return tuple(_lcm_table(self.codes))
 
     def monomials(self, codes: Iterable[int]) -> dict[int, Monomial]:
         """The shared cache of decoded codes, holding every code of `codes`.
@@ -183,7 +197,7 @@ class TaylorComplex:
         if new:
             columns = [
                 [levels[(code >> offset & bits).bit_count()] for code in new]
-                for offset, bits, levels in self._fields
+                for offset, bits, levels in self.fields
             ]
             tbl = self.table
             for code, exps in zip(new, zip(*columns)):
@@ -210,7 +224,7 @@ class TaylorComplex:
         Then `inner`, the bits that are not the top of their field, and
         one empty memo per byte window of end bits.
         """
-        fields = self._fields
+        fields = self.fields
         radix = [1] * len(fields)  # R_v; each field has width + 1 levels
         for v in range(len(fields) - 1, 0, -1):
             radix[v - 1] = radix[v] * len(fields[v][2])
@@ -301,40 +315,21 @@ class TaylorComplex:
         return strands
 
 
-def _held_lattice(ideal: MonomialIdeal) -> TaylorComplex | None:
-    ref = vars(ideal).get("_taylor")
-    return ref() if ref is not None else None
-
-
 def build_taylor(ideal: MonomialIdeal) -> TaylorComplex:
     """The subset lattice of `ideal`, shared by every caller while one holds it.
 
     The ideal keeps a weak reference to its lattice, so whoever holds the
     lattice (as an `Analysis` does for its lifetime) makes every later
     call return the same object, which no caller may change; a lattice
-    nobody holds is freed instead of living as long as its ideal.
+    nobody holds is freed instead of living as long as its ideal. It costs
+    O(q·n) for any q; only reading its 2^q table is guarded.
     """
-    if ideal.q > TAYLOR_GUARD:
-        raise TaylorTooLarge(ideal.q, TAYLOR_GUARD)
-    cx = _held_lattice(ideal)
+    ref = vars(ideal).get("_taylor")
+    cx = ref() if ref is not None else None
     if cx is None:
         cx = TaylorComplex(ideal)
         object.__setattr__(ideal, "_taylor", weakref.ref(cx))  # a frozen dataclass
     return cx
-
-
-def generator_codes(
-    ideal: MonomialIdeal,
-) -> tuple[tuple[int, ...], list[tuple[int, int, list[int]]]]:
-    """`lattice_codes` of the generators, read off the lattice if one is held.
-
-    Unlike `build_taylor`, this neither applies TAYLOR_GUARD nor keeps
-    what it builds.
-    """
-    cx = _held_lattice(ideal)
-    if cx is None:
-        return lattice_codes(ideal.exponent_rows)
-    return cx.codes, cx._fields
 
 
 def _lyubeznik_order(ideal: MonomialIdeal, codes: Sequence[int]) -> tuple[int, ...]:
@@ -372,7 +367,7 @@ def taylor_faces(ideal: MonomialIdeal) -> dict[int, int]:
     order: by degree, then mask ascending. It reads a 2^q table of its
     own, so the shared lattice never holds one for the engine.
     """
-    table = _kernels.subset_lcms(build_taylor(ideal).codes)
+    table = _lcm_table(build_taylor(ideal).codes)
     return {mask: table[mask] for mask in sorted(range(len(table)), key=int.bit_count)}
 
 
@@ -393,8 +388,11 @@ def lyubeznik_faces(
     The walk adds a new first member i to a face tau and carries the
     lcm code of each face, the OR of its parent's and the new member's:
     {i} | tau is a face iff no generator k before i divides that lcm,
-    `codes[k] | lcm == lcm`. The 2^q lattice table is never read.
+    `codes[k] | lcm == lcm`. The 2^q lattice table is never read, but the
+    faces can number 2^q, so the walk keeps TAYLOR_GUARD.
     """
+    if ideal.q > TAYLOR_GUARD:
+        raise TaylorTooLarge(ideal.q, TAYLOR_GUARD)
     cx = build_taylor(ideal)
     q = cx.q
     if order is None:

@@ -31,15 +31,7 @@ from .resolution import (
     is_complete_intersection,
     minimize,
 )
-from .taylor import (
-    ScarfBasis,
-    TaylorComplex,
-    bit_variables,
-    build_taylor,
-    generator_codes,
-    members_of,
-    scarf_basis,
-)
+from .taylor import ScarfBasis, bit_variables, members_of, scarf_basis
 
 # ---------------------------------------------------------------------------
 # splitmix64: chosen because it is bit-exactly specifiable in a few lines
@@ -249,12 +241,12 @@ class Analysis:
 
     Each stage calls one public function the first time it is read and
     keeps the result, so a caller pays for, and trips the guards of, only
-    the stages it reads. The stages that read the Taylor lattice share
-    one: `build_taylor` caches it weakly on the ideal, and the first
-    Betti table or Scarf basis kept here holds it for the object's
-    lifetime, so minimize, the oracle and the Scarf basis all count on
-    its codes. Only the oracle and the Scarf basis read its 2^q table;
-    minimize takes its lcm codes from the Lyubeznik walk. The checks
+    the stages it reads. The stages share one Taylor lattice:
+    `build_taylor` caches it weakly on the ideal, and the first Betti
+    table or Scarf basis kept here holds it for the object's lifetime, so
+    minimize, the oracle, the Scarf basis and the dominance route all
+    count on its codes. Only the oracle and the Scarf basis read its 2^q
+    table; minimize takes its lcm codes from the Lyubeznik walk. The checks
     read only counts and ranks, so `check_report` neither spells nor
     decodes a code. Printing a table's graded and multigraded numbers or
     a Scarf symbol's multidegree spells its codes through the lattice,
@@ -275,10 +267,6 @@ class Analysis:
         self.n, self.q = ideal.n, ideal.q
 
     # -- stages
-
-    @memo
-    def taylor(self) -> TaylorComplex:
-        return build_taylor(self.ideal)
 
     @memo
     def polarized(self) -> MonomialIdeal:
@@ -478,15 +466,15 @@ class Analysis:
 
 
 # The order check_report reads the stages in, so that of several guards an
-# ideal exceeds, the one reported is always the same. `taylor` comes first,
-# so its guard trips first and the dominance route reuses its codes.
+# ideal exceeds, the one reported is always the same. `betti` comes first,
+# so the Lyubeznik walk's TAYLOR_GUARD trips first, and its table holds the
+# lattice that every later stage reads.
 _REPORT_STAGES = (
-    "taylor",
+    "betti",
     "polarized",
     "dominance",
     "nets_base",
     "nets_polarized",
-    "betti",
     "betti_by_oracle",
     "scarf_basis",
     "complete_intersection",
@@ -612,8 +600,9 @@ def check_lemma_hypotheses(ideal: MonomialIdeal, field=RATIONAL) -> list[LemmaIn
     for h, code in betti.counts:
         by_degree.setdefault(h, []).append(code)
 
-    codes, fields = generator_codes(ideal)
-    variable, highs = bit_variables(fields)
+    lattice = betti.lattice
+    codes = lattice.codes
+    variable, highs = bit_variables(lattice.fields)
     out: list[LemmaInstance] = []
     sizes = range(1, min(ideal.q, ideal.n) + 1)
     for members, masks in _kernels.dominant_subsets(codes, sizes):
@@ -631,7 +620,7 @@ def check_lemma_hypotheses(ideal: MonomialIdeal, field=RATIONAL) -> list[LemmaIn
             if satisfied:
                 for code in by_degree.get(len(members), ()):
                     if code & tops == tops:
-                        witness = betti.lattice.monomial(code)
+                        witness = lattice.monomial(code)
                         break
             out.append(LemmaInstance(members, assignment, satisfied, witness))
     return out

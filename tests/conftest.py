@@ -482,9 +482,10 @@ def reference_covering_assignment(
 
 def reference_odom_by_dominance(ideal):
     """(odom, witness) from the plain scan, by descending size."""
-    cap = min(ideal.q, len(ideal.appearing_variables()))
-    sizes = range(cap, 0, -1)
-    for members, masks in reference_dominant_subsets(ideal.exponent_rows, sizes):
+    rows = ideal.exponent_rows
+    occurring = sum(any(column) for column in zip(*rows))
+    sizes = range(min(ideal.q, occurring), 0, -1)
+    for members, masks in reference_dominant_subsets(rows, sizes):
         assignment = reference_covering_assignment(ideal, members, masks)
         if assignment is not None:
             return len(members), DominanceWitness(members, assignment)

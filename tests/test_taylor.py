@@ -15,9 +15,11 @@ from monodom import (
     TaylorTooLarge,
     betti_oracle,
     build_taylor,
+    is_dominant_set,
     is_taylor_minimal,
     minimalize,
     minimize,
+    odom_by_dominance,
     random_ideal,
     scarf_basis,
     table,
@@ -45,6 +47,7 @@ from conftest import (
     path_ideal,
     reference_groups,
     reference_lattice_codes,
+    reference_odom_by_dominance,
     row_ideals,
     rp2_ideal,
 )
@@ -96,10 +99,30 @@ class TestBuildTaylor:
         assert [len(s) for s in by_degree(lyubeznik_faces(M), M.q)] == [1, 4, 6, 4, 1]
         assert [len(s) for s in FreeComplex(M).strata] == [1, 4, 6, 4, 1]
 
-    def test_guard(self):
-        M = I(", ".join(f"x{i}" for i in range(1, 16)))
-        with pytest.raises(TaylorTooLarge):
-            build_taylor(M)
+    @pytest.mark.parametrize("k", [15, 20])
+    def test_guard_sits_on_the_table_and_the_walk(self, k):
+        # past TAYLOR_GUARD the lattice's codes still build, and the
+        # dominance route reads them; what grows as 2^q raises: the
+        # table, its strand map, the Lyubeznik walk and what reads them
+        M = path_ideal(k)
+        cx = build_taylor(M)
+        assert cx.codes == lattice_codes(M.exponent_rows)[0]
+        for read in (
+            lambda: cx.mdeg_codes,
+            lambda: cx.strands,
+            lambda: taylor_faces(M),
+            lambda: lyubeznik_faces(M),
+            lambda: betti_oracle(M),
+            lambda: scarf_basis(M),
+            lambda: minimize(M),
+            lambda: minimize(M, start="lyubeznik"),
+        ):
+            with pytest.raises(TaylorTooLarge):
+                read()
+        assert odom_by_dominance(M) == reference_odom_by_dominance(M)
+        assert is_dominant_set(M, range(M.q)) == (False, None)
+        ok, witness = is_dominant_set(M, [0, 2])
+        assert ok and witness.variables == (0, 2)
 
     def test_lattice_is_shared_and_read_only(self):
         M = I("a^2*b, a*b^2, a*c, b*c^2, c^3")

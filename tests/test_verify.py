@@ -575,10 +575,20 @@ class TestCheckReport:
             assert report.betti.total == report.betti_by_oracle.total
             assert [c.name for c in report.failed_checks()] == ["betti-engine-vs-oracle"]
 
-    def test_guard_raises(self):
+    def test_guard_raises(self, monkeypatch):
         M = I(", ".join(f"x{i}" for i in range(1, 16)))
         with pytest.raises(TaylorTooLarge):
             check_report(M)
+
+        # the engine's table is read first, so its guard trips before any
+        # stage that would run past q = 14 is computed
+        def fail(*args):
+            raise AssertionError("a stage ran before the guard")
+
+        for name in ("polarize", "odom_by_dominance", "minimal_nets"):
+            monkeypatch.setattr(verify, name, fail)
+        with pytest.raises(TaylorTooLarge):
+            check_report(path_ideal(15))
 
 
 class TestFuzz:
