@@ -26,6 +26,7 @@ from monodom import (
 )
 from monodom import _kernels
 from monodom.taylor import (
+    TAYLOR_GUARD,
     _lyubeznik_order,
     facets,
     lattice_codes,
@@ -123,6 +124,11 @@ class TestBuildTaylor:
         assert is_dominant_set(M, range(M.q)) == (False, None)
         ok, witness = is_dominant_set(M, [0, 2])
         assert ok and witness.variables == (0, 2)
+
+    def test_guard_admits_its_own_q(self):
+        M = path_ideal(TAYLOR_GUARD)
+        assert len(build_taylor(M).mdeg_codes) == len(taylor_faces(M)) == 1 << M.q
+        assert len(lyubeznik_faces(M)) == 4352
 
     def test_lattice_is_shared_and_read_only(self):
         M = I("a^2*b, a*b^2, a*c, b*c^2, c^3")
