@@ -500,6 +500,7 @@ def minimize(
     """
     if start not in ("taylor", "lyubeznik"):
         raise InvalidParameterError(f"unknown start {start!r}")
+    lattice = build_taylor(ideal)  # held, so the walk and the complex share it
     cx = FreeComplex(
         ideal, field, lyubeznik_faces(ideal) if start == "lyubeznik" else None
     )

@@ -24,6 +24,7 @@ from monodom import (
     monomials,
     polarize,
     random_ideal,
+    taylor,
     verify,
 )
 from monodom.monomials import _minimal_ideal
@@ -360,10 +361,15 @@ class TestCheckReport:
 
         for name in STAGE_FUNCTIONS:
             monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+        monkeypatch.setattr(taylor, "lattice_codes", counted("lattice", taylor.lattice_codes))
         r = check_report(I(text))
         emit_json(r)
         assert r.ok
-        assert sorted(calls) == sorted([*STAGE_FUNCTIONS, *twice])
+        # one lattice for the ideal, and one for its polarization if that
+        # is read apart from it
+        lattices = calls.count("lattice")
+        assert lattices == 1 + ("odom_by_dominance" in twice)
+        assert sorted(calls) == sorted([*STAGE_FUNCTIONS, *twice, *["lattice"] * lattices])
 
     @pytest.mark.parametrize("field", [RATIONAL, PrimeField(2)], ids=["Q", "F2"])
     @pytest.mark.parametrize("side", K33_SIDES, ids=str)
