@@ -241,17 +241,17 @@ class Analysis:
 
     Each stage calls one public function the first time it is read and
     keeps the result, so a caller pays for, and trips the guards of, only
-    the stages it reads. The stages share one Taylor lattice:
-    `build_taylor` caches it weakly on the ideal, and the first Betti
-    table or Scarf basis kept here holds it for the object's lifetime, so
-    minimize, the oracle, the Scarf basis and the dominance route all
-    count on its codes. Only the oracle and the Scarf basis read its 2^q
-    table; minimize takes its lcm codes from the Lyubeznik walk. The checks
-    read only counts and ranks, so `check_report` neither spells nor
-    decodes a code. Printing a table's graded and multigraded numbers or
-    a Scarf symbol's multidegree spells its codes through the lattice,
-    each distinct code once; only the library values `multigraded` and
-    `mdeg` decode one to a `Monomial`.
+    the stages it reads. The stages that read the Taylor lattice share
+    one: `build_taylor` caches it weakly on the ideal, and the first
+    Betti table or Scarf basis kept here holds it for the object's
+    lifetime, so minimize, the oracle, the Scarf basis and the dominance
+    route all count on its codes. Only the oracle and the Scarf basis
+    read its 2^q table; minimize takes its lcm codes from the Lyubeznik
+    walk. The checks read only counts and ranks, so `check_report`
+    neither spells nor decodes a code. Printing a table's graded and
+    multigraded numbers or a Scarf symbol's multidegree spells its codes
+    through the lattice, each distinct code once; only the library values
+    `multigraded` and `mdeg` decode one to a `Monomial`.
 
     When the polarization has the ideal's own exponent rows (every
     exponent is 0 or 1 and every variable occurs), it only renames x to
