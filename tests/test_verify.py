@@ -367,9 +367,9 @@ class TestCheckReport:
         assert r.ok
         # one lattice for the ideal, and one for its polarization if that
         # is read apart from it
-        lattices = calls.count("lattice")
-        assert lattices == 1 + ("odom_by_dominance" in twice)
-        assert sorted(calls) == sorted([*STAGE_FUNCTIONS, *twice, *["lattice"] * lattices])
+        assert calls.count("lattice") == 1 + ("odom_by_dominance" in twice)
+        stages = [name for name in calls if name != "lattice"]
+        assert sorted(stages) == sorted([*STAGE_FUNCTIONS, *twice])
 
     @pytest.mark.parametrize("field", [RATIONAL, PrimeField(2)], ids=["Q", "F2"])
     @pytest.mark.parametrize("side", K33_SIDES, ids=str)
